@@ -61,6 +61,7 @@ __all__ = [
     "PREDICATES",
 ]
 
+CENSUS_CAP_ENV = "SKEWLAT_CENSUS_CAP"
 DEFAULT_CAP_UNFILTERED = 4
 DEFAULT_CAP_FILTERED = 5
 CROSS_CHECK_CAP = 3
@@ -341,13 +342,14 @@ def enumerate_skew_lattices(
     Every yielded structure is valid, carries its zero when one exists,
     and is the realization of its own canonical form, so runs are
     reproducible.  The default order cap is 4, or 5 when a filter is
-    active; raise it with ``order_cap`` or the SKEWLAT_ORDER_CAP
+    active; raise it with ``order_cap`` or the SKEWLAT_CENSUS_CAP
     environment variable if you mean it.
     """
     if order < 1:
         raise PreconditionError(f"census needs order >= 1, got {order}")
     filt = filt or CensusFilter()
-    cap = _effective_cap(order_cap, DEFAULT_CAP_FILTERED if filt.active else DEFAULT_CAP_UNFILTERED)
+    default = DEFAULT_CAP_FILTERED if filt.active else DEFAULT_CAP_UNFILTERED
+    cap = _effective_cap(order_cap, default, CENSUS_CAP_ENV)
     if order > cap:
         raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
     for cf in sorted(_census_forms(order, filt)):

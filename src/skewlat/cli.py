@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
+    CapExceededError,
     FiniteSkewLattice,
     PreconditionError,
     SkewLatticeError,
@@ -292,6 +293,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ):
         try:
             print(f"{label} {_yesno(checker(S).ok)}")
+        except CapExceededError as exc:
+            print(f"{label} capped ({exc})")
         except PreconditionError:
             print(f"{label} n/a (needs normal and symmetric)")
     return 0

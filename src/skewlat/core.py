@@ -268,12 +268,54 @@ class Homomorphism:
         return f"Homomorphism({self.source.order} -> {self.target.order})"
 
 
+# Cells per x-slab of a law scan.  The scan's working set is a few
+# slab-sized arrays, O(n²) rather than the whole n³ cube.
+_SLAB_CELLS = 1 << 17
+
+
 def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     """First True position in row-major (lexicographic) scan order."""
-    idx = np.argwhere(mask)
-    if idx.shape[0] == 0:
+    flat = mask.ravel()
+    i = int(flat.argmax())
+    if not flat[i]:
         return None
-    return tuple(int(v) for v in idx[0])
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
+# cached: on small tables, building the grids costs more than the scan
+@functools.lru_cache(maxsize=32)
+def _open_grids(n: int, arity: int) -> tuple[np.ndarray, ...]:
+    grids = np.ix_(*(np.arange(n),) * arity)
+    for g in grids:
+        g.flags.writeable = False
+    return grids
+
+
+def _scan(S: FiniteSkewLattice, arity: int, law) -> tuple[int, ...] | None:
+    """First violation of ``law`` in lexicographic order, or None.
+
+    ``law(m, j, x, y[, z])`` maps open index grids to the mask of
+    violating tuples.  Only one slab of x values is evaluated at a time,
+    and the scan stops at the first slab that holds a violation.
+    """
+    n = S.order
+    x, *rest = _open_grids(n, arity)
+    step = max(1, _SLAB_CELLS // n ** (arity - 1))
+    for x0 in range(0, n, step):
+        w = _first_true(law(S._m, S._j, x[x0 : x0 + step], *rest))
+        if w is not None:
+            return (w[0] + x0,) + w[1:]
+    return None
+
+
+_AXIOM_LAWS = (
+    (3, "meet associativity", lambda m, j, x, y, z: m[m[x, y], z] != m[x, m[y, z]]),
+    (3, "join associativity", lambda m, j, x, y, z: j[j[x, y], z] != j[x, j[y, z]]),
+    (2, "absorption x∧(x∨y)=x", lambda m, j, x, y: m[x, j[x, y]] != x),
+    (2, "absorption x∨(x∧y)=x", lambda m, j, x, y: j[x, m[x, y]] != x),
+    (2, "absorption (x∨y)∧y=y", lambda m, j, x, y: m[j[x, y], y] != y),
+    (2, "absorption (x∧y)∨y=y", lambda m, j, x, y: j[m[x, y], y] != y),
+)
 
 
 def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
@@ -283,18 +325,8 @@ def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
         bad = np.flatnonzero(t.diagonal() != ids)
         if bad.size:
             return Certificate(False, "skew lattice axioms", (label, (int(bad[0]),)))
-    for label, t in (("meet associativity", m), ("join associativity", j)):
-        w = _first_true(t[t, :] != t[:, t])
-        if w is not None:
-            return Certificate(False, "skew lattice axioms", (label, w))
-    X, Y = np.indices((n, n))
-    for label, mask in (
-        ("absorption x∧(x∨y)=x", m[X, j] != X),
-        ("absorption x∨(x∧y)=x", j[X, m] != X),
-        ("absorption (x∨y)∧y=y", m[j, Y] != Y),
-        ("absorption (x∧y)∨y=y", j[m, Y] != Y),
-    ):
-        w = _first_true(mask)
+    for arity, label, law in _AXIOM_LAWS:
+        w = _scan(S, arity, law)
         if w is not None:
             return Certificate(False, "skew lattice axioms", (label, w))
     if S.zero is not None:
@@ -326,56 +358,45 @@ def _require_valid(S: FiniteSkewLattice, op: str) -> None:
         raise PreconditionError(f"{op} needs a valid skew lattice; {law} fails at {where}")
 
 
-IDENTITY_NAMES = (
-    "regular",
-    "normal",
-    "distributive",
-    "strongly_distributive",
-    "left_handed",
-    "right_handed",
-)
+# name -> (arity, laws); a named identity holds when all of its laws do
+_IDENTITY_LAWS = {
+    "regular": (3, (
+        ("x∧y∧x∧z∧x = x∧y∧z∧x", lambda m, j, x, y, z: m[m[m[m[x, y], x], z], x] != m[m[m[x, y], z], x]),
+        ("x∨y∨x∨z∨x = x∨y∨z∨x", lambda m, j, x, y, z: j[j[j[j[x, y], x], z], x] != j[j[j[x, y], z], x]),
+    )),
+    "normal": (3, (
+        ("x∧y∧z∧x = x∧z∧y∧x", lambda m, j, x, y, z: m[m[m[x, y], z], x] != m[m[m[x, z], y], x]),
+    )),
+    "distributive": (3, (
+        ("x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)",
+         lambda m, j, x, y, z: m[m[x, j[y, z]], x] != j[m[m[x, y], x], m[m[x, z], x]]),
+        ("x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)",
+         lambda m, j, x, y, z: j[j[x, m[y, z]], x] != m[j[j[x, y], x], j[j[x, z], x]]),
+    )),
+    "strongly_distributive": (3, (
+        ("(x∨y)∧z = (x∧z)∨(y∧z)", lambda m, j, x, y, z: m[j[x, y], z] != j[m[x, z], m[y, z]]),
+        ("x∧(y∨z) = (x∧y)∨(x∧z)", lambda m, j, x, y, z: m[x, j[y, z]] != j[m[x, y], m[x, z]]),
+    )),
+    "left_handed": (2, (
+        ("x∧y∧x = x∧y", lambda m, j, x, y: m[m[x, y], x] != m[x, y]),
+        ("x∨y∨x = y∨x", lambda m, j, x, y: j[j[x, y], x] != j[y, x]),
+    )),
+    "right_handed": (2, (
+        ("x∧y∧x = y∧x", lambda m, j, x, y: m[m[x, y], x] != m[y, x]),
+        ("x∨y∨x = x∨y", lambda m, j, x, y: j[j[x, y], x] != j[x, y]),
+    )),
+}
+
+IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
 
 
-def _identity_masks(S: FiniteSkewLattice, name: str) -> tuple[tuple[str, np.ndarray], ...]:
-    n, m, j = S.order, S._m, S._j
-    if name in ("left_handed", "right_handed"):
-        X, Y = np.indices((n, n))
-        if name == "left_handed":
-            return (
-                ("x∧y∧x = x∧y", m[m, X] != m),
-                ("x∨y∨x = y∨x", j[j, X] != j[Y, X]),
-            )
-        return (
-            ("x∧y∧x = y∧x", m[m, X] != m[Y, X]),
-            ("x∨y∨x = x∨y", j[j, X] != j),
-        )
-    X, Y, Z = np.indices((n, n, n))
-    if name == "regular":
-        mx = m[X, Y]
-        jx = j[X, Y]
-        return (
-            ("x∧y∧x∧z∧x = x∧y∧z∧x", m[m[m[mx, X], Z], X] != m[m[mx, Z], X]),
-            ("x∨y∨x∨z∨x = x∨y∨z∨x", j[j[j[jx, X], Z], X] != j[j[jx, Z], X]),
-        )
-    if name == "normal":
-        return (("x∧y∧z∧x = x∧z∧y∧x", m[m[m[X, Y], Z], X] != m[m[m[X, Z], Y], X]),)
-    if name == "distributive":
-        return (
-            (
-                "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)",
-                m[m[X, j[Y, Z]], X] != j[m[m[X, Y], X], m[m[X, Z], X]],
-            ),
-            (
-                "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)",
-                j[j[X, m[Y, Z]], X] != m[j[j[X, Y], X], j[j[X, Z], X]],
-            ),
-        )
-    if name == "strongly_distributive":
-        return (
-            ("(x∨y)∧z = (x∧z)∨(y∧z)", m[j[X, Y], Z] != j[m[X, Z], m[Y, Z]]),
-            ("x∧(y∨z) = (x∧y)∨(x∧z)", m[X, j[Y, Z]] != j[m[X, Y], m[X, Z]]),
-        )
-    raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
+def _identity_scan(S: FiniteSkewLattice, name: str) -> Certificate:
+    arity, laws = _IDENTITY_LAWS[name]
+    for label, law in laws:
+        w = _scan(S, arity, law)
+        if w is not None:
+            return Certificate(False, name, (label, w))
+    return Certificate(True, name)
 
 
 def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
@@ -392,14 +413,7 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     _require_valid(S, "check_identity")
     cache = S._identity_cache
     if name not in cache:
-        verdict: Certificate | None = None
-        for law, mask in _identity_masks(S, name):
-            w = _first_true(mask)
-            if w is not None:
-                verdict = Certificate(False, name, (law, w))
-                break
-        # not `verdict or ...`: a failed Certificate is falsy and would vanish
-        cache[name] = Certificate(True, name) if verdict is None else verdict
+        cache[name] = _identity_scan(S, name)
     return cache[name]
 
 
@@ -540,6 +554,33 @@ def quotient(S: FiniteSkewLattice) -> QuotientLattice:
     return QuotientLattice(lattice=lat, projection=dp.class_of)
 
 
+def _lemma_violation(m: np.ndarray, j: np.ndarray, c: np.ndarray, cleq: np.ndarray):
+    """First ``(law, (a, b, u, v))`` breaking the sandwich collapse, or None.
+
+    ``m``/``j`` are the tables, ``c`` the class of each element and
+    ``cleq`` the class order.  Per ``a`` both laws factor into n×n
+    masks: the side conditions split into lo(b, u) = [u]≤[a],[b] and
+    hi(b, v) = [a],[b]≤[v], the meet law depends on (b, v) and the join
+    law on (b, u).  So the first bad b, then the first bad (u, v) in it,
+    is the lexicographic first quadruple, in O(n³) time overall.
+    """
+    ids = np.arange(len(c))
+    C = cleq[c[:, None], c[None, :]]  # C[p, q]: [p] ≤ [q]
+    for a in ids.tolist():
+        lo, hi = C.T & C[:, a], C & C[a]
+        meet_bad = hi & (m[m[a][None, :], ids[:, None]] != m[a][:, None])
+        join_bad = lo & (j[j[a][None, :], ids[:, None]] != j[a][:, None])
+        w = _first_true((lo.any(1) & meet_bad.any(1)) | (join_bad.any(1) & hi.any(1)))
+        if w is None:
+            continue
+        b = w[0]
+        meet_uv = lo[b][:, None] & meet_bad[b][None, :]
+        u, v = _first_true(meet_uv | (join_bad[b][:, None] & hi[b][None, :]))
+        law = "a∧v∧b = a∧b" if meet_uv[u, v] else "a∨u∨b = a∨b"
+        return law, (a, b, u, v)
+    return None
+
+
 def check_lemma_reg(S: FiniteSkewLattice) -> Certificate:
     """Check the sandwich collapse around comparable classes.
 
@@ -550,22 +591,9 @@ def check_lemma_reg(S: FiniteSkewLattice) -> Certificate:
     """
     _require_valid(S, "check_lemma_reg")
     dp = S._dpart
-    n, m, j = S.order, S._m, S._j
     c = np.asarray(dp.class_of, dtype=np.intp)
-    cleq = np.asarray(dp.class_leq, dtype=bool)
-    B, U, V = np.indices((n, n, n))
-    cb, cu, cv = c[B], c[U], c[V]
-    for a in range(n):
-        ca = dp.class_of[a]
-        cond = cleq[cu, ca] & cleq[cu, cb] & cleq[ca, cv] & cleq[cb, cv]
-        meet_bad = cond & (m[m[a, V], B] != m[a, B])
-        join_bad = cond & (j[j[a, U], B] != j[a, B])
-        w = _first_true(meet_bad | join_bad)
-        if w is not None:
-            b, u, v = w
-            law = "a∧v∧b = a∧b" if meet_bad[b, u, v] else "a∨u∨b = a∨b"
-            return Certificate(False, "sandwich collapse over comparable classes", (law, (a, b, u, v)))
-    return Certificate(True, "sandwich collapse over comparable classes")
+    w = _lemma_violation(S._m, S._j, c, np.asarray(dp.class_leq, dtype=bool))
+    return Certificate(w is None, "sandwich collapse over comparable classes", w)
 
 
 def is_homomorphism(h: Homomorphism) -> Certificate:

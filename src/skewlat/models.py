@@ -73,19 +73,19 @@ __all__ = [
     "diamond_m3",
 ]
 
-ORDER_CAP_ENV = "SKEWLAT_ORDER_CAP"
+BUILD_CAP_ENV = "SKEWLAT_BUILD_CAP"
 DEFAULT_BUILD_CAP = 4096
 
 
-def _effective_cap(explicit: int | None, default: int) -> int:
+def _effective_cap(explicit: int | None, default: int, env_name: str) -> int:
     if explicit is not None:
         return explicit
-    env = os.environ.get(ORDER_CAP_ENV)
+    env = os.environ.get(env_name)
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
-            raise PreconditionError(f"{ORDER_CAP_ENV} must be an integer, got {env!r}") from exc
+            raise PreconditionError(f"{env_name} must be an integer, got {env!r}") from exc
     return default
 
 
@@ -145,12 +145,12 @@ def build_pfn_algebra(
 
     The order is ``(codomain_size+1) ** domain_size``; builds beyond the
     cap (default 4096, overridable by the argument or the
-    SKEWLAT_ORDER_CAP environment variable) are refused.
+    SKEWLAT_BUILD_CAP environment variable) are refused.
     """
     if domain_size < 1 or codomain_size < 1:
         raise PreconditionError("domain and codomain sizes must be at least 1")
     order = (codomain_size + 1) ** domain_size
-    cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP)
+    cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
     if order > cap:
         raise CapExceededError(f"partial-function algebra would have order {order} > cap {cap}")
     carrier = pfn_carrier(domain_size, codomain_size)

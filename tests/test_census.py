@@ -22,6 +22,7 @@ from skewlat.core import (
     is_commutative,
     validate_skew_axioms,
 )
+from skewlat.models import build_pfn_algebra
 
 FLAT_LEFT_TABLES = (((0, 0), (1, 1)), ((0, 1), (0, 1)))
 
@@ -198,9 +199,21 @@ def test_default_caps_guard_the_search(monkeypatch):
         next(iter(enumerate_skew_lattices(5)))
     with pytest.raises(CapExceededError):
         next(iter(enumerate_skew_lattices(6, CensusFilter(left_handed=True))))
-    monkeypatch.setenv("SKEWLAT_ORDER_CAP", "3")
+    monkeypatch.setenv("SKEWLAT_CENSUS_CAP", "3")
     with pytest.raises(CapExceededError):
         next(iter(enumerate_skew_lattices(4)))
+
+
+def test_census_and_build_caps_are_independent(monkeypatch):
+    monkeypatch.setenv("SKEWLAT_CENSUS_CAP", "2")
+    with pytest.raises(CapExceededError):
+        next(iter(enumerate_skew_lattices(3)))
+    assert build_pfn_algebra(2, 2).order == 9
+    monkeypatch.delenv("SKEWLAT_CENSUS_CAP")
+    monkeypatch.setenv("SKEWLAT_BUILD_CAP", "8")
+    with pytest.raises(CapExceededError):
+        build_pfn_algebra(2, 2)
+    assert len(list(enumerate_skew_lattices(3))) == 7
 
 
 def test_order_must_be_positive():

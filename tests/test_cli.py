@@ -1,14 +1,18 @@
 """File format round-trips and the command line surface, exit codes included."""
 
+import os
+import re
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skewlat
 from skewlat.census import enumerate_skew_lattices
-from skewlat.cli import ParseError, StructureFile, emit, main, parse
+from skewlat.cli import ParseError, StructureFile, emit, entry, main, parse
 from skewlat.core import FiniteSkewLattice
 from skewlat.models import diamond_m3, om_window
 
@@ -126,6 +130,21 @@ def test_classify_marks_unguarded_checks(tmp_path, capsys):
     assert code == 0
     assert "normal no" in out.splitlines()
     assert out.count("n/a (needs normal and symmetric)") == 4
+
+
+def test_classify_reports_a_cap_as_a_cap(tmp_path, capsys):
+    # order 16 is normal and symmetric; only the subset-enumeration cap stops
+    # the first three ladder checks
+    _, text, _ = _run(capsys, "paper", "pfn", "--sizes", "2,3")
+    code, out, _ = _run(capsys, "classify", _write(tmp_path, "p23.skl", text))
+    assert code == 0
+    lines = out.splitlines()
+    assert "normal yes" in lines and "symmetric yes" in lines
+    assert "n/a" not in out
+    cap = "capped (order 16 > 12: pass max_size to bound subset enumeration)"
+    for label in ("join-complete", "bounded-above", "extends-to-sections"):
+        assert f"{label} {cap}" in lines
+    assert "lattice-section-exists yes" in lines
 
 
 def test_reports_are_reproducible(tmp_path, capsys):
@@ -299,9 +318,22 @@ def test_help_exits_cleanly(capsys):
 
 
 def test_console_script_is_wired():
-    proc = subprocess.run(
-        ["skewlat", "census", "--order", "2", "--count-only"],
-        capture_output=True,
-        text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "3\n")
+    # the installed script is generated from [project.scripts]; check that
+    # table and run the same entry point through `python -m skewlat`, which
+    # needs no installation
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject.read_text(), re.M | re.S)
+    assert scripts is not None
+    assert re.findall(r'^(\S+)\s*=\s*"(.*)"$', scripts.group(1), re.M) == [("skewlat", "skewlat.cli:entry")]
+    assert callable(entry)
+    env = dict(os.environ)
+    src = str(Path(skewlat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "skewlat", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run("--help").startswith("usage: skewlat")
+    assert run("census", "--order", "2", "--count-only") == "3\n"

@@ -70,7 +70,7 @@ def test_algebra_order_is_options_to_the_points(m, b, order):
 def test_algebra_cap_and_override(monkeypatch):
     with pytest.raises(CapExceededError):
         build_pfn_algebra(7, 3)  # 4^7 > 4096
-    monkeypatch.setenv("SKEWLAT_ORDER_CAP", "10")
+    monkeypatch.setenv("SKEWLAT_BUILD_CAP", "10")
     assert build_pfn_algebra(2, 2).order == 9
     with pytest.raises(CapExceededError):
         build_pfn_algebra(2, 3)  # 16 > the tightened cap
