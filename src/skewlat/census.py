@@ -31,6 +31,7 @@ from typing import Callable, Iterator
 from .core import (
     CapExceededError,
     FiniteSkewLattice,
+    IDENTITY_NAMES,
     PreconditionError,
     Table,
     check_identity,
@@ -67,41 +68,59 @@ DEFAULT_CAP_FILTERED = 5
 CROSS_CHECK_CAP = 3
 
 
-@dataclass(frozen=True)
-class CensusFilter:
-    """Tri-state property filters: True requires, False forbids, None ignores."""
+# --- property registry ---------------------------------------------------
 
-    has_zero: bool | None = None
-    strongly_distributive: bool | None = None
-    left_handed: bool | None = None
-    normal: bool | None = None
-    symmetric: bool | None = None
-    commutative: bool | None = None
+# Each checker returns a Certificate or a bool and may raise
+# PreconditionError.  Identity entries bind their name through a default
+# argument so that ``check_identity`` is looked up here at call time.
+PREDICATES: dict[str, Callable[[FiniteSkewLattice], object]] = {
+    "validated": lambda S: S.validity,
+    **{name: (lambda S, name=name: check_identity(S, name)) for name in IDENTITY_NAMES},
+    "symmetric": check_symmetric,
+    "commutative": is_commutative,
+    "has_zero": lambda S: detect_zero(S) is not None,
+    "lemma_reg": check_lemma_reg,
+    "join_complete": check_join_complete,
+    "bounded_above": check_bounded_above,
+    "extends_to_sections": check_section_extension,
+    "section_exists": check_section_exists,
+    "prop_joins": check_prop_joins,
+    "implication_chain": check_implication_chain,
+    "ncframe": is_ncframe,
+    "theorem_ncframes": check_theorem_ncframes,
+}
+
+
+def _holds(name: str, S: FiniteSkewLattice) -> bool:
+    # a failed precondition counts as False
+    try:
+        return bool(PREDICATES[name](S))
+    except PreconditionError:
+        return False
+
+
+class CensusFilter:
+    """Tri-state filters over :data:`PREDICATES`: True requires, False forbids, None ignores.
+
+    Wants are checked in the order they were given, stopping at the
+    first mismatch.
+    """
+
+    def __init__(self, **wants: bool | None) -> None:
+        unknown = [key for key in wants if key not in PREDICATES]
+        if unknown:
+            raise ValueError(f"unknown filter {unknown[0]!r}; known: {', '.join(sorted(PREDICATES))}")
+        self._wants = {key: want for key, want in wants.items() if want is not None}
+
+    def __repr__(self) -> str:
+        return f"CensusFilter(**{self._wants!r})"
 
     @property
     def active(self) -> bool:
-        return any(
-            v is not None
-            for v in (
-                self.has_zero,
-                self.strongly_distributive,
-                self.left_handed,
-                self.normal,
-                self.symmetric,
-                self.commutative,
-            )
-        )
+        return bool(self._wants)
 
     def matches(self, S: FiniteSkewLattice) -> bool:
-        probes: tuple[tuple[bool | None, Callable[[], bool]], ...] = (
-            (self.has_zero, lambda: detect_zero(S) is not None),
-            (self.strongly_distributive, lambda: check_identity(S, "strongly_distributive").ok),
-            (self.left_handed, lambda: check_identity(S, "left_handed").ok),
-            (self.normal, lambda: check_identity(S, "normal").ok),
-            (self.symmetric, lambda: check_symmetric(S).ok),
-            (self.commutative, lambda: is_commutative(S)),
-        )
-        return all(probe() == want for want, probe in probes if want is not None)
+        return all(_holds(key, S) == want for key, want in self._wants.items())
 
 
 @dataclass(frozen=True, order=True)
@@ -232,6 +251,9 @@ def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
     return True
 
 
+_MEET_HOOKS: dict[str, Hook] = {"left_handed": _left_handed_hook, "normal": _normal_hook}
+
+
 def _table_search(
     n: int,
     preset: list[tuple[int, int, int]],
@@ -303,14 +325,10 @@ def _band_has_top_class(M: Table) -> bool:
 
 def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     n = order
-    meet_hooks: list[Hook] = []
-    if filt.left_handed is True:
-        meet_hooks.append(_left_handed_hook)
-    if filt.normal is True:
-        meet_hooks.append(_normal_hook)
+    meet_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
     full_range = tuple(range(n))
     forms: set[CanonicalForm] = set()
-    for M in _table_search(n, [], lambda i, j: full_range, tuple(meet_hooks)):
+    for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
         if not _band_regular(M) or not _band_has_top_class(M):
             continue
         cand = [
@@ -448,50 +466,14 @@ def enumerate_by_quotient_construction(order: int) -> set[CanonicalForm]:
     return forms
 
 
-# --- predicate registry and counterexample search ------------------------
-
-def _total(check: Callable[[FiniteSkewLattice], object]) -> Callable[[FiniteSkewLattice], bool]:
-    # checks with preconditions count as False where the precondition fails
-    def run(S: FiniteSkewLattice) -> bool:
-        try:
-            return bool(check(S))
-        except PreconditionError:
-            return False
-
-    return run
-
-
-PREDICATES: dict[str, Callable[[FiniteSkewLattice], bool]] = {
-    "validated": lambda S: S.validity.ok,
-    "regular": lambda S: check_identity(S, "regular").ok,
-    "normal": lambda S: check_identity(S, "normal").ok,
-    "distributive": lambda S: check_identity(S, "distributive").ok,
-    "strongly_distributive": lambda S: check_identity(S, "strongly_distributive").ok,
-    "left_handed": lambda S: check_identity(S, "left_handed").ok,
-    "right_handed": lambda S: check_identity(S, "right_handed").ok,
-    "symmetric": lambda S: check_symmetric(S).ok,
-    "commutative": is_commutative,
-    "has_zero": lambda S: detect_zero(S) is not None,
-    "lemma_reg": lambda S: check_lemma_reg(S).ok,
-    "join_complete": _total(check_join_complete),
-    "bounded_above": _total(check_bounded_above),
-    "extends_to_sections": _total(check_section_extension),
-    "section_exists": _total(check_section_exists),
-    "prop_joins": _total(check_prop_joins),
-    "implication_chain": _total(check_implication_chain),
-    "ncframe": _total(is_ncframe),
-    "theorem_ncframes": _total(check_theorem_ncframes),
-}
-
+# --- counterexample search -----------------------------------------------
 
 def _predicate(expr: str) -> Callable[[FiniteSkewLattice], bool]:
     names = [part.strip() for part in expr.split("&")]
-    fns = []
     for name in names:
         if name not in PREDICATES:
             raise ValueError(f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}")
-        fns.append(PREDICATES[name])
-    return lambda S: all(f(S) for f in fns)
+    return lambda S: all(_holds(name, S) for name in names)
 
 
 def search_counterexample(
@@ -500,8 +482,7 @@ def search_counterexample(
     """First census structure satisfying the hypothesis but not the conclusion.
 
     Predicates come from :data:`PREDICATES` and combine with ``&``;
-    those that carry preconditions (the completeness and frame checks)
-    evaluate to False where their precondition fails.  Orders are
+    a predicate whose precondition fails evaluates to False.  Orders are
     scanned from 1 to ``order_max`` in canonical enumeration order, so
     the returned counterexample is minimal and stable.  Returns ``None``
     when the implication survives the whole range.

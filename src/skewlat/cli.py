@@ -36,26 +36,18 @@ from dataclasses import dataclass
 from .core import (
     CapExceededError,
     FiniteSkewLattice,
+    IDENTITY_NAMES,
     PreconditionError,
     SkewLatticeError,
     StructureError,
     Table,
     check_identity,
-    check_symmetric,
     detect_zero,
-    is_commutative,
     quotient,
 )
-from .completeness import (
-    check_bounded_above,
-    check_join_complete,
-    check_section_exists,
-    check_section_extension,
-    lattice_sections,
-    sup_natural,
-)
-from .census import CensusFilter, enumerate_skew_lattices
-from .frames import check_theorem_ncframes, is_ncframe
+from .completeness import lattice_sections, sup_natural
+from .census import PREDICATES, CensusFilter, enumerate_skew_lattices
+from .frames import check_theorem_ncframes
 from .models import (
     build_pfn_algebra,
     fi_one_point_chain,
@@ -281,21 +273,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"order {S.order}")
     z = detect_zero(S)
     print(f"zero {z if z is not None else 'none'}")
-    print(f"commutative {_yesno(is_commutative(S))}")
-    for name in ("regular", "normal", "distributive", "strongly_distributive", "left_handed", "right_handed"):
-        print(f"{name.replace('_', '-')} {_yesno(check_identity(S, name).ok)}")
-    print(f"symmetric {_yesno(check_symmetric(S).ok)}")
-    for label, checker in (
-        ("join-complete", check_join_complete),
-        ("bounded-above", check_bounded_above),
-        ("extends-to-sections", check_section_extension),
-        ("lattice-section-exists", check_section_exists),
-    ):
+    ladder = ("join_complete", "bounded_above", "extends_to_sections", "section_exists")
+    for key in ("commutative", *IDENTITY_NAMES, "symmetric", *ladder):
+        label = key.replace("_", "-")
         try:
-            print(f"{label} {_yesno(checker(S).ok)}")
+            print(f"{label} {_yesno(PREDICATES[key](S))}")
         except CapExceededError as exc:
             print(f"{label} capped ({exc})")
         except PreconditionError:
+            # only the ladder checks have a precondition beyond validity
             print(f"{label} n/a (needs normal and symmetric)")
     return 0
 
@@ -337,14 +323,8 @@ def _cmd_sections(args: argparse.Namespace) -> int:
     return 0
 
 
-_FILTER_KEYS = {
-    "has-zero": "has_zero",
-    "strongly-distributive": "strongly_distributive",
-    "left-handed": "left_handed",
-    "normal": "normal",
-    "symmetric": "symmetric",
-    "commutative": "commutative",
-}
+def _filter_keys() -> str:
+    return ", ".join(sorted(key.replace("_", "-") for key in PREDICATES))
 
 
 def _parse_filter(parts: list[str]) -> CensusFilter:
@@ -355,10 +335,9 @@ def _parse_filter(parts: list[str]) -> CensusFilter:
             if not item:
                 continue
             key, sep, val = item.partition("=")
-            field = _FILTER_KEYS.get(key.strip().replace("_", "-"))
-            if not sep or field is None:
-                known = ", ".join(sorted(_FILTER_KEYS))
-                raise PreconditionError(f"bad filter {item!r}; use key=yes|no with keys: {known}")
+            field = key.strip().replace("-", "_")
+            if not sep or field not in PREDICATES:
+                raise PreconditionError(f"bad filter {item!r}; use key=yes|no with keys: {_filter_keys()}")
             val = val.strip().lower()
             if val in ("yes", "true"):
                 values[field] = True
@@ -521,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="key=yes|no,...",
-        help="require or forbid properties: " + ", ".join(sorted(_FILTER_KEYS)),
+        help="require or forbid properties: " + _filter_keys(),
     )
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(handler=_cmd_census)

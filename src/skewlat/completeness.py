@@ -27,6 +27,7 @@ that element and projects onto the class join.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -37,6 +38,7 @@ from .core import (
     Certificate,
     FiniteSkewLattice,
     PreconditionError,
+    _require_valid,
     check_identity,
     check_symmetric,
     green_d,
@@ -115,14 +117,8 @@ class LatticeSection:
         return iter(self.members)
 
 
-def _require_valid_here(S: FiniteSkewLattice, op: str) -> None:
-    if not S.validity.ok:
-        law, where = S.validity.witness
-        raise PreconditionError(f"{op} needs a valid skew lattice; {law} fails at {where}")
-
-
 def _require_normal_symmetric(S: FiniteSkewLattice, op: str) -> None:
-    _require_valid_here(S, op)
+    _require_valid(S, op)
     if not check_identity(S, "normal").ok:
         raise PreconditionError(f"{op} is defined for normal structures only")
     if not check_symmetric(S).ok:
@@ -131,7 +127,7 @@ def _require_normal_symmetric(S: FiniteSkewLattice, op: str) -> None:
 
 def commutation_graph(S: FiniteSkewLattice) -> CommutationGraph:
     """The graph whose edges are the pairs commuting under meet and join."""
-    _require_valid_here(S, "commutation_graph")
+    _require_valid(S, "commutation_graph")
     m, j = S._m, S._j
     adj = (m == m.T) & (j == j.T)
     return CommutationGraph(order=S.order, adjacency=tuple(tuple(bool(v) for v in row) for row in adj))
@@ -164,7 +160,7 @@ def enumerate_commuting_subsets(
     current members, so no deduplication is needed.  Above order 12 an
     explicit ``max_size`` is required, since the count can explode.
     """
-    _require_valid_here(S, "enumerate_commuting_subsets")
+    _require_valid(S, "enumerate_commuting_subsets")
     if max_size is None and S.order > SUBSET_ORDER_CAP:
         raise CapExceededError(
             f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration"
@@ -201,7 +197,7 @@ def inf_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
 
 
 def _checked_ids(S: FiniteSkewLattice, ids: Iterable[int], op: str) -> tuple[int, ...]:
-    _require_valid_here(S, op)
+    _require_valid(S, op)
     members = tuple(sorted(set(int(v) for v in ids)))
     if not members:
         raise PreconditionError(f"{op} needs a nonempty set of elements")
@@ -224,7 +220,7 @@ def join_fold(S: FiniteSkewLattice, C) -> int:
     supremum; agreement with :func:`sup_natural` is a tested fact, not a
     definition.
     """
-    _require_valid_here(S, "join_fold")
+    _require_valid(S, "join_fold")
     if not check_symmetric(S).ok:
         raise PreconditionError("join_fold is defined for symmetric structures only")
     members = _as_commuting(S, C).members
@@ -233,7 +229,7 @@ def join_fold(S: FiniteSkewLattice, C) -> int:
 
 def meet_fold(S: FiniteSkewLattice, C) -> int:
     """Left fold of the meet over a commuting subset in ascending id order."""
-    _require_valid_here(S, "meet_fold")
+    _require_valid(S, "meet_fold")
     if not check_symmetric(S).ok:
         raise PreconditionError("meet_fold is defined for symmetric structures only")
     members = _as_commuting(S, C).members
@@ -340,7 +336,7 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[LatticeSection, ...]:
     normality the search falls back to checking every class transversal.
     Tests hold the fast path against the brute-force one.
     """
-    _require_valid_here(S, "lattice_sections")
+    _require_valid(S, "lattice_sections")
     if not check_symmetric(S).ok:
         raise PreconditionError("lattice_sections is defined for symmetric structures only")
     dp = green_d(S)
@@ -352,9 +348,7 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[LatticeSection, ...]:
             if _is_section(S, members):
                 found.append(members)
     else:
-        import itertools as _it
-
-        for combo in _it.product(*dp.classes):
+        for combo in itertools.product(*dp.classes):
             members = tuple(sorted(combo))
             if _is_section(S, members):
                 found.append(members)

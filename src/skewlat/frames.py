@@ -17,7 +17,6 @@ being inferred from the other.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .core import (
     FiniteSkewLattice,
     PreconditionError,
     QuotientLattice,
+    _require_valid,
     check_identity,
     detect_zero,
     is_commutative,
@@ -34,8 +34,6 @@ from .core import (
 from .completeness import enumerate_commuting_subsets, sup_natural
 
 __all__ = ["FrameVerdict", "is_frame", "is_ncframe", "check_theorem_ncframes"]
-
-SUBSET_DISTRIBUTIVITY_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -52,43 +50,27 @@ class FrameVerdict:
         return self.is_frame
 
 
-def _as_commutative_lattice(L, op: str) -> FiniteSkewLattice:
-    lat = L.lattice if isinstance(L, QuotientLattice) else L
-    if not lat.validity.ok:
-        law, where = lat.validity.witness
-        raise PreconditionError(f"{op} needs a valid structure; {law} fails at {where}")
-    if not is_commutative(lat):
-        raise PreconditionError(f"{op} is defined for commutative structures (lattices) only")
-    return lat
-
-
-def is_frame(L, subset_cap: int = SUBSET_DISTRIBUTIVITY_CAP) -> FrameVerdict:
+def is_frame(L) -> FrameVerdict:
     """Decide whether a finite lattice is a frame.
 
     A finite lattice is complete outright, so the content is meet
-    distributivity over joins of subsets.  Up to ``subset_cap`` elements
-    every nonempty subset is checked; beyond that the scan falls back to
-    pairwise distributivity, which is equivalent on finite lattices (the
-    equivalence itself is property-tested in the small range).
+    distributivity over joins of subsets, which on finite lattices is
+    equivalent to pairwise distributivity.  The scan visits pairs
+    ``(y, z)`` with ``y < z`` in lexicographic order and, for each, every
+    ``x``; the first failure is the one an exhaustive scan of all
+    subsets by size would report, since one-element subsets never fail.
     """
-    lat = _as_commutative_lattice(L, "is_frame")
+    lat = L.lattice if isinstance(L, QuotientLattice) else L
+    _require_valid(lat, "is_frame")
+    if not is_commutative(lat):
+        raise PreconditionError("is_frame is defined for commutative structures (lattices) only")
     n = lat.order
     mt, jt = lat.meet_table, lat.join_table
-    if n <= subset_cap:
-        for size in range(1, n + 1):
-            for Y in itertools.combinations(range(n), size):
-                join_y = functools.reduce(lambda a, b: jt[a][b], Y)
-                for x in range(n):
-                    lhs = mt[x][join_y]
-                    rhs = functools.reduce(lambda a, b: jt[a][b], [mt[x][y] for y in Y])
-                    if lhs != rhs:
-                        return FrameVerdict(False, (x, Y))
-        return FrameVerdict(True)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]:
-                    return FrameVerdict(False, (x, (y, z)))
+    for y, z in itertools.combinations(range(n), 2):
+        yz = jt[y][z]
+        for x in range(n):
+            if mt[x][yz] != jt[mt[x][y]][mt[x][z]]:
+                return FrameVerdict(False, (x, (y, z)))
     return FrameVerdict(True)
 
 
@@ -102,9 +84,7 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     of the translated families, so a missing supremum there also fails
     the law.
     """
-    if not S.validity.ok:
-        law, where = S.validity.witness
-        raise PreconditionError(f"is_ncframe needs a valid structure; {law} fails at {where}")
+    _require_valid(S, "is_ncframe")
     if detect_zero(S) is None:
         return Certificate(False, "noncommutative frame", ("no zero", None))
     sd = check_identity(S, "strongly_distributive")
@@ -138,9 +118,7 @@ def check_theorem_ncframes(S: FiniteSkewLattice) -> Certificate:
     side re-verifies that).  Both sides are computed independently and
     compared; the witness records the two verdicts and their evidence.
     """
-    if not S.validity.ok:
-        law, where = S.validity.witness
-        raise PreconditionError(f"check_theorem_ncframes needs a valid structure; {law} fails at {where}")
+    _require_valid(S, "check_theorem_ncframes")
     if detect_zero(S) is None:
         raise PreconditionError("check_theorem_ncframes needs a zero element")
     sd = check_identity(S, "strongly_distributive")

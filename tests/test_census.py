@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewlat import census
 from skewlat.census import (
     CanonicalForm,
     CensusFilter,
@@ -160,9 +161,13 @@ def test_canonical_equality_is_exactly_isomorphism(census_by_order):
 
 # --- filters -----------------------------------------------------------------------
 
-def test_the_flat_left_structure_is_the_unique_match():
+def test_the_flat_left_structure_is_the_unique_match(monkeypatch):
+    # identity filters look check_identity up in the census module at call time
+    calls = []
+    monkeypatch.setattr(census, "check_identity", lambda S, name: calls.append(name) or check_identity(S, name))
     found = list(enumerate_skew_lattices(2, CensusFilter(left_handed=True, commutative=False)))
     assert len(found) == 1
+    assert calls and set(calls) == {"left_handed"}
     assert (found[0].meet_table, found[0].join_table) == FLAT_LEFT_TABLES
 
 
@@ -177,6 +182,8 @@ def test_filtered_census_equals_filtering_the_census(census_by_order):
         CensusFilter(normal=True),
         CensusFilter(strongly_distributive=True, has_zero=True),
         CensusFilter(symmetric=True, commutative=False),
+        CensusFilter(distributive=False),
+        CensusFilter(join_complete=True),
     )
     for filt in cases:
         for n in (2, 3, 4):
@@ -253,3 +260,5 @@ def test_guarded_predicates_count_precondition_failures_as_false():
 def test_unknown_predicate_is_reported():
     with pytest.raises(ValueError, match="unknown predicate"):
         search_counterexample(2, "validated", "frobnicates")
+    with pytest.raises(ValueError, match="unknown filter 'frobnicates'; known: .*join_complete"):
+        CensusFilter(frobnicates=True)

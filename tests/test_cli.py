@@ -120,7 +120,7 @@ def test_classify_prints_the_full_table(tmp_path, capsys):
         "join-complete yes",
         "bounded-above yes",
         "extends-to-sections yes",
-        "lattice-section-exists yes",
+        "section-exists yes",
     ]
 
 
@@ -144,7 +144,7 @@ def test_classify_reports_a_cap_as_a_cap(tmp_path, capsys):
     cap = "capped (order 16 > 12: pass max_size to bound subset enumeration)"
     for label in ("join-complete", "bounded-above", "extends-to-sections"):
         assert f"{label} {cap}" in lines
-    assert "lattice-section-exists yes" in lines
+    assert "section-exists yes" in lines
 
 
 def test_reports_are_reproducible(tmp_path, capsys):
@@ -227,6 +227,7 @@ def test_census_filters_compose(capsys):
     assert _run(capsys, *args, "left-handed=yes,commutative=no")[:2] == (0, "1\n")
     code, out, _ = _run(capsys, *args, "left-handed=yes", "--filter", "commutative=no")
     assert (code, out) == (0, "1\n")
+    assert _run(capsys, "census", "--order", "3", "--filter", "distributive=no", "--count-only")[:2] == (0, "0\n")
 
 
 @pytest.mark.parametrize(

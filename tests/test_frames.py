@@ -1,5 +1,8 @@
 """Frame checks, the noncommutative variant, and the equivalence verifier."""
 
+import functools
+import itertools
+
 import pytest
 
 from skewlat.census import canonicalize, enumerate_skew_lattices
@@ -12,6 +15,7 @@ from skewlat.core import (
     detect_zero,
     green_d,
     is_homomorphism,
+    lattice_from_order,
     natural_leq,
     quotient,
     subalgebra,
@@ -69,14 +73,48 @@ def test_invalid_input_is_rejected():
         is_frame(FiniteSkewLattice(2, proj, proj))
 
 
+def _exhaustive_frame_scan(L):
+    # oracle: meet distributes over the join of every nonempty subset,
+    # subsets by size then lexicographically, x innermost
+    n = L.order
+    mt, jt = L.meet_table, L.join_table
+    for size in range(1, n + 1):
+        for Y in itertools.combinations(range(n), size):
+            join_y = functools.reduce(lambda a, b: jt[a][b], Y)
+            for x in range(n):
+                rhs = functools.reduce(lambda a, b: jt[a][b], [mt[x][y] for y in Y])
+                if mt[x][join_y] != rhs:
+                    return FrameVerdict(False, (x, Y))
+    return FrameVerdict(True)
+
+
+def _lattice(n, relations):
+    # reflexive-transitive closure of the given a <= b pairs
+    leq = [[a == b or (a, b) in relations for b in range(n)] for a in range(n)]
+    for k, a, b in itertools.product(range(n), repeat=3):
+        leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return lattice_from_order(leq)
+
+
+ORDER_FIVE_LATTICES = (
+    ((0, 1), (1, 2), (2, 3), (3, 4)),  # chain
+    ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),  # M3
+    ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)),  # N5
+    ((0, 1), (1, 2), (1, 3), (2, 4), (3, 4)),  # B2 over a new bottom
+    ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)),  # B2 under a new top
+)
+
+
 def test_exhaustive_and_pairwise_checks_agree(census_by_order, m3, b2):
-    # subset_cap=0 forces the pairwise route on every input
     lattices = [quotient(S).lattice for n in census_by_order for S in census_by_order[n]]
-    lattices += [m3, b2, chain_lattice(4), boolean_lattice(3)]
+    lattices += [_lattice(5, rel) for rel in ORDER_FIVE_LATTICES]
+    lattices += [m3, b2, chain_lattice(4), chain_lattice(12), boolean_lattice(3)]
+    non_frames = 0
     for L in lattices:
-        exhaustive = is_frame(L)
-        pairwise = is_frame(L, subset_cap=0)
-        assert exhaustive.is_frame == pairwise.is_frame
+        verdict = is_frame(L)
+        assert verdict == _exhaustive_frame_scan(L)
+        non_frames += not verdict
+    assert non_frames == 3
 
 
 # --- noncommutative frames ------------------------------------------------------
