@@ -91,19 +91,19 @@ PREDICATES: dict[str, Callable[[FiniteSkewLattice], object]] = {
 }
 
 
-def _holds(name: str, S: FiniteSkewLattice) -> bool:
-    # a failed precondition counts as False
+def _holds(name: str, S: FiniteSkewLattice) -> bool | None:
+    # None when a precondition fails (caps included): the property does not apply
     try:
         return bool(PREDICATES[name](S))
     except PreconditionError:
-        return False
+        return None
 
 
 class CensusFilter:
     """Tri-state filters over :data:`PREDICATES`: True requires, False forbids, None ignores.
 
     Wants are checked in the order they were given, stopping at the
-    first mismatch.
+    first mismatch; a check whose precondition fails matches no want.
     """
 
     def __init__(self, **wants: bool | None) -> None:
@@ -468,12 +468,17 @@ def enumerate_by_quotient_construction(order: int) -> set[CanonicalForm]:
 
 # --- counterexample search -----------------------------------------------
 
-def _predicate(expr: str) -> Callable[[FiniteSkewLattice], bool]:
+def _predicate(expr: str) -> Callable[[FiniteSkewLattice], bool | None]:
     names = [part.strip() for part in expr.split("&")]
     for name in names:
         if name not in PREDICATES:
             raise ValueError(f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}")
-    return lambda S: all(_holds(name, S) for name in names)
+
+    def value(S: FiniteSkewLattice) -> bool | None:  # None when a conjunct does not apply
+        values = [_holds(name, S) for name in names]
+        return None if None in values else all(values)
+
+    return value
 
 
 def search_counterexample(
@@ -481,8 +486,8 @@ def search_counterexample(
 ) -> FiniteSkewLattice | None:
     """First census structure satisfying the hypothesis but not the conclusion.
 
-    Predicates come from :data:`PREDICATES` and combine with ``&``;
-    a predicate whose precondition fails evaluates to False.  Orders are
+    Predicates come from :data:`PREDICATES` and combine with ``&``; a
+    structure where one's precondition fails is skipped.  Orders are
     scanned from 1 to ``order_max`` in canonical enumeration order, so
     the returned counterexample is minimal and stable.  Returns ``None``
     when the implication survives the whole range.
@@ -491,6 +496,6 @@ def search_counterexample(
     concl = _predicate(conclusion)
     for order in range(1, order_max + 1):
         for S in enumerate_skew_lattices(order, order_cap=order_cap):
-            if hyp(S) and not concl(S):
+            if hyp(S) is True and concl(S) is False:
                 return S
     return None

@@ -45,7 +45,7 @@ from .core import (
     detect_zero,
     quotient,
 )
-from .completeness import lattice_sections, sup_natural
+from .completeness import _bounds, lattice_sections, sup_natural
 from .census import PREDICATES, CensusFilter, enumerate_skew_lattices
 from .frames import check_theorem_ncframes
 from .models import (
@@ -302,8 +302,8 @@ def _cmd_sup(args: argparse.Namespace) -> int:
     members = args.elements
     s = sup_natural(S, members)
     if s is None:
-        leq = S._leq
-        ubs = [u for u in range(S.order) if all(leq[c, u] for c in members)]
+        bounds = _bounds(S._up, members)
+        ubs = [u for u in range(S.order) if bounds >> u & 1]
         print(f"no supremum of {{{', '.join(str(c) for c in sorted(set(members)))}}};"
               f" upper bounds {{{', '.join(str(u) for u in ubs)}}} have no least element")
         return 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -43,7 +44,6 @@ from .core import (
     check_symmetric,
     green_d,
     quotient,
-    subalgebra,
 )
 
 __all__ = [
@@ -180,20 +180,34 @@ def enumerate_commuting_subsets(
 
 def sup_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Least upper bound of a nonempty set in the natural order, if any."""
-    members = _checked_ids(S, ids, "sup_natural")
-    leq = S._leq
-    ubs = [s for s in range(S.order) if all(leq[c, s] for c in members)]
-    least = [s for s in ubs if all(leq[s, u] for u in ubs)]
-    return least[0] if least else None
+    return _extremum(S._up, _checked_ids(S, ids, "sup_natural"))
 
 
 def inf_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Greatest lower bound of a nonempty set in the natural order, if any."""
-    members = _checked_ids(S, ids, "inf_natural")
-    leq = S._leq
-    lbs = [s for s in range(S.order) if all(leq[s, c] for c in members)]
-    greatest = [s for s in lbs if all(leq[u, s] for u in lbs)]
-    return greatest[0] if greatest else None
+    return _extremum(S._down, _checked_ids(S, ids, "inf_natural"))
+
+
+def _bounds(masks: tuple[int, ...], members: Iterable[int]) -> int:
+    # common bounds of a nonempty set as a bitmask: upper with S._up, lower with S._down
+    return functools.reduce(operator.and_, [masks[c] for c in members])
+
+
+def _extremum(masks: tuple[int, ...], members: Iterable[int]) -> int | None:
+    """The common bound of ``members`` whose own mask holds every common bound.
+
+    With ``S._up`` this is the supremum, with ``S._down`` the infimum;
+    antisymmetry makes it unique.  Ids are trusted: callers validate.
+    """
+    bounds = _bounds(masks, members)
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        s = low.bit_length() - 1
+        if masks[s] & bounds == bounds:
+            return s
+        rest ^= low
+    return None
 
 
 def _checked_ids(S: FiniteSkewLattice, ids: Iterable[int], op: str) -> tuple[int, ...]:
@@ -247,15 +261,12 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
     _require_normal_symmetric(S, "check_prop_joins")
     dp = green_d(S)
     qj = quotient(S).lattice.join_table
-    leq = S._leq
+    up = S._up
     for C in enumerate_commuting_subsets(S):
-        s = sup_natural(S, C.members)
+        s = _extremum(up, C.members)
         class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in C])
-        dominating = [
-            a
-            for a in dp.classes[class_join]
-            if all(leq[c, a] for c in C)
-        ]
+        bounds = _bounds(up, C.members)
+        dominating = [a for a in dp.classes[class_join] if bounds >> a & 1]
         ok = (s is not None) == (len(dominating) == 1)
         if ok and s is not None:
             ok = dominating[0] == s and dp.class_of[s] == class_join
@@ -276,8 +287,9 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
 def check_join_complete(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has a supremum in the natural order."""
     _require_normal_symmetric(S, "check_join_complete")
+    up = S._up
     for C in enumerate_commuting_subsets(S):
-        if sup_natural(S, C.members) is None:
+        if _extremum(up, C.members) is None:
             return Certificate(False, "join complete", ("subset with no supremum", C.members))
     return Certificate(True, "join complete")
 
@@ -285,9 +297,9 @@ def check_join_complete(S: FiniteSkewLattice) -> Certificate:
 def check_bounded_above(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has an upper bound in the natural order."""
     _require_normal_symmetric(S, "check_bounded_above")
-    leq = S._leq
+    up = S._up
     for C in enumerate_commuting_subsets(S):
-        if not any(all(leq[c, s] for c in C) for s in range(S.order)):
+        if not _bounds(up, C.members):
             return Certificate(False, "bounded from above", ("subset with no upper bound", C.members))
     return Certificate(True, "bounded from above")
 
@@ -295,9 +307,10 @@ def check_bounded_above(S: FiniteSkewLattice) -> Certificate:
 def check_section_extension(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset extends to (sits inside) a lattice section."""
     _require_normal_symmetric(S, "check_section_extension")
-    sections = [set(sec.members) for sec in lattice_sections(S)]
+    sections = [sum(1 << v for v in sec.members) for sec in lattice_sections(S)]
     for C in enumerate_commuting_subsets(S):
-        if not any(set(C.members) <= sec for sec in sections):
+        members = sum(1 << c for c in C)
+        if not any(members & sec == members for sec in sections):
             return Certificate(
                 False, "commuting subsets extend to sections", ("subset inside no section", C.members)
             )

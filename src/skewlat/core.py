@@ -115,6 +115,11 @@ def _freeze_table(rows: Iterable[Iterable[int]], order: int, which: str) -> Tabl
     return table
 
 
+def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
+    # row a of a boolean matrix as an int whose bit s is rel[a, s]
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(rel, axis=1, bitorder="little"))
+
+
 @dataclass(frozen=True)
 class FiniteSkewLattice:
     """Two total operation tables over the carrier ``0 .. order-1``.
@@ -192,6 +197,16 @@ class FiniteSkewLattice:
         arr = (m == ids) & (m.T == ids)
         arr.flags.writeable = False
         return arr
+
+    @cached_property
+    def _up(self) -> tuple[int, ...]:
+        # bit s of _up[a] is set iff a <= s
+        return _row_masks(self._leq)
+
+    @cached_property
+    def _down(self) -> tuple[int, ...]:
+        # bit s of _down[a] is set iff s <= a
+        return _row_masks(self._leq.T)
 
     @cached_property
     def _dpart(self) -> "DPartition":

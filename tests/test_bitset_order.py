@@ -1,0 +1,240 @@
+"""The bitmask sup/inf kernel against the list-based scans it replaced.
+
+``sup_natural``/``inf_natural`` and the checks built on suprema
+(``is_ncframe`` and the completeness ladder) now read the natural order
+as bitmask upsets and downsets.  The list-based bodies they had before
+are kept here as oracles, and every result element and every
+``Certificate`` (verdict and witness) must match them.  On genuine
+finite structures the checks all hold, so a second pass replaces the
+cached natural order by a randomly perturbed relation: suprema then go
+missing, move or stop being unique, and the failure witnesses are
+compared too.
+"""
+
+import functools
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from skewlat.completeness import (
+    _require_normal_symmetric,
+    check_bounded_above,
+    check_join_complete,
+    check_prop_joins,
+    check_section_extension,
+    enumerate_commuting_subsets,
+    inf_natural,
+    lattice_sections,
+    sup_natural,
+)
+from skewlat.core import Certificate, FiniteSkewLattice, _require_valid, check_identity, detect_zero, green_d, quotient
+from skewlat.frames import is_ncframe
+from skewlat.models import boolean_lattice, chain_lattice, om_window
+
+# --- oracles: the list-based scans as they were ------------------------------
+
+
+def _sup_oracle(S, ids):
+    members = tuple(sorted(set(ids)))
+    leq = S._leq
+    ubs = [s for s in range(S.order) if all(leq[c, s] for c in members)]
+    least = [s for s in ubs if all(leq[s, u] for u in ubs)]
+    return least[0] if least else None
+
+
+def _inf_oracle(S, ids):
+    members = tuple(sorted(set(ids)))
+    leq = S._leq
+    lbs = [s for s in range(S.order) if all(leq[s, c] for c in members)]
+    greatest = [s for s in lbs if all(leq[u, s] for u in lbs)]
+    return greatest[0] if greatest else None
+
+
+def _is_ncframe_oracle(S):
+    _require_valid(S, "is_ncframe")
+    if detect_zero(S) is None:
+        return Certificate(False, "noncommutative frame", ("no zero", None))
+    sd = check_identity(S, "strongly_distributive")
+    if not sd.ok:
+        return Certificate(False, "noncommutative frame", ("not strongly distributive", sd.witness))
+    mt = S.meet_table
+    for C in enumerate_commuting_subsets(S):
+        sup_c = _sup_oracle(S, C.members)
+        if sup_c is None:
+            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", C.members))
+        for y in range(S.order):
+            for law, lhs, family in (
+                ("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", mt[sup_c][y], [mt[c][y] for c in C]),
+                ("y∧(⋁xᵢ) = ⋁(y∧xᵢ)", mt[y][sup_c], [mt[y][c] for c in C]),
+            ):
+                rhs = _sup_oracle(S, family)
+                if rhs != lhs:
+                    return Certificate(
+                        False,
+                        "noncommutative frame",
+                        (law, (("subset", C.members), ("y", y), ("lhs", lhs), ("rhs", rhs))),
+                    )
+    return Certificate(True, "noncommutative frame")
+
+
+def _prop_joins_oracle(S):
+    _require_normal_symmetric(S, "check_prop_joins")
+    dp = green_d(S)
+    qj = quotient(S).lattice.join_table
+    leq = S._leq
+    for C in enumerate_commuting_subsets(S):
+        s = _sup_oracle(S, C.members)
+        class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in C])
+        dominating = [a for a in dp.classes[class_join] if all(leq[c, a] for c in C)]
+        ok = (s is not None) == (len(dominating) == 1)
+        if ok and s is not None:
+            ok = dominating[0] == s and dp.class_of[s] == class_join
+        if not ok:
+            return Certificate(
+                False,
+                "join exists iff one element dominates over the class join",
+                (
+                    ("subset", C.members),
+                    ("sup", s),
+                    ("class_join", class_join),
+                    ("dominating", tuple(dominating)),
+                ),
+            )
+    return Certificate(True, "join exists iff one element dominates over the class join")
+
+
+def _join_complete_oracle(S):
+    _require_normal_symmetric(S, "check_join_complete")
+    for C in enumerate_commuting_subsets(S):
+        if _sup_oracle(S, C.members) is None:
+            return Certificate(False, "join complete", ("subset with no supremum", C.members))
+    return Certificate(True, "join complete")
+
+
+def _bounded_above_oracle(S):
+    _require_normal_symmetric(S, "check_bounded_above")
+    leq = S._leq
+    for C in enumerate_commuting_subsets(S):
+        if not any(all(leq[c, s] for c in C) for s in range(S.order)):
+            return Certificate(False, "bounded from above", ("subset with no upper bound", C.members))
+    return Certificate(True, "bounded from above")
+
+
+def _section_extension_oracle(S):
+    _require_normal_symmetric(S, "check_section_extension")
+    sections = [set(sec.members) for sec in lattice_sections(S)]
+    for C in enumerate_commuting_subsets(S):
+        if not any(set(C.members) <= sec for sec in sections):
+            return Certificate(
+                False, "commuting subsets extend to sections", ("subset inside no section", C.members)
+            )
+    return Certificate(True, "commuting subsets extend to sections")
+
+
+CHECKS = (
+    (is_ncframe, _is_ncframe_oracle),
+    (check_join_complete, _join_complete_oracle),
+    (check_bounded_above, _bounded_above_oracle),
+    (check_prop_joins, _prop_joins_oracle),
+    (check_section_extension, _section_extension_oracle),
+)
+
+# --- inputs -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def zoo(census_all, p22):
+    models = [om_window(k) for k in range(4, 10)] + [boolean_lattice(3), chain_lattice(12), p22]
+    return list(census_all) + models
+
+
+def _outcome(fn, S):
+    try:
+        return fn(S)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _id_sets(S, rng):
+    """Every commuting subset, every pair, and 20 random sets of 3 to 5 ids."""
+    sets = [C.members for C in enumerate_commuting_subsets(S)]
+    sets += list(itertools.combinations(range(S.order), 2))
+    for _ in range(20):
+        sets.append(tuple(rng.sample(range(S.order), min(S.order, rng.randint(3, 5)))))
+    return sets
+
+
+def _with_order(S, leq):
+    """A copy of S whose cached natural order is ``leq`` instead of the tables' own."""
+    T = FiniteSkewLattice(S.order, S.meet_table, S.join_table, zero=S.zero)
+    leq = np.array(leq, dtype=bool)
+    leq.flags.writeable = False
+    T.__dict__["_leq"] = leq
+    return T
+
+
+def _perturbed(S, rng, flip=0.2):
+    # flip each off-diagonal cell of the order with probability ``flip``
+    leq = S._leq.copy()
+    for a, b in itertools.permutations(range(S.order), 2):
+        if rng.random() < flip:
+            leq[a, b] = not leq[a, b]
+    return _with_order(S, leq)
+
+
+# --- tests --------------------------------------------------------------------
+
+
+def test_masks_are_the_natural_order(zoo):
+    for S in zoo:
+        n = S.order
+        assert len(S._up) == len(S._down) == n
+        for a in range(n):
+            for s in range(n):
+                assert bool(S._up[a] >> s & 1) == bool(S._leq[a, s])
+                assert bool(S._down[a] >> s & 1) == bool(S._leq[s, a])
+            assert S._up[a] < 1 << n and S._down[a] < 1 << n
+
+
+def test_sup_and_inf_match_the_list_scans(zoo):
+    rng = random.Random(4)
+    missing_sup = missing_inf = 0
+    for S in zoo:
+        for ids in _id_sets(S, rng):
+            want_sup, want_inf = _sup_oracle(S, ids), _inf_oracle(S, ids)
+            assert sup_natural(S, ids) == want_sup, (S, ids)
+            assert inf_natural(S, ids) == want_inf, (S, ids)
+            missing_sup += want_sup is None
+            missing_inf += want_inf is None
+    assert missing_sup > 0 and missing_inf > 0
+
+
+def test_checks_match_the_list_scans(zoo):
+    for S in zoo:
+        for fn, oracle in CHECKS:
+            assert _outcome(fn, S) == _outcome(oracle, S), (fn.__name__, S)
+
+
+def test_checks_match_the_list_scans_on_a_perturbed_order(census_all, p22):
+    rng = random.Random(7)
+    failures = set()
+    for S in list(census_all) + [om_window(4), boolean_lattice(3), chain_lattice(6), p22]:
+        for _ in range(3):
+            T = _perturbed(S, rng)
+            for ids in _id_sets(T, rng):
+                assert sup_natural(T, ids) == _sup_oracle(T, ids), (S, ids)
+                assert inf_natural(T, ids) == _inf_oracle(T, ids), (S, ids)
+            for fn, oracle in CHECKS:
+                got = _outcome(fn, T)
+                assert got == _outcome(oracle, T), (fn.__name__, S)
+                if isinstance(got, Certificate) and not got.ok:
+                    failures.add((fn.__name__, got.witness[0]))
+    # every failure branch that reads suprema or bounds was reached
+    assert {name for name, _ in failures} == {
+        "is_ncframe", "check_join_complete", "check_bounded_above", "check_prop_joins", "check_section_extension"
+    }
+    assert {w for name, w in failures if name == "is_ncframe"} >= {
+        "commuting subset with no supremum", "(⋁xᵢ)∧y = ⋁(xᵢ∧y)"
+    }

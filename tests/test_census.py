@@ -14,6 +14,8 @@ from skewlat.census import (
     enumerate_skew_lattices,
     search_counterexample,
 )
+from skewlat.cli import main
+from skewlat.completeness import check_join_complete
 from skewlat.core import (
     CapExceededError,
     FiniteSkewLattice,
@@ -251,10 +253,21 @@ def test_regularity_is_universal():
     assert search_counterexample(3, "validated", "lemma_reg") is None
 
 
-def test_guarded_predicates_count_precondition_failures_as_false():
-    S = search_counterexample(2, "validated", "theorem_ncframes")
-    assert S is not None
-    assert detect_zero(S) is None  # rejected for the missing zero, not a verdict
+def test_a_failed_precondition_is_neither_yes_nor_no(capsys):
+    # the ladder checks need normality, so on the two non-normal order-3
+    # structures join completeness is undecided, not false
+    assert search_counterexample(3, "distributive", "join_complete") is None
+    assert search_counterexample(2, "validated", "theorem_ncframes") is None  # no zero: skipped
+    assert main(["census", "--order", "3", "--filter", "join-complete=no", "--count-only"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    non_normal = [S for S in enumerate_skew_lattices(3) if not check_identity(S, "normal").ok]
+    assert len(non_normal) == 2
+    capped = build_pfn_algebra(2, 3)  # order 16, past the commuting-subset cap
+    with pytest.raises(CapExceededError):
+        check_join_complete(capped)
+    for S in non_normal + [capped]:
+        assert not CensusFilter(join_complete=True).matches(S)
+        assert not CensusFilter(join_complete=False).matches(S)
 
 
 def test_unknown_predicate_is_reported():

@@ -186,6 +186,19 @@ def test_sup_explains_a_missing_least_upper_bound(tmp_path, capsys):
     assert out == "no supremum of {2, 3}; upper bounds {} have no least element\n"
 
 
+def test_sup_lists_the_upper_bounds_that_have_no_least(tmp_path, capsys):
+    # 1 and 2 are incomparable, and both lie above 0 and 3
+    S = FiniteSkewLattice(
+        4,
+        ((0, 0, 0, 0), (0, 1, 1, 3), (0, 2, 2, 3), (3, 3, 3, 3)),
+        ((0, 1, 2, 3), (1, 1, 2, 1), (2, 1, 2, 2), (0, 1, 2, 3)),
+    )
+    path = _write(tmp_path, "two.skl", emit(S))
+    code, out, _ = _run(capsys, "sup", path, "--elements", "3,0,3")
+    assert code == 1
+    assert out == "no supremum of {0, 3}; upper bounds {1, 2} have no least element\n"
+
+
 def test_sup_rejects_ids_out_of_range(tmp_path, capsys):
     path = _write(tmp_path, "c.skl", CHAIN2_TEXT)
     code, _, err = _run(capsys, "sup", path, "--elements", "0,9")
