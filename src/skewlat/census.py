@@ -4,15 +4,14 @@ The main enumeration (:func:`enumerate_skew_lattices`) searches meet
 tables first: a depth-first fill of the off-diagonal cells with
 idempotent diagonal and incremental associativity checking, so that a
 cell assignment is rejected the moment it completes a bad triple.
-Completed meet tables are kept only if they satisfy the regularity
-identity and their class structure has a top class — both necessary for
-extending to a skew lattice.  The join table is then searched the same
-way, but the absorption laws do most of the work up front: two of them
-pin ``x∨(x∧y)`` and ``(x∧y)∨y`` outright, and the other two confine
-each remaining cell ``x∨y`` to the candidates ``v`` with ``x∧v = x``
-and ``v∧y = y``.  Isomorphic results are merged through
-:func:`canonicalize`, the lexicographically least relabeling of the
-table pair.
+The join table is then searched the same way, but the absorption laws
+do most of the work up front: two of them pin ``x∨(x∧y)`` and
+``(x∧y)∨y`` outright, and the other two confine each remaining cell
+``x∨y`` to the candidates ``v`` with ``x∧v = x`` and ``v∧y = y``.  A
+completed meet table with an empty candidate cell cannot extend to a
+skew lattice and is dropped before the join search starts.  Isomorphic
+results are merged through :func:`canonicalize`, the lexicographically
+least relabeling of the table pair.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -293,44 +292,12 @@ def _table_search(
     yield from rec(0)
 
 
-def _band_regular(M: Table) -> bool:
-    n = len(M)
-    for a in range(n):
-        row = M[a]
-        for x in range(n):
-            ax = row[x]
-            axa = M[ax][a]
-            for y in range(n):
-                if M[M[axa][y]][a] != M[M[ax][y]][a]:
-                    return False
-    return True
-
-
-def _band_has_top_class(M: Table) -> bool:
-    n = len(M)
-    class_of = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        if class_of[a] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for b in range(a, n):
-            if class_of[b] < 0 and M[M[a][b]][a] == a and M[M[b][a]][b] == b:
-                class_of[b] = cid
-    return any(
-        all(class_of[M[rb][rt]] == class_of[rb] for rb in reps) for rt in reps
-    )
-
-
 def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     n = order
     meet_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
     full_range = tuple(range(n))
     forms: set[CanonicalForm] = set()
     for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
-        if not _band_regular(M) or not _band_has_top_class(M):
-            continue
         cand = [
             [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
             for i in range(n)
@@ -408,17 +375,6 @@ def _assoc_plain(T: Table) -> bool:
     )
 
 
-def _absorption_plain(M: Table, J: Table) -> bool:
-    n = len(M)
-    for x in range(n):
-        for y in range(n):
-            if M[x][J[x][y]] != x or J[x][M[x][y]] != x:
-                return False
-            if J[M[x][y]][y] != y or M[J[x][y]][y] != y:
-                return False
-    return True
-
-
 def _block_tables(n: int, cls: list[int], blocks: list[tuple[int, ...]], qtable: Table) -> list[Table]:
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     allowed = [blocks[qtable[cls[i]][cls[j]]] for i, j in cells]
@@ -458,8 +414,6 @@ def enumerate_by_quotient_construction(order: int) -> set[CanonicalForm]:
                 cls = [c for c, block in enumerate(blocks) for _ in block]
                 for M in _block_tables(n, cls, blocks, qmeet):
                     for J in _block_tables(n, cls, blocks, qjoin):
-                        if not _absorption_plain(M, J):
-                            continue
                         S = FiniteSkewLattice(n, M, J)
                         if S.validity.ok:
                             forms.add(canonicalize(S))

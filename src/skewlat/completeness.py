@@ -43,7 +43,9 @@ from .core import (
     check_identity,
     check_symmetric,
     green_d,
+    is_commutative,
     quotient,
+    subalgebra,
 )
 
 __all__ = [
@@ -330,15 +332,10 @@ def _is_section(S: FiniteSkewLattice, members: tuple[int, ...]) -> bool:
     dp = green_d(S)
     if sorted(dp.class_of[x] for x in members) != list(range(dp.class_count)):
         return False
-    mem = set(members)
-    mt, jt = S.meet_table, S.join_table
-    for a in members:
-        for b in members:
-            if mt[a][b] not in mem or jt[a][b] not in mem:
-                return False
-            if mt[a][b] != mt[b][a] or jt[a][b] != jt[b][a]:
-                return False
-    return True
+    try:
+        return is_commutative(subalgebra(S, members))
+    except PreconditionError:  # not closed under both operations
+        return False
 
 
 def lattice_sections(S: FiniteSkewLattice) -> tuple[LatticeSection, ...]:

@@ -185,10 +185,6 @@ class FiniteSkewLattice:
     def validity(self) -> Certificate:
         return _axiom_scan(self)
 
-    @property
-    def is_valid(self) -> bool:
-        return self.validity.ok
-
     @cached_property
     def _leq(self) -> np.ndarray:
         # natural partial order, meet form: a <= b iff a^b == b^a == a

@@ -43,6 +43,7 @@ from .core import (
     FiniteSkewLattice,
     PreconditionError,
     StructureError,
+    check_identity,
     detect_zero,
     is_commutative,
     lattice_from_order,
@@ -515,13 +516,8 @@ def is_boolean_lattice(S: FiniteSkewLattice) -> bool:
         return False
     top = tops[0]
     n = S.order
-    distributive = all(
-        m[x, j[y, z]] == j[m[x, y], m[x, z]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
-    if not distributive:
+    # on a commutative structure both laws of the pair are x∧(y∨z) = (x∧y)∨(x∧z)
+    if not check_identity(S, "strongly_distributive").ok:
         return False
     return all(
         any(m[x, y] == bottom and j[x, y] == top for y in range(n)) for x in range(n)

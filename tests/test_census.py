@@ -186,6 +186,8 @@ def test_filtered_census_equals_filtering_the_census(census_by_order):
         CensusFilter(symmetric=True, commutative=False),
         CensusFilter(distributive=False),
         CensusFilter(join_complete=True),
+        CensusFilter(left_handed=True, normal=True),  # both meet-search hooks at once
+        CensusFilter(regular=False),  # every skew lattice is regular: matches nothing
     )
     for filt in cases:
         for n in (2, 3, 4):

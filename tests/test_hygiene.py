@@ -1,12 +1,15 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level private name goes unreferenced."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewlat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +40,57 @@ def test_every_module_level_import_is_used(path):
 def test_the_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nfrom e import f as f\nprint(b)\n")
     assert _unused_imports(tree) == ["os (line 1)", "d (line 2)"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    # module-level `def _x`, `class _X` and `_X = ...`; dunders are not private
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if name.startswith("_") and not name.startswith("__")]
+
+
+def _orphaned_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    # a reference is a name, an attribute or an imported alias anywhere in the package
+    refs = defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].add(id(node))
+            elif isinstance(node, ast.alias):
+                refs[node.name].add(id(node))
+    orphans = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not refs[name] - own:
+                orphans.append(f"{module}: {name} (line {definition.lineno})")
+    return orphans
+
+
+def test_every_module_level_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert _orphaned_private_names(trees) == []
+
+
+def test_the_scan_flags_an_orphaned_private_name():
+    a = ast.parse(
+        "_CAP = 3\n_SPARE: int = 4\n__all__ = []\n"
+        "def _used(): return _CAP\n"
+        "def _orphan(): return 1\n"
+        "def _recursive(k): return _recursive(k - 1)\n"
+        "class _Hidden: pass\n"
+    )
+    b = ast.parse("from a import _used\nprint(_used())\n")
+    assert _orphaned_private_names({"a.py": a, "b.py": b}) == [
+        "a.py: _SPARE (line 2)",
+        "a.py: _orphan (line 5)",
+        "a.py: _recursive (line 6)",
+        "a.py: _Hidden (line 7)",
+    ]
