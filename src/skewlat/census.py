@@ -3,15 +3,15 @@
 The main enumeration (:func:`enumerate_skew_lattices`) searches meet
 tables first: a depth-first fill of the off-diagonal cells with
 idempotent diagonal and incremental associativity checking, so that a
-cell assignment is rejected the moment it completes a bad triple.
-The join table is then searched the same way, but the absorption laws
-do most of the work up front: two of them pin ``x∨(x∧y)`` and
-``(x∧y)∨y`` outright, and the other two confine each remaining cell
-``x∨y`` to the candidates ``v`` with ``x∧v = x`` and ``v∧y = y``.  A
-completed meet table with an empty candidate cell cannot extend to a
-skew lattice and is dropped before the join search starts.  Isomorphic
-results are merged through :func:`canonicalize`, the lexicographically
-least relabeling of the table pair.
+cell assignment is rejected the moment it completes a bad triple.  It
+finds every labeled meet table, but a table that relabels one already
+seen is skipped: its joins are the relabeled joins of that one, and
+every filter is isomorphism-invariant.  The join table is then searched
+the same way, with the absorption laws doing most of the work up front:
+two pin ``x∨(x∧y)`` and ``(x∧y)∨y`` outright, and two confine each
+other cell ``x∨y`` to the ``v`` with ``x∧v = x`` and ``v∧y = y`` (an
+empty cell ends the search).  Each structure found is merged through
+:func:`canonicalize`, the least relabeling of the table pair.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -23,7 +23,9 @@ is part of the acceptance suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -139,68 +141,67 @@ class CanonicalForm:
         return len(self.meet_table)
 
 
-def _relabel(table: Table, perm: tuple[int, ...]) -> Table:
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = table[i]
-        pi = perm[i]
-        for j in range(n):
-            out[pi][perm[j]] = perm[row[j]]
-    return tuple(tuple(r) for r in out)
+@functools.cache
+def _relabelings(n: int) -> tuple[Callable[[bytes], bytes], ...]:
+    # one move per carrier permutation π, in itertools order, taking a flat
+    # row-major table T to T^π, where T^π[π(i)][π(j)] = π(T[i][j])
+    moves = []
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)
+        cells = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
+        take = operator.itemgetter(*cells) if n > 1 else operator.itemgetter(slice(None))
+        values = bytes(perm).ljust(256, b"\0")
+        moves.append(lambda flat, take=take, values=values: bytes(take(flat)).translate(values))
+    return tuple(moves)
+
+
+def _flat(table: Table) -> bytes:
+    return bytes(itertools.chain.from_iterable(table))
 
 
 def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
-    """Minimise the (meet, join) table pair over all carrier relabelings."""
-    best: tuple[Table, Table] | None = None
-    for perm in itertools.permutations(range(S.order)):
-        cand = (_relabel(S.meet_table, perm), _relabel(S.join_table, perm))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return CanonicalForm(meet_table=best[0], join_table=best[1])
+    """Least (meet, join) table pair over all carrier relabelings.
 
-
-def _realize(cf: CanonicalForm) -> FiniteSkewLattice:
-    bare = FiniteSkewLattice(cf.order, cf.meet_table, cf.join_table)
-    z = detect_zero(bare)
-    if z is None:
-        return bare
-    return FiniteSkewLattice(cf.order, cf.meet_table, cf.join_table, zero=z)
+    The meet table is compared first, so the least pair carries the least
+    relabeled meet table; the relabelings reaching it form one coset of
+    the meet table's automorphism group, and only those relabel the join
+    table.  Flat row-major bytes compare as the tables do.
+    """
+    n, moves = S.order, _relabelings(S.order)
+    meet, join = _flat(S.meet_table), _flat(S.join_table)
+    meets = [move(meet) for move in moves]
+    least = min(meets)
+    best = min(move(join) for move, m in zip(moves, meets) if m == least)
+    return CanonicalForm(*(tuple(tuple(t[i : i + n]) for i in range(0, n * n, n)) for t in (least, best)))
 
 
 # --- incremental table search -------------------------------------------
 
-def _triple_ok(T: list[list[int]], a: int, b: int, c: int) -> bool:
-    # associativity of one triple, tolerant of unassigned (-1) entries
-    ab = T[a][b]
-    if ab < 0:
-        return True
-    left = T[ab][c]
-    if left < 0:
-        return True
-    bc = T[b][c]
-    if bc < 0:
-        return True
-    right = T[a][bc]
-    return right < 0 or left == right
-
-
 def _assoc_ok_after(T: list[list[int]], p: int, q: int, n: int) -> bool:
-    # only triples whose evaluation touches cell (p, q) can turn bad
+    # (x∧y)∧z = x∧(y∧z) on the triples whose evaluation reads the assigned
+    # cell (p, q); a triple with an unassigned (-1) product stays open
+    Tp = T[p]
+    pq = Tp[q]
+    Tpq, Tq = T[pq], T[q]
     for c in range(n):
-        if not _triple_ok(T, p, q, c):
+        Tc = T[c]
+        qc, cp = Tq[c], Tc[p]
+        if qc >= 0 and 0 <= Tpq[c] != Tp[qc] >= 0:  # x, y, z = p, q, c
             return False
-        if not _triple_ok(T, c, p, q):
+        if cp >= 0 and 0 <= T[cp][q] != Tc[pq] >= 0:  # x, y, z = c, p, q
             return False
     for a in range(n):
         row = T[a]
         for b in range(n):
-            v = row[b]
-            if v == p and not _triple_ok(T, a, b, q):
-                return False
-            if v == q and not _triple_ok(T, p, a, b):
-                return False
+            ab = row[b]
+            if ab == p:  # x, y, z = a, b, q: the left side is p∧q
+                bq = T[b][q]
+                if bq >= 0 and pq != row[bq] >= 0:
+                    return False
+            if ab == q:  # x, y, z = p, a, b: the right side is p∧q
+                pa = Tp[a]
+                if pa >= 0 and 0 <= T[pa][b] != pq:
+                    return False
     return True
 
 
@@ -265,16 +266,13 @@ def _table_search(
     incremental checks; conflicting pins abort the search.  Free cells
     range over ``cand(i, j)`` in row-major cell order.
     """
-    T = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        T[i][i] = i
+    T = [[i if i == j else -1 for j in range(n)] for i in range(n)]
     for i, j, v in preset:
-        if T[i][j] >= 0:
-            if T[i][j] != v:
+        if T[i][j] < 0:
+            T[i][j] = v
+            if not _assoc_ok_after(T, i, j, n) or not all(h(T, i, j) for h in hooks):
                 return
-            continue
-        T[i][j] = v
-        if not _assoc_ok_after(T, i, j, n) or not all(h(T, i, j) for h in hooks):
+        elif T[i][j] != v:
             return
     free = [(i, j) for i in range(n) for j in range(n) if T[i][j] < 0]
 
@@ -297,24 +295,23 @@ def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     meet_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
     full_range = tuple(range(n))
     forms: set[CanonicalForm] = set()
+    seen: set[bytes] = set()
     for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
+        key = _flat(M)
+        if key in seen:  # a relabeling M^π of a searched table: its joins are the J^π
+            continue
+        seen.update(move(key) for move in _relabelings(n))
         cand = [
             [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
             for i in range(n)
         ]
         if any(not cand[i][j] for i in range(n) for j in range(n) if i != j):
             continue
-        pins: list[tuple[int, int, int]] = []
-        for x in range(n):
-            for y in range(n):
-                w = M[x][y]
-                pins.append((x, w, x))
-                pins.append((w, y, y))
+        # absorption pins x∨(x∧y) = x and (x∧y)∨y = y
+        pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
         for J in _table_search(n, pins, lambda i, j: cand[i][j], ()):
             S = FiniteSkewLattice(n, M, J)
-            if not S.validity.ok:  # the search guarantees this; keep the net
-                continue
-            if filt.matches(S):
+            if S.validity.ok and filt.matches(S):  # the search guarantees validity; keep the net
                 forms.add(canonicalize(S))
     return forms
 
@@ -338,7 +335,8 @@ def enumerate_skew_lattices(
     if order > cap:
         raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
     for cf in sorted(_census_forms(order, filt)):
-        yield _realize(cf)
+        bare = FiniteSkewLattice(order, cf.meet_table, cf.join_table)
+        yield FiniteSkewLattice(order, cf.meet_table, cf.join_table, zero=detect_zero(bare))
 
 
 # --- independent cross-check construction --------------------------------

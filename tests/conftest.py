@@ -15,6 +15,16 @@ def census_by_order():
 
 
 @pytest.fixture(scope="session")
+def census_order_five():
+    return tuple(enumerate_skew_lattices(5, order_cap=5))
+
+
+@pytest.fixture(scope="session")
+def census_to_order_five(census_by_order, census_order_five):
+    return {**census_by_order, 5: census_order_five}
+
+
+@pytest.fixture(scope="session")
 def census_all(census_by_order):
     return tuple(S for n in sorted(census_by_order) for S in census_by_order[n])
 

@@ -1,6 +1,7 @@
 """Enumeration counts, canonical forms, filters and counterexample search."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,76 @@ def _mirrored(S):
     return FiniteSkewLattice(n, meet, join)
 
 
+FILTER_CASES = (
+    CensusFilter(left_handed=True),
+    CensusFilter(normal=True),
+    CensusFilter(strongly_distributive=True, has_zero=True),
+    CensusFilter(symmetric=True, commutative=False),
+    CensusFilter(distributive=False),
+    CensusFilter(join_complete=True),
+    CensusFilter(left_handed=True, normal=True),  # both meet-search hooks at once
+    CensusFilter(regular=False),  # every skew lattice is regular: matches nothing
+)
+
+
+# --- slow oracles for the fast paths --------------------------------------------
+
+def _canonicalize_oracle(S):
+    # least relabeling of both tables over all n! carrier permutations
+    best = None
+    for perm in itertools.permutations(range(S.order)):
+        T = _relabeled(S, perm)
+        cand = (T.meet_table, T.join_table)
+        if best is None or cand < best:
+            best = cand
+    return CanonicalForm(*best)
+
+
+def _census_forms_oracle(order, filt):
+    # every labeled meet table, then a join search and an n! canonicalization per structure
+    n = order
+    hooks = tuple(hook for key, hook in census._MEET_HOOKS.items() if filt._wants.get(key) is True)
+    forms = set()
+    for M in census._table_search(n, [], lambda i, j: tuple(range(n)), hooks):
+        cand = [
+            [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
+            for i in range(n)
+        ]
+        if any(not cand[i][j] for i in range(n) for j in range(n) if i != j):
+            continue
+        pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
+        for J in census._table_search(n, pins, lambda i, j: cand[i][j], ()):
+            S = FiniteSkewLattice(n, M, J)
+            if S.validity.ok and filt.matches(S):
+                forms.add(_canonicalize_oracle(S))
+    return forms
+
+
+def _triple_ok(T, a, b, c):
+    # associativity of one triple, tolerant of unassigned (-1) entries
+    ab = T[a][b]
+    if ab < 0:
+        return True
+    left = T[ab][c]
+    if left < 0:
+        return True
+    bc = T[b][c]
+    if bc < 0:
+        return True
+    right = T[a][bc]
+    return right < 0 or left == right
+
+
+def _triple_families(T, p, q, n):
+    # the four families of triples whose evaluation reads cell (p, q), each as a verdict
+    return (
+        all(_triple_ok(T, p, q, c) for c in range(n)),
+        all(_triple_ok(T, c, p, q) for c in range(n)),
+        all(_triple_ok(T, a, b, q) for a in range(n) for b in range(n) if T[a][b] == p),
+        all(_triple_ok(T, p, a, b) for a in range(n) for b in range(n) if T[a][b] == q),
+    )
+
+
 # --- counts and stream properties -------------------------------------------
 
 def test_counts_up_to_order_four(census_by_order):
@@ -66,15 +137,15 @@ def test_every_census_structure_is_valid(census_all):
     assert all(validate_skew_axioms(S).ok for S in census_all)
 
 
-def test_stream_is_sorted_and_duplicate_free(census_by_order):
-    for n, block in census_by_order.items():
+def test_stream_is_sorted_and_duplicate_free(census_to_order_five):
+    for n, block in census_to_order_five.items():
         forms = [canonicalize(S) for S in block]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms)
 
 
-def test_structures_arrive_in_their_own_canonical_form(census_all):
-    for S in census_all:
+def test_structures_arrive_in_their_own_canonical_form(census_to_order_five):
+    for S in itertools.chain.from_iterable(census_to_order_five.values()):
         cf = canonicalize(S)
         assert (S.meet_table, S.join_table) == (cf.meet_table, cf.join_table)
 
@@ -84,8 +155,8 @@ def test_zero_is_attached_when_present(census_all):
         assert S.zero == detect_zero(S)
 
 
-def test_census_is_closed_under_mirroring(census_by_order):
-    for n, block in census_by_order.items():
+def test_census_is_closed_under_mirroring(census_to_order_five):
+    for n, block in census_to_order_five.items():
         forms = {canonicalize(S) for S in block}
         assert {canonicalize(_mirrored(S)) for S in block} == forms
 
@@ -96,11 +167,55 @@ def test_commutative_census_matches_the_known_lattice_counts(census_by_order):
     assert got == [1, 1, 1, 2]
 
 
-def test_order_five_commutative_count_is_five():
-    found = sum(
-        is_commutative(S) for S in enumerate_skew_lattices(5, CensusFilter(commutative=True))
-    )
-    assert found == 5
+def test_order_five_commutative_count_is_five(census_order_five):
+    assert sum(is_commutative(S) for S in census_order_five) == 5
+
+
+def test_order_five_has_fifty_three_classes(census_order_five):
+    assert len(census_order_five) == 53
+
+
+def test_handed_counts_balance_under_mirroring(census_to_order_five):
+    for n, block in census_to_order_five.items():
+        left = [S for S in block if check_identity(S, "left_handed").ok]
+        right = {canonicalize(S) for S in block if check_identity(S, "right_handed").ok}
+        assert len(left) == len(right)
+        assert {canonicalize(_mirrored(S)) for S in left} == right
+
+
+# --- the fast paths against their oracles ----------------------------------------
+
+def test_census_matches_the_labeled_oracle():
+    for filt in (CensusFilter(),) + FILTER_CASES:
+        for n in (1, 2, 3, 4):
+            assert census._census_forms(n, filt) == _census_forms_oracle(n, filt), (filt, n)
+
+
+def test_canonicalize_matches_the_full_relabeling_oracle(census_to_order_five):
+    rng = random.Random(6)
+    for n, block in census_to_order_five.items():
+        for S in block:
+            perm = tuple(rng.sample(range(n), n))
+            mirror_perm = tuple(rng.sample(range(n), n))
+            for T in (S, _relabeled(S, perm), _relabeled(_mirrored(S), mirror_perm)):
+                assert canonicalize(T) == _canonicalize_oracle(T)
+
+
+def test_assoc_check_matches_the_triple_oracle():
+    rng = random.Random(6)
+    lone_failures = [0, 0, 0, 0]
+    for n in range(2, 7):
+        for _ in range(60):
+            unassigned = rng.random()
+            T = [[-1 if rng.random() < unassigned else rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            for p, q in itertools.product(range(n), repeat=2):
+                if T[p][q] < 0:
+                    continue
+                families = _triple_families(T, p, q, n)
+                assert census._assoc_ok_after(T, p, q, n) == all(families), (T, p, q)
+                if families.count(False) == 1:
+                    lone_failures[families.index(False)] += 1
+    assert all(lone_failures), lone_failures  # each family alone decides some case
 
 
 # --- the independent construction --------------------------------------------
@@ -179,17 +294,7 @@ def test_zero_filter_keeps_the_chain_only(census_by_order):
 
 
 def test_filtered_census_equals_filtering_the_census(census_by_order):
-    cases = (
-        CensusFilter(left_handed=True),
-        CensusFilter(normal=True),
-        CensusFilter(strongly_distributive=True, has_zero=True),
-        CensusFilter(symmetric=True, commutative=False),
-        CensusFilter(distributive=False),
-        CensusFilter(join_complete=True),
-        CensusFilter(left_handed=True, normal=True),  # both meet-search hooks at once
-        CensusFilter(regular=False),  # every skew lattice is regular: matches nothing
-    )
-    for filt in cases:
+    for filt in FILTER_CASES:
         for n in (2, 3, 4):
             direct = {canonicalize(S) for S in enumerate_skew_lattices(n, filt)}
             sieved = {canonicalize(S) for S in census_by_order[n] if filt.matches(S)}
