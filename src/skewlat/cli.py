@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     CapExceededError,
@@ -72,8 +73,7 @@ class ParseError(SkewLatticeError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int

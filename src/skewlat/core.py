@@ -16,14 +16,22 @@ that the raw tables are well formed.  Whether the tables actually
 satisfy the skew lattice axioms is a separate, explicit question
 answered by :func:`validate_skew_axioms`; operations that need a valid
 structure check that verdict (cached on the instance) before working.
+
+Each axiom and identity is written once, as equation text such as
+``"x∧y∧z∧x = x∧z∧y∧x"``, and compiled at import into a scan that fixes
+x and sweeps y and z: a table row or column serves each subterm that
+depends on x alone, so most gathers are 1-D takes.  Small tables are
+scanned a slab of x values at a time, in one pass for the census and
+frame sizes.  The text is the law a false verdict's witness cites.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -182,6 +190,14 @@ class FiniteSkewLattice:
         return arr
 
     @cached_property
+    def _tables(self) -> "_Tables":
+        # writeable copies: numpy's take is several times slower when its
+        # index array is read-only, and a table is an index of the next take
+        m, j = np.array(self._m), np.array(self._j)
+        ids = np.arange(self.order)
+        return _Tables(self.order, (m, j), (np.ascontiguousarray(m.T), np.ascontiguousarray(j.T)), ids, ids[:, None])
+
+    @cached_property
     def validity(self) -> Certificate:
         return _axiom_scan(self)
 
@@ -280,8 +296,10 @@ class Homomorphism:
 
 
 # Cells per x-slab of a law scan.  The scan's working set is a few
-# slab-sized arrays, O(n²) rather than the whole n³ cube.
-_SLAB_CELLS = 1 << 17
+# slab-sized arrays, O(n²) rather than the whole n³ cube.  Once a slab
+# would hold a single x (from order 65 for a law in x, y, z), the scan
+# runs one x at a time over the y, z plane.
+_SLAB_CELLS = 1 << 13
 
 
 def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -293,55 +311,223 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
-# cached: on small tables, building the grids costs more than the scan
-@functools.lru_cache(maxsize=32)
-def _open_grids(n: int, arity: int) -> tuple[np.ndarray, ...]:
-    grids = np.ix_(*(np.arange(n),) * arity)
-    for g in grids:
-        g.flags.writeable = False
-    return grids
+# --- laws as equations ---------------------------------------------------------------
+#
+# A law is an equation over x, y, z, ∧ and ∨ (equally tight, associating
+# to the left) and parentheses, parsed once into a term: a variable index
+# or ``(op, left, right)``, op 0 for ∧ and 1 for ∨.  Each side compiles
+# to two evaluators ``f(c, x, out)`` over the tables ``c`` of a structure:
+#
+#   row   x is one element and y, z sweep the plane.  A subterm that reads
+#         neither y nor z is a scalar lookup; a scalar operand picks a row
+#         (left) or a contiguous column (right) and the other operand is a
+#         1-D take from it; a y-only operand against a z-only one is a row
+#         gather plus a column take, each skipped for the bare variable;
+#         anything else is a flat take.  A subterm spanning the plane is
+#         written into its own buffer ``out[k]``, which saves an
+#         allocation, and its page faults, per x.
+#   slab  x is an open-grid slab of elements, and every operation is a
+#         flat take ``T.ravel().take(a*n + b)``.
+
+_VARS = "xyz"
+_OPS = "∧∨"
+_Y, _Z = 2, 4  # bits of y and z in a subterm's dependence; x is bit 1
+_YZ = _Y | _Z
 
 
-def _scan(S: FiniteSkewLattice, arity: int, law) -> tuple[int, ...] | None:
+class _Tables(NamedTuple):
+    """What the compiled evaluators read; the pairs are indexed by op."""
+
+    n: int
+    tables: tuple[np.ndarray, np.ndarray]
+    columns: tuple[np.ndarray, np.ndarray]  # contiguous transposes
+    ids: np.ndarray  # y of a plane, z of a cube
+    col: np.ndarray  # y of a cube
+
+
+def _parse_equation(text: str):
+    toks = [ch for ch in text if not ch.isspace()] + ["end"]
+    pos = 0
+
+    def expect(tok: str) -> None:
+        nonlocal pos
+        if toks[pos] != tok:
+            raise ValueError(f"law {text!r}: expected {tok!r}, got {toks[pos]!r}")
+        pos += 1
+
+    def atom():
+        nonlocal pos
+        if toks[pos] in _VARS:
+            pos += 1
+            return _VARS.index(toks[pos - 1])
+        expect("(")
+        inner = term()
+        expect(")")
+        return inner
+
+    def term():
+        nonlocal pos
+        left = atom()
+        while toks[pos] in _OPS:
+            pos += 1
+            left = (_OPS.index(toks[pos - 1]), left, atom())
+        return left
+
+    lhs = term()
+    expect("=")
+    rhs = term()
+    expect("end")
+    return lhs, rhs
+
+
+def _variables(term) -> set[int]:
+    return {term} if isinstance(term, int) else _variables(term[1]) | _variables(term[2])
+
+
+def _leaf(var: int, arity: int):
+    if var == 0:
+        return lambda c, x, out: x
+    if var == 1 and arity == 3:
+        return lambda c, x, out: c.col
+    return lambda c, x, out: c.ids
+
+
+def _slab_eval(term, arity: int):
+    if isinstance(term, int):
+        return _leaf(term, arity)
+    t, fl, fr = term[0], _slab_eval(term[1], arity), _slab_eval(term[2], arity)
+    return lambda c, x, out: c.tables[t].ravel().take(fl(c, x, out) * c.n + fr(c, x, out))
+
+
+def _row_eval(term, arity: int, planes: list):
+    """``(deps, f, unary)`` for ``term`` at one x.
+
+    ``deps`` holds the variables the term reads, as bits, and ``f`` is its
+    evaluator.  When the term is a lookup ``g[w]`` of a scalar operand's
+    row or column, ``unary`` is ``(g, w)``, so that an enclosing lookup
+    composes the two rows first and takes over the plane once.  Each
+    plane buffer an evaluator writes into is appended to ``planes``.
+    """
+    if isinstance(term, int):
+        return 1 << term, _leaf(term, arity), None
+    t, (dl, fl, ul), (dr, fr, ur) = term[0], _row_eval(term[1], arity, planes), _row_eval(term[2], arity, planes)
+    yl, yr = dl & _YZ, dr & _YZ
+
+    def buffer():
+        if yl | yr != _YZ:
+            return lambda out: None  # a scalar or a vector: cheap to allocate
+        planes.append(None)
+        return operator.itemgetter(len(planes) - 1)
+
+    if not yl and not yr:
+        return dl | dr, lambda c, x, out: c.tables[t][fl(c, x, out), fr(c, x, out)], None
+    if not yl or not yr:
+        # a scalar operand picks a row (left) or a contiguous column (right)
+        if not yl:
+            line, fw, inner = (lambda c, x, out: c.tables[t][fl(c, x, out)]), fr, ur
+        else:
+            line, fw, inner = (lambda c, x, out: c.columns[t][fr(c, x, out)]), fl, ul
+        g = line
+        if inner is not None:
+            g_in, fw = inner
+            g = lambda c, x, out: line(c, x, out).take(g_in(c, x, out))
+        into = buffer()
+        return dl | dr, lambda c, x, out: np.take(g(c, x, out), fw(c, x, out), out=into(out), mode="clip"), (g, fw)
+    if {yl, yr} != {_Y, _Z}:
+        index, into = buffer(), buffer()
+
+        def flat(c, x, out):
+            i = np.multiply(fl(c, x, out), c.n, out=index(out))
+            return np.take(c.tables[t].ravel(), np.add(i, fr(c, x, out), out=i), out=into(out), mode="clip")
+
+        return dl | dr, flat, None
+    # result[y, z] is T[l(y), r(z)], or T'[r(y), l(z)] when l reads z
+    sides = ((fl, term[1]), (fr, term[2]))
+    (fy, ty), (fz, tz) = sides if yl == _Y else sides[::-1]
+    pick = "tables" if yl == _Y else "columns"
+    f = lambda c, x, out: getattr(c, pick)[t]
+    if ty != 1:  # not the bare y: gather rows
+        table, into_rows = f, buffer()
+        f = lambda c, x, out: np.take(table(c, x, out), fy(c, x, out).ravel(), axis=0, out=into_rows(out), mode="clip")
+    if tz != 2:  # not the bare z: take columns
+        rows, into = f, buffer()
+        f = lambda c, x, out: np.take(rows(c, x, out), fz(c, x, out), axis=1, out=into(out), mode="clip")
+    return dl | dr, f, None
+
+
+class _Law(NamedTuple):
+    """One equation: the label a witness cites, its text and its compiled scans."""
+
+    name: str
+    text: str
+    arity: int
+    row: Callable  # row(c, a, out): mask of violations over the y, z plane at x = a
+    slab: Callable  # slab(c, xs, out): mask of violations over an x-slab
+    planes: int  # plane buffers that ``row`` writes into
+
+
+def _law(text: str, name: str | None = None) -> _Law:
+    """Compile ``lhs = rhs``; its variables must be x, or x and y, or x, y and z."""
+    lhs, rhs = _parse_equation(text)
+    used = _variables(lhs) | _variables(rhs)
+    if used != set(range(len(used))):
+        raise ValueError(f"law {text!r} must use the variables {_VARS[:len(used)]}")
+    planes: list = []
+    (_, rl, _), (_, rr, _) = _row_eval(lhs, len(used), planes), _row_eval(rhs, len(used), planes)
+    sl, sr = _slab_eval(lhs, len(used)), _slab_eval(rhs, len(used))
+    return _Law(
+        text if name is None else name,
+        text,
+        len(used),
+        lambda c, x, out: np.not_equal(rl(c, x, out), rr(c, x, out)),
+        lambda c, x, out: np.not_equal(sl(c, x, out), sr(c, x, out)),
+        len(planes),
+    )
+
+
+def _scan(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
     """First violation of ``law`` in lexicographic order, or None.
 
-    ``law(m, j, x, y[, z])`` maps open index grids to the mask of
-    violating tuples.  Only one slab of x values is evaluated at a time,
-    and the scan stops at the first slab that holds a violation.
+    Only one slab of x values is evaluated at a time, or one x once a
+    slab would hold no more, and the scan stops at the first slab that
+    holds a violation.
     """
-    n = S.order
-    x, *rest = _open_grids(n, arity)
-    step = max(1, _SLAB_CELLS // n ** (arity - 1))
+    c, n = S._tables, S.order
+    step = _SLAB_CELLS // n ** (law.arity - 1)
+    if step <= 1:
+        out = [np.empty((n, n), dtype=np.intp) for _ in range(law.planes)]
+        for a in range(n):
+            w = _first_true(law.row(c, a, out))
+            if w is not None:
+                return (a, *w)
+        return None
+    shape = (-1,) + (1,) * (law.arity - 1)
     for x0 in range(0, n, step):
-        w = _first_true(law(S._m, S._j, x[x0 : x0 + step], *rest))
+        w = _first_true(law.slab(c, np.arange(x0, min(x0 + step, n)).reshape(shape), None))
         if w is not None:
-            return (w[0] + x0,) + w[1:]
+            return (w[0] + x0, *w[1:])
     return None
 
 
-_AXIOM_LAWS = (
-    (3, "meet associativity", lambda m, j, x, y, z: m[m[x, y], z] != m[x, m[y, z]]),
-    (3, "join associativity", lambda m, j, x, y, z: j[j[x, y], z] != j[x, j[y, z]]),
-    (2, "absorption x∧(x∨y)=x", lambda m, j, x, y: m[x, j[x, y]] != x),
-    (2, "absorption x∨(x∧y)=x", lambda m, j, x, y: j[x, m[x, y]] != x),
-    (2, "absorption (x∨y)∧y=y", lambda m, j, x, y: m[j[x, y], y] != y),
-    (2, "absorption (x∧y)∨y=y", lambda m, j, x, y: j[m[x, y], y] != y),
-)
+_AXIOM_LAWS = tuple(_law(text, name) for name, text in (
+    ("meet idempotency x∧x=x", "x∧x = x"),
+    ("join idempotency x∨x=x", "x∨x = x"),
+    ("meet associativity", "(x∧y)∧z = x∧(y∧z)"),
+    ("join associativity", "(x∨y)∨z = x∨(y∨z)"),
+    ("absorption x∧(x∨y)=x", "x∧(x∨y) = x"),
+    ("absorption x∨(x∧y)=x", "x∨(x∧y) = x"),
+    ("absorption (x∨y)∧y=y", "(x∨y)∧y = y"),
+    ("absorption (x∧y)∨y=y", "(x∧y)∨y = y"),
+))
 
 
 def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
-    n, m, j = S.order, S._m, S._j
-    ids = np.arange(n)
-    for label, t in (("meet idempotency x∧x=x", m), ("join idempotency x∨x=x", j)):
-        bad = np.flatnonzero(t.diagonal() != ids)
-        if bad.size:
-            return Certificate(False, "skew lattice axioms", (label, (int(bad[0]),)))
-    for arity, label, law in _AXIOM_LAWS:
-        w = _scan(S, arity, law)
+    for law in _AXIOM_LAWS:
+        w = _scan(S, law)
         if w is not None:
-            return Certificate(False, "skew lattice axioms", (label, w))
+            return Certificate(False, "skew lattice axioms", (law.name, w))
     if S.zero is not None:
-        z = S.zero
+        z, m, j, ids = S.zero, S._m, S._j, np.arange(S.order)
         ok = (m[:, z] == z) & (m[z, :] == z) & (j[:, z] == ids) & (j[z, :] == ids)
         bad = np.flatnonzero(~ok)
         if bad.size:
@@ -369,44 +555,27 @@ def _require_valid(S: FiniteSkewLattice, op: str) -> None:
         raise PreconditionError(f"{op} needs a valid skew lattice; {law} fails at {where}")
 
 
-# name -> (arity, laws); a named identity holds when all of its laws do
+# name -> laws; a named identity holds when all of its laws do
 _IDENTITY_LAWS = {
-    "regular": (3, (
-        ("x∧y∧x∧z∧x = x∧y∧z∧x", lambda m, j, x, y, z: m[m[m[m[x, y], x], z], x] != m[m[m[x, y], z], x]),
-        ("x∨y∨x∨z∨x = x∨y∨z∨x", lambda m, j, x, y, z: j[j[j[j[x, y], x], z], x] != j[j[j[x, y], z], x]),
-    )),
-    "normal": (3, (
-        ("x∧y∧z∧x = x∧z∧y∧x", lambda m, j, x, y, z: m[m[m[x, y], z], x] != m[m[m[x, z], y], x]),
-    )),
-    "distributive": (3, (
-        ("x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)",
-         lambda m, j, x, y, z: m[m[x, j[y, z]], x] != j[m[m[x, y], x], m[m[x, z], x]]),
-        ("x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)",
-         lambda m, j, x, y, z: j[j[x, m[y, z]], x] != m[j[j[x, y], x], j[j[x, z], x]]),
-    )),
-    "strongly_distributive": (3, (
-        ("(x∨y)∧z = (x∧z)∨(y∧z)", lambda m, j, x, y, z: m[j[x, y], z] != j[m[x, z], m[y, z]]),
-        ("x∧(y∨z) = (x∧y)∨(x∧z)", lambda m, j, x, y, z: m[x, j[y, z]] != j[m[x, y], m[x, z]]),
-    )),
-    "left_handed": (2, (
-        ("x∧y∧x = x∧y", lambda m, j, x, y: m[m[x, y], x] != m[x, y]),
-        ("x∨y∨x = y∨x", lambda m, j, x, y: j[j[x, y], x] != j[y, x]),
-    )),
-    "right_handed": (2, (
-        ("x∧y∧x = y∧x", lambda m, j, x, y: m[m[x, y], x] != m[y, x]),
-        ("x∨y∨x = x∨y", lambda m, j, x, y: j[j[x, y], x] != j[x, y]),
-    )),
+    name: tuple(_law(text) for text in texts)
+    for name, texts in (
+        ("regular", ("x∧y∧x∧z∧x = x∧y∧z∧x", "x∨y∨x∨z∨x = x∨y∨z∨x")),
+        ("normal", ("x∧y∧z∧x = x∧z∧y∧x",)),
+        ("distributive", ("x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)")),
+        ("strongly_distributive", ("(x∨y)∧z = (x∧z)∨(y∧z)", "x∧(y∨z) = (x∧y)∨(x∧z)")),
+        ("left_handed", ("x∧y∧x = x∧y", "x∨y∨x = y∨x")),
+        ("right_handed", ("x∧y∧x = y∧x", "x∨y∨x = x∨y")),
+    )
 }
 
 IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str) -> Certificate:
-    arity, laws = _IDENTITY_LAWS[name]
-    for label, law in laws:
-        w = _scan(S, arity, law)
+    for law in _IDENTITY_LAWS[name]:
+        w = _scan(S, law)
         if w is not None:
-            return Certificate(False, name, (label, w))
+            return Certificate(False, name, (law.name, w))
     return Certificate(True, name)
 
 

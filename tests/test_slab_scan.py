@@ -1,12 +1,16 @@
-"""The slab-by-slab law scans against the full-cube masks they replaced.
+"""The compiled law scans against the full-cube masks they replaced.
 
 The oracles here evaluate each law over the whole index cube at once
 and take the first violation from ``np.argwhere``; the lemma oracle is
 the O(n⁴) loop over (a, b, u, v).  The fast scans must return identical
 certificates (verdict, law and witness), also when the slab size is
-forced down so that one scan crosses many slabs.
+forced down so that one scan crosses many slabs, or runs one x at a
+time.  A plain-Python evaluator of equation text, written here and not
+shared with the package, checks that each law's text is what its scan
+decides.
 """
 
+import itertools
 import random
 import tracemalloc
 
@@ -19,6 +23,49 @@ from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, di
 
 # slab sizes in cells: one x value per slab, a few x values, and the default
 SLAB_SIZES = (1, 40, 300, None)
+
+
+# --- a plain evaluator of equation text ---------------------------------------------
+
+def _atom(tokens):
+    tok = tokens.pop(0)
+    if tok != "(":
+        return tok
+    inner = _term(tokens)
+    assert tokens.pop(0) == ")"
+    return inner
+
+
+def _term(tokens):
+    """Left-associative term over ∧ and ∨ from a token list (consumed in place)."""
+    left = _atom(tokens)
+    while tokens and tokens[0] in "∧∨":
+        op = tokens.pop(0)
+        left = (op, left, _atom(tokens))
+    return left
+
+
+def _sides(text):
+    return tuple(_term([ch for ch in side if not ch.isspace()]) for side in text.split("="))
+
+
+def _value(tree, env, S):
+    if isinstance(tree, str):
+        return env[tree]
+    op, left, right = tree
+    table = S.meet_table if op == "∧" else S.join_table
+    return table[_value(left, env, S)][_value(right, env, S)]
+
+
+def _violated(S, text, point):
+    lhs, rhs = _sides(text)
+    env = dict(zip("xyz", point))
+    return _value(lhs, env, S) != _value(rhs, env, S)
+
+
+def _first_violation(S, text):
+    arity = len(set(text) & set("xyz"))
+    return next((p for p in itertools.product(range(S.order), repeat=arity) if _violated(S, text, p)), None)
 
 
 # --- oracles: the full-cube masks -------------------------------------------------
@@ -136,6 +183,7 @@ def _zoo():
         build_pfn_algebra(2, 2),
         build_pfn_algebra(2, 3),
         build_pfn_algebra(3, 2),
+        build_pfn_algebra(4, 2),  # order 81: scanned one x at a time at the default slab size
         FiniteSkewLattice(2, ((0, 0), (1, 1)), ((0, 1), (0, 1))),
         FiniteSkewLattice(2, ((0, 1), (0, 1)), ((0, 0), (1, 1))),
     ) + tuple(om_window(k) for k in range(4, 9))
@@ -219,6 +267,22 @@ def test_every_law_is_seen_failing(expected):
     assert laws == {law for name in IDENTITY_NAMES for law, _ in oracle_identity_masks(diamond_m3(), name)}
 
 
+def test_each_witness_violates_its_law_text(cases, expected):
+    # the label a certificate cites is the equation its scan decided: the
+    # witness, substituted into that text, makes the two sides differ
+    text = {law.name: law.text for law in core._AXIOM_LAWS}
+    text.update((law.name, law.text) for laws in core._IDENTITY_LAWS.values() for law in laws)
+    checked = 0
+    for S, (axioms, identities) in zip(cases, expected):
+        for cert in (axioms, *identities):
+            if cert.ok or cert.witness[0].startswith("zero laws"):
+                continue
+            label, point = cert.witness
+            assert _violated(S, text[label], point), (label, point)
+            checked += 1
+    assert checked > 1500
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (4, 1, 6), (2, 3, 4)])
 def test_first_true_is_the_lexicographic_first(shape):
     rng = np.random.default_rng(sum(shape))
@@ -228,15 +292,63 @@ def test_first_true_is_the_lexicographic_first(shape):
         assert core._first_true(mask) == _argwhere_first(mask)
 
 
-def test_scan_stops_at_the_first_violating_slab(monkeypatch):
+@pytest.mark.parametrize("width", [1, 4])
+def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
+    # a left-zero band, x∧y = x, with 3∧2 set to 5: x∧y∧z = x first fails at
+    # x = 3, so no x past 3 may be evaluated, one x at a time or in slabs of 4
     n = 10
-    calls = []
-    first_true = core._first_true
-    monkeypatch.setattr(core, "_SLAB_CELLS", n * n)  # one x value per slab
-    monkeypatch.setattr(core, "_first_true", lambda mask: calls.append(mask.shape) or first_true(mask))
-    S = FiniteSkewLattice(n, [[x] * n for x in range(n)], [list(range(n))] * n)
-    assert core._scan(S, 3, lambda m, j, x, y, z: (x == 3) & (y == 2) & (z > 4)) == (3, 2, 5)
-    assert calls == [(1, n, n)] * 4
+    meet = [[x] * n for x in range(n)]
+    meet[3][2] = 5
+    S = FiniteSkewLattice(n, meet, [list(range(n))] * n)
+    monkeypatch.setattr(core, "_SLAB_CELLS", width * n * n)
+    law = core._law("x∧y∧z = x")
+    seen = []
+    traced = law._replace(
+        row=lambda c, x, out: seen.append(x) or law.row(c, x, out),
+        slab=lambda c, x, out: seen.extend(x.ravel().tolist()) or law.slab(c, x, out),
+    )
+    assert core._scan(S, traced) == (3, 0, 2) == _first_violation(S, law.text)
+    assert seen == [0, 1, 2, 3]
+
+
+LAW_TEXTS = (
+    "x∧x = x",  # one variable: a scalar at x-width 1
+    "x∨(x∧x) = x∧x",
+    "x∧y = y∧x",  # a row take, a column take
+    "y∧x∧y = y∧(y∨x)",  # y against y: a flat take of vectors
+    "x∧(x∨(y∨z))∧x = y∨(x∧z∧x)",  # lookups of x's rows composed before the take
+    "x∧y∧z = x∧z∧y",  # a row gather by a y-only term; a bare-y gather of the transpose
+    "(y∧x)∨(z∧x) = (x∨z)∧(y∨x)",  # row gather plus column take
+    "(z∨x)∧(y∨x) = z∨y",  # z-only left of y-only: the transpose, both taken
+    "(y∨y)∧z = (z∧z)∨(y∧x)",  # a y-only term that is not the bare y, and its mirror
+    "(y∧z)∨(x∧z∧y) = y∨(z∧(y∧z))",  # plane against plane: flat takes
+)
+
+
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+def test_compiled_laws_match_the_plain_evaluator(slab, monkeypatch):
+    # arbitrary tables, not skew lattices: every gather rule, at both widths
+    if slab is not None:
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
+    laws = [core._law(text) for text in LAW_TEXTS]
+    rng = random.Random(5)
+    violated = 0
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(6):
+            tables = [[[rng.randrange(n) if rng.random() < 0.2 else max(a, b) for b in range(n)] for a in range(n)]
+                      for _ in range(2)]
+            S = FiniteSkewLattice(n, *tables)
+            for law in laws:
+                want = _first_violation(S, law.text)
+                assert core._scan(S, law) == want, (law.text, S.meet_table, S.join_table)
+                violated += want is not None
+    assert violated > 100
+
+
+def test_a_malformed_law_is_rejected():
+    for text in ("x∧y", "x∧(y = x", "x∧ = x", "x∧y = y∧x)", "x∧w = x", "y∧z = z∧y"):
+        with pytest.raises(ValueError):
+            core._law(text)
 
 
 def test_scan_memory_is_quadratic():
