@@ -3,15 +3,18 @@
 The main enumeration (:func:`enumerate_skew_lattices`) searches meet
 tables first: a depth-first fill of the off-diagonal cells with
 idempotent diagonal and incremental associativity checking, so that a
-cell assignment is rejected the moment it completes a bad triple.  It
-finds every labeled meet table, but a table that relabels one already
-seen is skipped: its joins are the relabeled joins of that one, and
-every filter is isomorphism-invariant.  The join table is then searched
-the same way, with the absorption laws doing most of the work up front:
-two pin ``x∨(x∧y)`` and ``(x∧y)∨y`` outright, and two confine each
-other cell ``x∨y`` to the ``v`` with ``x∧v = x`` and ``v∧y = y`` (an
-empty cell ends the search).  Each structure found is merged through
-:func:`canonicalize`, the least relabeling of the table pair.
+cell assignment is rejected the moment it completes a bad triple.  A
+lex-leader rule keeps one meet table per isomorphism class, its least
+relabeling in row-major order: a partial table is rejected as soon as
+some relabeling of it is provably smaller.  The other tables of the
+class need no search, since their joins are the relabeled joins of
+this one and every filter is isomorphism-invariant.  The join table is
+then searched the same way, with the absorption laws doing most of the
+work up front: two pin ``x∨(x∧y)`` and ``(x∧y)∨y`` outright, and two
+confine each other cell ``x∨y`` to the ``v`` with ``x∧v = x`` and
+``v∧y = y`` (an empty cell ends the search).  Each structure found is
+merged through :func:`canonicalize`, the least relabeling of the table
+pair.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -254,6 +257,56 @@ def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
 _MEET_HOOKS: dict[str, Hook] = {"left_handed": _left_handed_hook, "normal": _normal_hook}
 
 
+@functools.cache
+def _lex_walks(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]], ...]:
+    # for each carrier permutation π but the identity: π and the off-diagonal
+    # cells (a, b) in row-major order as (a, b, π⁻¹a, π⁻¹b), since
+    # T^π[a][b] = π(T[π⁻¹a][π⁻¹b]); the diagonal is fixed by every π
+    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+    walks = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = sorted(range(n), key=perm.__getitem__)
+        walks.append((perm, tuple((a, b, inv[a], inv[b]) for a, b in cells)))
+    return tuple(walks)
+
+
+class _LexLeaderHook:
+    """Reject a partial table once some relabeling of it is provably row-major smaller.
+
+    For each π the walk compares ``T[a][b]`` with ``T^π[a][b]`` cell by
+    cell and stops at the first cell where either is unassigned (no
+    verdict yet) or they differ: a smaller ``T^π`` prunes, a larger one
+    stays larger in the whole subtree, so π is dropped there.  A
+    complete table survives exactly when it is the least of its
+    relabelings.  The walks left open after cell k are kept for the
+    children of that node, so the hook is for a search without pins,
+    whose k-th assignment is the k-th off-diagonal cell in row-major order.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        # _open[k + 1]: (π, walk, resume position) of every π still undecided after cell k
+        self._open = {0: [(perm, walk, 0) for perm, walk in _lex_walks(n)]}
+
+    def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
+        k = p * (self._n - 1) + (q if q < p else q - 1)
+        still_open = []
+        for perm, walk, start in self._open[k]:
+            for pos in range(start, len(walk)):
+                a, b, ia, ib = walk[pos]
+                t, u = T[a][b], T[ia][ib]
+                if t < 0 or u < 0:
+                    still_open.append((perm, walk, pos))
+                    break
+                if perm[u] != t:
+                    if perm[u] < t:
+                        return False
+                    break
+        # a walk run to its end compared a complete table: there are no children
+        self._open[k + 1] = still_open
+        return True
+
+
 def _table_search(
     n: int,
     preset: list[tuple[int, int, int]],
@@ -287,20 +340,20 @@ def _table_search(
                 yield from rec(k + 1)
         T[i][j] = -1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself through its closure: break the cycle
 
 
 def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     n = order
-    meet_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
+    filter_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
     full_range = tuple(range(n))
     forms: set[CanonicalForm] = set()
-    seen: set[bytes] = set()
-    for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
-        key = _flat(M)
-        if key in seen:  # a relabeling M^π of a searched table: its joins are the J^π
-            continue
-        seen.update(move(key) for move in _relabelings(n))
+    # one meet table per meet class, its least relabeling: the others' joins
+    # are relabeled joins of this one, and every filter is isomorphism-invariant
+    for M in _table_search(n, [], lambda i, j: full_range, filter_hooks + (_LexLeaderHook(n),)):
         cand = [
             [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
             for i in range(n)

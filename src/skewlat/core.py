@@ -702,19 +702,23 @@ def quotient(S: FiniteSkewLattice) -> QuotientLattice:
     dp = S._dpart
     q = dp.class_count
     c = np.asarray(dp.class_of, dtype=np.intp)
-    cm, cj = c[S._m], c[S._j]
-    meet_rows = [[0] * q for _ in range(q)]
-    join_rows = [[0] * q for _ in range(q)]
-    for a, A in enumerate(dp.classes):
-        for b, B in enumerate(dp.classes):
-            block = np.ix_(A, B)
-            for rows, img, opname in ((meet_rows, cm, "meet"), (join_rows, cj, "join")):
-                vals = np.unique(img[block])
-                if vals.size != 1:
-                    raise InternalConsistencyError(
-                        f"quotient {opname} not well defined on classes {a},{b}: got classes {vals.tolist()}"
-                    )
-                rows[a][b] = int(vals[0])
+    reps = np.array([A[0] for A in dp.classes], dtype=np.intp)
+    first = reps[c]  # the first member of each element's class
+    images = (c[S._m], c[S._j])
+    # bad[a, b, k]: the meet (k = 0) or join (k = 1) takes some pair of classes
+    # a, b to more than one class; each cell is compared with the first cell of
+    # its class-pair block
+    bad = np.zeros((q, q, 2), dtype=bool)
+    for k, img in enumerate(images):
+        rows, cols = np.nonzero(img != img[first[:, None], first[None, :]])
+        bad[c[rows], c[cols], k] = True
+    if bad.any():
+        a, b, k = np.argwhere(bad)[0].tolist()  # row-major class pair, meet before join
+        vals = np.unique(images[k][np.ix_(dp.classes[a], dp.classes[b])])
+        raise InternalConsistencyError(
+            f"quotient {('meet', 'join')[k]} not well defined on classes {a},{b}: got classes {vals.tolist()}"
+        )
+    meet_rows, join_rows = (img[np.ix_(reps, reps)].tolist() for img in images)
     if S.labels is not None:
         labels = tuple("{" + ",".join(S.label(i) for i in A) + "}" for A in dp.classes)
     else:

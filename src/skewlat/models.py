@@ -154,16 +154,23 @@ def build_pfn_algebra(
     cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
     if order > cap:
         raise CapExceededError(f"partial-function algebra would have order {order} > cap {cap}")
-    carrier = pfn_carrier(domain_size, codomain_size)
-    index = {f: i for i, f in enumerate(carrier)}
-    meet_rows = [[index[f.meet(g)] for g in carrier] for f in carrier]
-    join_rows = [[index[f.join(g)] for g in carrier] for f in carrier]
+    # element i in pfn_carrier's order is its base-(b+1) digits, one per
+    # point, the first point most significant; digit 0 is "undefined" and
+    # digit y+1 is the value y
+    base = codomain_size + 1
+    weights = base ** np.arange(domain_size - 1, -1, -1)
+    digits = np.arange(order)[:, None] // weights % base
+    meet = np.zeros((order, order), dtype=np.int64)
+    join = np.zeros((order, order), dtype=np.int64)
+    for w, d in zip(weights.tolist(), digits.T):
+        f, g = d[:, None], d[None, :]
+        meet += w * np.where(g != 0, f, 0)  # f restricted to dom g
+        join += w * np.where(g != 0, g, f)  # g overriding f
+    labels = tuple(
+        "{" + ",".join(f"{x}:{v - 1}" for x, v in enumerate(row) if v) + "}" for row in digits.tolist()
+    )
     return FiniteSkewLattice(
-        order=order,
-        meet_table=meet_rows,
-        join_table=join_rows,
-        zero=index[PartialFunction(frozenset())],
-        labels=tuple(f.label() for f in carrier),
+        order=order, meet_table=meet.tolist(), join_table=join.tolist(), zero=0, labels=labels
     )
 
 

@@ -191,6 +191,34 @@ def test_census_matches_the_labeled_oracle():
             assert census._census_forms(n, filt) == _census_forms_oracle(n, filt), (filt, n)
 
 
+def _least_relabeling(M):
+    # the oracle compares meet tables first, so its meet table is the least relabeling of M
+    return _canonicalize_oracle(FiniteSkewLattice(len(M), M, M)).meet_table
+
+
+def _meet_hooks(filt):
+    return tuple(hook for key, hook in census._MEET_HOOKS.items() if filt._wants.get(key) is True)
+
+
+def _lex_leader_violations(n, hooks):
+    # the pruned meet search against the labeled one under the same filter hooks
+    full = tuple(range(n))
+    pruned = list(census._table_search(n, [], lambda i, j: full, hooks + (census._LexLeaderHook(n),)))
+    classes = {_least_relabeling(M) for M in census._table_search(n, [], lambda i, j: full, hooks)}
+    problems = [f"not its least relabeling: {M}" for M in pruned if M != _least_relabeling(M)]
+    if len(pruned) != len(classes):
+        problems.append(f"{len(pruned)} meet tables for {len(classes)} meet classes")
+    return problems
+
+
+def test_the_lex_leader_search_yields_each_meet_class_once():
+    hook_sets = {_meet_hooks(filt) for filt in (CensusFilter(),) + FILTER_CASES}
+    assert len(hook_sets) == 4  # none, either hook, both
+    for hooks in hook_sets:
+        for n in (1, 2, 3, 4):
+            assert _lex_leader_violations(n, hooks) == [], (hooks, n)
+
+
 def test_canonicalize_matches_the_full_relabeling_oracle(census_to_order_five):
     rng = random.Random(6)
     for n, block in census_to_order_five.items():

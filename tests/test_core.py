@@ -1,5 +1,7 @@
 """Axioms, identities, class structure and quotients on known structures."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from skewlat.core import (
     validate_skew_axioms,
 )
 from skewlat.census import enumerate_skew_lattices
-from skewlat.models import boolean_lattice, chain_lattice, diamond_m3
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3
 
 # the least non-normal structure: a two-element class under a top element
 NON_NORMAL_3 = FiniteSkewLattice(
@@ -254,6 +256,56 @@ def test_class_meets_are_well_defined_proof_by_running():
     for S in _all_census(4):
         green_d(S)
         quotient(S)
+
+
+def _set_partitions(items):
+    # every partition of a list into blocks, blocks in order of their least member
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [(head,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(head,) + block] + part[i + 1:]
+
+
+def _well_definedness_failure(S, classes):
+    # the first class pair, row-major, that meet (then join) sends to two classes
+    class_of = {x: k for k, block in enumerate(classes) for x in block}
+    for a, A in enumerate(classes):
+        for b, B in enumerate(classes):
+            for opname, op in (("meet", S.meet), ("join", S.join)):
+                got = sorted({class_of[op(x, y)] for x in A for y in B})
+                if len(got) > 1:
+                    return f"quotient {opname} not well defined on classes {a},{b}: got classes {got}"
+    return None
+
+
+def _with_partition(S, classes):
+    # a fresh copy of S whose cached D-partition is replaced by the given blocks
+    T = FiniteSkewLattice(S.order, S.meet_table, S.join_table, zero=S.zero, labels=S.labels)
+    class_of = tuple(k for x in range(S.order) for k, block in enumerate(classes) if x in block)
+    T.__dict__["_dpart"] = dataclasses.replace(green_d(T), class_of=class_of, classes=tuple(classes))
+    return T
+
+
+def test_quotient_reports_the_first_class_pair_that_is_not_well_defined():
+    chain = _with_partition(chain_lattice(3), [(0, 2), (1,)])
+    with pytest.raises(InternalConsistencyError, match=r"^quotient meet not well defined on classes 0,1: got classes \[0, 1\]$"):
+        quotient(chain)
+    cases = 0
+    for S in (chain_lattice(4), diamond_m3(), boolean_lattice(2), NON_NORMAL_3, build_pfn_algebra(1, 2)):
+        for part in _set_partitions(list(range(S.order))):
+            classes = sorted(tuple(sorted(block)) for block in part)
+            want = _well_definedness_failure(S, classes)
+            if want is None:
+                continue
+            cases += 1
+            with pytest.raises(InternalConsistencyError) as err:
+                quotient(_with_partition(S, classes))
+            assert str(err.value) == want
+    assert cases > 50
 
 
 # --- the regularity consequence ------------------------------------------------

@@ -67,6 +67,18 @@ def test_algebra_order_is_options_to_the_points(m, b, order):
     assert S.zero == 0 and S.labels[0] == "{}"
 
 
+@pytest.mark.parametrize("m,b", [(2, 2), (3, 1), (4, 2), (5, 2), (3, 3)])
+def test_algebra_tables_are_the_carrier_operations(m, b):
+    # the digit-wise tables against PartialFunction's own meet and join
+    carrier = pfn_carrier(m, b)
+    index = {f: i for i, f in enumerate(carrier)}
+    S = build_pfn_algebra(m, b)
+    assert S.meet_table == tuple(tuple(index[f.meet(g)] for g in carrier) for f in carrier)
+    assert S.join_table == tuple(tuple(index[f.join(g)] for g in carrier) for f in carrier)
+    assert S.labels == tuple(f.label() for f in carrier)
+    assert S.zero == index[PartialFunction.of({})]
+
+
 def test_algebra_cap_and_override(monkeypatch):
     with pytest.raises(CapExceededError):
         build_pfn_algebra(7, 3)  # 4^7 > 4096
