@@ -22,6 +22,13 @@ infinite models in :mod:`skewlat.models` are where they come apart.
 commuting subset has a supremum exactly when, over the join of its
 D-classes, a unique element dominates the subset; the supremum is then
 that element and projects onto the class join.
+
+Every scan over commuting subsets walks them once, depth first over
+the commutation graph as bitmask rows and in lexicographic order of the
+member tuple, carrying the running AND of one mask per member chosen by
+the caller (upsets for bounds, "sections holding c" for section
+extension); ``enumerate_commuting_subsets`` wraps the same walk.  Above
+order 12 each scan raises ``CapExceededError`` before it builds a mask.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .core import (
     FiniteSkewLattice,
     PreconditionError,
     _require_valid,
+    _row_masks,
     check_identity,
     check_symmetric,
     green_d,
@@ -151,43 +159,61 @@ def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> CommutingS
     return CommutingSubset(ids)
 
 
+def _require_subset_cap(S: FiniteSkewLattice) -> None:
+    if S.order > SUBSET_ORDER_CAP:
+        raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
+
+
+def _cliques(S: FiniteSkewLattice, masks, max_size: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(members, acc)`` for every nonempty commuting subset in lexicographic order,
+    ``acc`` being the AND of ``masks[c]`` over the members; callers check the subset cap first.
+
+    Extending a clique by a larger common neighbour v costs one ``&`` with v's row and one with ``masks[v]``.
+    """
+    adj = _row_masks(np.array(commutation_graph(S).adjacency))
+    limit = S.order if max_size is None else max_size
+    # a frame: a clique, the ids that may still extend it (never none) and its AND (-1: empty);
+    # the remainder goes back below the child, so children come first
+    stack = [((), (1 << S.order) - 1, -1)]
+    while stack:
+        members, cand, acc = stack.pop()
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if cand:
+            stack.append((members, cand, acc))
+        grown, acc = members + (v,), acc & masks[v]
+        yield grown, acc
+        cand &= adj[v]
+        if cand and len(grown) < limit:
+            stack.append((grown, cand, acc))
+
+
 def enumerate_commuting_subsets(
     S: FiniteSkewLattice, max_size: int | None = None
 ) -> Iterator[CommutingSubset]:
     """Yield every nonempty commuting subset exactly once.
 
-    Subsets are the cliques of the commutation graph, produced by
-    ordered extension in lexicographic order of the sorted member
-    tuple — each clique extends only by larger ids adjacent to all
-    current members, so no deduplication is needed.  Above order 12 an
-    explicit ``max_size`` is required, since the count can explode.
+    Subsets are the cliques of the commutation graph, in lexicographic
+    order of the sorted member tuple (the walk the scans below share).
+    Above order 12 an explicit ``max_size`` is required, since the count
+    can explode.
     """
     _require_valid(S, "enumerate_commuting_subsets")
-    if max_size is None and S.order > SUBSET_ORDER_CAP:
-        raise CapExceededError(
-            f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration"
-        )
-    g = commutation_graph(S)
-    adj = g.adjacency
-
-    def extend(current: tuple[int, ...], candidates: list[int]) -> Iterator[CommutingSubset]:
-        for i, v in enumerate(candidates):
-            grown = current + (v,)
-            yield CommutingSubset(grown)
-            if max_size is None or len(grown) < max_size:
-                yield from extend(grown, [w for w in candidates[i + 1 :] if adj[v][w]])
-
-    yield from extend((), list(range(S.order)))
+    if max_size is None:
+        _require_subset_cap(S)
+    for members, _ in _cliques(S, (0,) * S.order, max_size):
+        yield CommutingSubset(members)
 
 
 def sup_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Least upper bound of a nonempty set in the natural order, if any."""
-    return _extremum(S._up, _checked_ids(S, ids, "sup_natural"))
+    return _extremum(S._up, _bounds(S._up, _checked_ids(S, ids, "sup_natural")))
 
 
 def inf_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Greatest lower bound of a nonempty set in the natural order, if any."""
-    return _extremum(S._down, _checked_ids(S, ids, "inf_natural"))
+    return _extremum(S._down, _bounds(S._down, _checked_ids(S, ids, "inf_natural")))
 
 
 def _bounds(masks: tuple[int, ...], members: Iterable[int]) -> int:
@@ -195,13 +221,13 @@ def _bounds(masks: tuple[int, ...], members: Iterable[int]) -> int:
     return functools.reduce(operator.and_, [masks[c] for c in members])
 
 
-def _extremum(masks: tuple[int, ...], members: Iterable[int]) -> int | None:
-    """The common bound of ``members`` whose own mask holds every common bound.
+def _extremum(masks: tuple[int, ...], bounds: int) -> int | None:
+    """The id in ``bounds`` whose own mask holds all of ``bounds``.
 
-    With ``S._up`` this is the supremum, with ``S._down`` the infimum;
-    antisymmetry makes it unique.  Ids are trusted: callers validate.
+    With ``S._up`` and a set's common upper bounds this is the
+    supremum, with ``S._down`` and its lower bounds the infimum;
+    antisymmetry makes it unique, and the least such id wins otherwise.
     """
-    bounds = _bounds(masks, members)
     rest = bounds
     while rest:
         low = rest & -rest
@@ -261,13 +287,13 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
     and projects onto the class join.
     """
     _require_normal_symmetric(S, "check_prop_joins")
+    _require_subset_cap(S)
     dp = green_d(S)
     qj = quotient(S).lattice.join_table
     up = S._up
-    for C in enumerate_commuting_subsets(S):
-        s = _extremum(up, C.members)
-        class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in C])
-        bounds = _bounds(up, C.members)
+    for members, bounds in _cliques(S, up):
+        s = _extremum(up, bounds)
+        class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in members])
         dominating = [a for a in dp.classes[class_join] if bounds >> a & 1]
         ok = (s is not None) == (len(dominating) == 1)
         if ok and s is not None:
@@ -277,7 +303,7 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
                 False,
                 "join exists iff one element dominates over the class join",
                 (
-                    ("subset", C.members),
+                    ("subset", members),
                     ("sup", s),
                     ("class_join", class_join),
                     ("dominating", tuple(dominating)),
@@ -289,32 +315,34 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
 def check_join_complete(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has a supremum in the natural order."""
     _require_normal_symmetric(S, "check_join_complete")
+    _require_subset_cap(S)
     up = S._up
-    for C in enumerate_commuting_subsets(S):
-        if _extremum(up, C.members) is None:
-            return Certificate(False, "join complete", ("subset with no supremum", C.members))
+    for members, bounds in _cliques(S, up):
+        if _extremum(up, bounds) is None:
+            return Certificate(False, "join complete", ("subset with no supremum", members))
     return Certificate(True, "join complete")
 
 
 def check_bounded_above(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has an upper bound in the natural order."""
     _require_normal_symmetric(S, "check_bounded_above")
-    up = S._up
-    for C in enumerate_commuting_subsets(S):
-        if not _bounds(up, C.members):
-            return Certificate(False, "bounded from above", ("subset with no upper bound", C.members))
+    _require_subset_cap(S)
+    for members, bounds in _cliques(S, S._up):
+        if not bounds:
+            return Certificate(False, "bounded from above", ("subset with no upper bound", members))
     return Certificate(True, "bounded from above")
 
 
 def check_section_extension(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset extends to (sits inside) a lattice section."""
     _require_normal_symmetric(S, "check_section_extension")
-    sections = [sum(1 << v for v in sec.members) for sec in lattice_sections(S)]
-    for C in enumerate_commuting_subsets(S):
-        members = sum(1 << c for c in C)
-        if not any(members & sec == members for sec in sections):
+    _require_subset_cap(S)
+    sections = lattice_sections(S)
+    holding = [sum(1 << i for i, sec in enumerate(sections) if c in sec.members) for c in range(S.order)]
+    for members, inside in _cliques(S, holding):
+        if not inside:
             return Certificate(
-                False, "commuting subsets extend to sections", ("subset inside no section", C.members)
+                False, "commuting subsets extend to sections", ("subset inside no section", members)
             )
     return Certificate(True, "commuting subsets extend to sections")
 

@@ -31,9 +31,9 @@ from .core import (
     is_commutative,
     quotient,
 )
-from .completeness import _extremum, enumerate_commuting_subsets
-# re-exported, unused here: the traced benchmark wraps frames.sup_natural
-from .completeness import sup_natural as sup_natural
+from .completeness import _cliques, _extremum, _require_subset_cap
+# re-exported, unused here: the traced benchmark wraps frames.sup_natural and frames.enumerate_commuting_subsets
+from .completeness import enumerate_commuting_subsets as enumerate_commuting_subsets, sup_natural as sup_natural
 
 __all__ = ["FrameVerdict", "is_frame", "is_ncframe", "check_theorem_ncframes"]
 
@@ -85,6 +85,12 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     hold over every commuting subset.  The right-hand sides are suprema
     of the translated families, so a missing supremum there also fails
     the law.
+
+    One walk over the commuting subsets ANDs a packed mask per member,
+    which carries the common upper bounds of C and of every translated
+    family at once; masks precomputed per ``s = ⋁C`` then certify both
+    laws for all y in one test.  A subset that screen cannot certify
+    goes through the per-y scan, which builds the witness.
     """
     _require_valid(S, "is_ncframe")
     if detect_zero(S) is None:
@@ -92,22 +98,31 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     sd = check_identity(S, "strongly_distributive")
     if not sd.ok:
         return Certificate(False, "noncommutative frame", ("not strongly distributive", sd.witness))
-    mt, up = S.meet_table, S._up
-    for C in enumerate_commuting_subsets(S):
-        sup_c = _extremum(up, C.members)
-        if sup_c is None:
-            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", C.members))
-        for y in range(S.order):
-            for law, lhs, family in (
-                ("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", mt[sup_c][y], [mt[c][y] for c in C]),
-                ("y∧(⋁xᵢ) = ⋁(y∧xᵢ)", mt[y][sup_c], [mt[y][c] for c in C]),
-            ):
-                rhs = _extremum(up, family)
-                if rhs != lhs:
+    _require_subset_cap(S)
+    n, mt, up, down = S.order, S.meet_table, S._up, S._down
+    field = (1 << n) - 1
+    # block k (bits k*n ..) of packed[c] is _up[ids[c][k]]: of c, then of c∧y for each y, then of y∧c
+    ids = [[c] + [mt[c][y] for y in range(n)] + [mt[y][c] for y in range(n)] for c in range(n)]
+    packed = [sum(up[t] << k * n for k, t in enumerate(row)) for row in ids]
+    # bounds B have the supremum t (least-id rule, any relation) if t is in B, B ⊆ _up[t]
+    # and no id below t tied with it is in B; s = ⋁C passes if every block of ids[s] does
+    avoid = [field & ~up[t] | up[t] & down[t] & (1 << t) - 1 for t in range(n)]
+    need_s = [sum(1 << k * n + t for k, t in enumerate(row)) for row in ids]
+    avoid_s = [sum(avoid[t] << k * n for k, t in enumerate(row)) for row in ids]
+    for members, acc in _cliques(S, packed):
+        s = _extremum(up, acc & field)
+        if s is None:
+            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", members))
+        if acc & need_s[s] == need_s[s] and not acc & avoid_s[s]:
+            continue
+        for y in range(n):
+            for law, k in (("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", 1 + y), ("y∧(⋁xᵢ) = ⋁(y∧xᵢ)", 1 + n + y)):
+                rhs = _extremum(up, acc >> k * n & field)
+                if rhs != ids[s][k]:
                     return Certificate(
                         False,
                         "noncommutative frame",
-                        (law, (("subset", C.members), ("y", y), ("lhs", lhs), ("rhs", rhs))),
+                        (law, (("subset", members), ("y", y), ("lhs", ids[s][k]), ("rhs", rhs))),
                     )
     return Certificate(True, "noncommutative frame")
 

@@ -236,5 +236,22 @@ def test_checks_match_the_list_scans_on_a_perturbed_order(census_all, p22):
         "is_ncframe", "check_join_complete", "check_bounded_above", "check_prop_joins", "check_section_extension"
     }
     assert {w for name, w in failures if name == "is_ncframe"} >= {
-        "commuting subset with no supremum", "(⋁xᵢ)∧y = ⋁(xᵢ∧y)"
+        "commuting subset with no supremum", "(⋁xᵢ)∧y = ⋁(xᵢ∧y)", "y∧(⋁xᵢ) = ⋁(y∧xᵢ)"
     }
+
+
+def test_ncframe_matches_the_list_scan_on_heavily_perturbed_orders(census_all):
+    # at this flip rate a law also fails with lhs an upper bound of the family that is not its least one
+    rng = random.Random(11)
+    upper_not_least = 0
+    for S in census_all:
+        for _ in range(3):
+            T = _perturbed(S, rng, flip=0.5)
+            got = _outcome(is_ncframe, T)
+            assert got == _outcome(_is_ncframe_oracle, T), S
+            if isinstance(got, Certificate) and not got.ok and got.witness[0].endswith("xᵢ)"):
+                law, fields = got.witness[0], dict(got.witness[1])
+                mt, y = T.meet_table, fields["y"]
+                family = [mt[c][y] if law.startswith("(⋁") else mt[y][c] for c in fields["subset"]]
+                upper_not_least += all(T._leq[f, fields["lhs"]] for f in family)
+    assert upper_not_least > 0

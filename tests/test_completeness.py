@@ -12,6 +12,7 @@ from skewlat.core import (
     is_commutative,
     subalgebra,
 )
+from skewlat import completeness
 from skewlat.completeness import (
     check_bounded_above,
     check_implication_chain,
@@ -28,7 +29,8 @@ from skewlat.completeness import (
     meet_fold,
     sup_natural,
 )
-from skewlat.models import build_pfn_algebra, chain_lattice, om_window
+from skewlat.frames import is_ncframe
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, om_window
 
 NON_NORMAL_3 = FiniteSkewLattice(
     3, ((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2))
@@ -97,11 +99,39 @@ def test_enumeration_respects_max_size(p22):
     assert sorted(c.members for c in pairs) == brute
 
 
+def test_enumeration_is_lexicographic_and_bounded(p22, window4):
+    # the first failing subset a scan reports depends on this order
+    for S in (p22, window4, om_window(9), boolean_lattice(3)):
+        for max_size in (None, 1, 2, 3):
+            got = [c.members for c in enumerate_commuting_subsets(S, max_size=max_size)]
+            assert all(a < b for a, b in zip(got, got[1:])), (S, max_size)
+            assert all(len(m) <= (max_size or S.order) for m in got)
+            brute = _brute_commuting_subsets(S)
+            assert set(got) == {m for m in brute if max_size is None or len(m) <= max_size}
+
+
 def test_enumeration_cap_without_size_bound():
     big = om_window(10)  # order 13
     with pytest.raises(CapExceededError):
         tuple(enumerate_commuting_subsets(big))
     assert tuple(enumerate_commuting_subsets(big, max_size=1))
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [is_ncframe, check_join_complete, check_bounded_above, check_prop_joins, check_section_extension],
+    ids=lambda f: f.__name__,
+)
+def test_every_subset_scan_is_capped_before_its_tables(scan, monkeypatch):
+    def built(*args):
+        raise AssertionError("per-structure tables built before the cap")
+
+    for name in ("green_d", "quotient", "lattice_sections"):
+        monkeypatch.setattr(completeness, name, built)
+    big = om_window(10)  # order 13, normal, symmetric, with a zero
+    with pytest.raises(CapExceededError, match=r"^order 13 > 12: pass max_size to bound subset enumeration$"):
+        scan(big)
+    assert "_up" not in big.__dict__  # no natural-order masks either
 
 
 # --- suprema and infima ------------------------------------------------------------
