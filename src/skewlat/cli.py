@@ -30,9 +30,10 @@ precondition errors.  Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import bisect
+import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     CapExceededError,
@@ -73,54 +74,105 @@ class ParseError(SkewLatticeError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-    quoted: bool
-
-
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+_WORD = re.compile(r'[^ \t\r#"]+')
+# a word, a quoted string (its closing quote missing if it is cut short) or a comment;
+# only blanks fall between the matches
+_LEXEME = re.compile(r'([^ \t\r#"]+)|"((?:[^"\\]|\\[\\"n])*)("?)|#')
+_ESCAPE_SEQ = re.compile(r"\\(.)")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
+def _scan_line(raw: str, lineno: int) -> list[tuple[int, str, bool]]:
+    """``(col, text, quoted)`` for each token of one line, quoted strings unescaped."""
+    found = []
+    for m in _LEXEME.finditer(raw):
+        if m[0] == "#":
+            break
+        if m[1] is not None:
+            found.append((m.start() + 1, m[1], False))
+        elif m[3]:
+            found.append((m.start() + 1, _ESCAPE_SEQ.sub(lambda e: _ESCAPES[e[1]], m[2]), True))
+        elif m.end() == len(raw):
+            raise ParseError("unterminated quoted string", lineno, m.start() + 1)
+        else:  # stopped at a backslash that starts no escape
+            raise ParseError("unknown escape in quoted string", lineno, m.end() + 1)
+    return found
+
+
+class _Tokens:
+    """The token texts of a structure file and a read position.
+
+    Tokens are plain strings, with the indices of the quoted ones in a
+    set; a token's line and column are worked out only when an error
+    names it, by rescanning its line.
+    """
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.words: list[str] = []
+        self.quoted: set[int] = set()
+        self.line_first: list[int] = []  # index of each line's first token
+        self.pos = 0
+        words = self.words
+        for lineno, raw in enumerate(self.lines, start=1):
+            self.line_first.append(len(words))
+            if '"' not in raw:
+                words += _WORD.findall(raw.partition("#")[0])
                 continue
-            if ch == "#":
-                break
-            col = i + 1
-            if ch == '"':
-                i += 1
-                parts: list[str] = []
-                while True:
-                    if i >= len(raw):
-                        raise ParseError("unterminated quoted string", lineno, col)
-                    ch = raw[i]
-                    if ch == '"':
-                        i += 1
-                        break
-                    if ch == "\\":
-                        if i + 1 >= len(raw) or raw[i + 1] not in _ESCAPES:
-                            raise ParseError("unknown escape in quoted string", lineno, i + 1)
-                        parts.append(_ESCAPES[raw[i + 1]])
-                        i += 2
-                        continue
-                    parts.append(ch)
-                    i += 1
-                tokens.append(_Token("".join(parts), lineno, col, quoted=True))
-                continue
-            j = i
-            while j < len(raw) and raw[j] not in ' \t\r#"':
-                j += 1
-            tokens.append(_Token(raw[i:j], lineno, col, quoted=False))
-            i = j
-    return tokens
+            for _, word, quoted in _scan_line(raw, lineno):
+                if quoted:
+                    self.quoted.add(len(words))
+                words.append(word)
+
+    def error(self, message: str, k: int) -> ParseError:
+        line = bisect.bisect_right(self.line_first, k)
+        col = _scan_line(self.lines[line - 1], line)[k - self.line_first[line - 1]][0]
+        return ParseError(message, line, col)
+
+    def at_word(self, word: str) -> bool:
+        k = self.pos
+        return k < len(self.words) and self.words[k] == word and k not in self.quoted
+
+    def take(self, what: str) -> int:
+        k = self.pos
+        if k >= len(self.words):
+            if not self.words:
+                raise ParseError(f"expected {what}, got end of file", 1, 1)
+            raise self.error(f"expected {what}, got end of file", len(self.words) - 1)
+        self.pos += 1
+        return k
+
+    def expect_word(self, word: str) -> None:
+        k = self.take(f"'{word}'")
+        if k in self.quoted or self.words[k] != word:
+            raise self.error(f"expected '{word}', got {self.words[k]!r}", k)
+
+    def take_int(self, what: str, lo: int, hi: int) -> int:
+        k = self.take(what)
+        if k in self.quoted:
+            raise self.error(f"expected {what}, got quoted string", k)
+        try:
+            value = int(self.words[k])
+        except ValueError:
+            raise self.error(f"expected {what}, got {self.words[k]!r}", k) from None
+        if not lo <= value <= hi:
+            raise self.error(f"{what} {value} out of range [{lo}, {hi}]", k)
+        return value
+
+    def take_table(self, what: str, order: int) -> Table:
+        """The next order² tokens as a table, decoded in one step; on any
+        fault the entries are retaken one by one, which raises at the first."""
+        lo, hi = self.pos, self.pos + order * order
+        try:
+            values = list(map(int, self.words[lo:hi]))
+        except ValueError:
+            values = []
+        if len(values) < order * order or min(values) < 0 or max(values) >= order or any(
+            lo <= k < hi for k in self.quoted
+        ):
+            return tuple(tuple(self.take_int(what, 0, order - 1) for _ in range(order)) for _ in range(order))
+        self.pos = hi
+        return tuple(tuple(values[i:i + order]) for i in range(0, hi - lo, order))
 
 
 @dataclass(frozen=True)
@@ -143,80 +195,35 @@ class StructureFile:
         return cls(S.order, S.meet_table, S.join_table, zero=S.zero, labels=S.labels)
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1, False)
-            raise ParseError(f"expected {what}, got end of file", last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def expect_word(self, word: str) -> _Token:
-        tok = self.take(f"'{word}'")
-        if tok.quoted or tok.text != word:
-            raise ParseError(f"expected '{word}', got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and not tok.quoted and tok.text == word
-
-    def take_int(self, what: str, lo: int, hi: int) -> int:
-        tok = self.take(what)
-        if tok.quoted:
-            raise ParseError(f"expected {what}, got quoted string", tok.line, tok.col)
-        try:
-            value = int(tok.text)
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
-        if not lo <= value <= hi:
-            raise ParseError(f"{what} {value} out of range [{lo}, {hi}]", tok.line, tok.col)
-        return value
-
-
 def parse(text: str) -> StructureFile:
     """Parse structure-file text; raises :class:`ParseError` with position."""
-    cur = _Cursor(_tokenize(text))
-    cur.expect_word(FORMAT_TAG)
-    tok = cur.take("format version")
-    if tok.quoted or tok.text != str(FORMAT_VERSION):
-        raise ParseError(f"unsupported format version {tok.text!r}", tok.line, tok.col)
-    cur.expect_word("n")
-    order = cur.take_int("order", 1, 10**6)
+    toks = _Tokens(text)
+    toks.expect_word(FORMAT_TAG)
+    k = toks.take("format version")
+    if k in toks.quoted or toks.words[k] != str(FORMAT_VERSION):
+        raise toks.error(f"unsupported format version {toks.words[k]!r}", k)
+    toks.expect_word("n")
+    order = toks.take_int("order", 1, 10**6)
     zero = None
-    if cur.at_word("zero"):
-        cur.take("'zero'")
-        zero = cur.take_int("zero id", 0, order - 1)
+    if toks.at_word("zero"):
+        toks.take("'zero'")
+        zero = toks.take_int("zero id", 0, order - 1)
     tables: list[Table] = []
     for section in ("meet", "join"):
-        cur.expect_word(section)
-        rows = []
-        for _ in range(order):
-            rows.append(
-                tuple(cur.take_int(f"{section} entry", 0, order - 1) for _ in range(order))
-            )
-        tables.append(tuple(rows))
+        toks.expect_word(section)
+        tables.append(toks.take_table(f"{section} entry", order))
     labels: tuple[str, ...] | None = None
-    if cur.at_word("labels"):
-        cur.take("'labels'")
+    if toks.at_word("labels"):
+        toks.take("'labels'")
         got = []
         for _ in range(order):
-            tok = cur.take("label string")
-            if not tok.quoted:
-                raise ParseError(f"labels must be quoted, got {tok.text!r}", tok.line, tok.col)
-            got.append(tok.text)
+            k = toks.take("label string")
+            if k not in toks.quoted:
+                raise toks.error(f"labels must be quoted, got {toks.words[k]!r}", k)
+            got.append(toks.words[k])
         labels = tuple(got)
-    stray = cur.peek()
-    if stray is not None:
-        raise ParseError(f"unexpected token {stray.text!r}", stray.line, stray.col)
+    if toks.pos < len(toks.words):
+        raise toks.error(f"unexpected token {toks.words[toks.pos]!r}", toks.pos)
     return StructureFile(order, tables[0], tables[1], zero=zero, labels=labels)
 
 
@@ -233,7 +240,7 @@ def emit(source: FiniteSkewLattice | StructureFile) -> str:
         lines.append(f"zero {sf.zero}")
     for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
         lines.append(section)
-        lines.extend(" ".join(str(v) for v in row) for row in table)
+        lines.extend(" ".join(map(str, row)) for row in table)
     if sf.labels is not None:
         lines.append("labels")
         lines.extend(_quote(lab) for lab in sf.labels)

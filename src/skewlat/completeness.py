@@ -289,16 +289,18 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
     _require_normal_symmetric(S, "check_prop_joins")
     _require_subset_cap(S)
     dp = green_d(S)
+    class_of = dp.class_of
+    class_masks = [sum(1 << a for a in members) for members in dp.classes]
     qj = quotient(S).lattice.join_table
     up = S._up
     for members, bounds in _cliques(S, up):
         s = _extremum(up, bounds)
-        class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in members])
-        dominating = [a for a in dp.classes[class_join] if bounds >> a & 1]
-        ok = (s is not None) == (len(dominating) == 1)
-        if ok and s is not None:
-            ok = dominating[0] == s and dp.class_of[s] == class_join
-        if not ok:
+        class_join = class_of[members[0]]
+        for c in members[1:]:
+            class_join = qj[class_join][class_of[c]]
+        dominating = bounds & class_masks[class_join]
+        # a supremum is the one element of the class join above C; no supremum, not exactly one
+        if dominating != 1 << s if s is not None else dominating.bit_count() == 1:
             return Certificate(
                 False,
                 "join exists iff one element dominates over the class join",
@@ -306,7 +308,7 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
                     ("subset", members),
                     ("sup", s),
                     ("class_join", class_join),
-                    ("dominating", tuple(dominating)),
+                    ("dominating", tuple(a for a in dp.classes[class_join] if dominating >> a & 1)),
                 ),
             )
     return Certificate(True, "join exists iff one element dominates over the class join")

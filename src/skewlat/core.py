@@ -111,15 +111,15 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _freeze_table(rows: Iterable[Iterable[int]], order: int, which: str) -> Table:
-    table = tuple(tuple(int(v) for v in row) for row in rows)
+    table = tuple(tuple(map(int, row)) for row in rows)
     if len(table) != order:
         raise StructureError(f"{which} table has {len(table)} rows, expected {order}")
     for i, row in enumerate(table):
         if len(row) != order:
             raise StructureError(f"{which} table row {i} has {len(row)} entries, expected {order}")
-        for v in row:
-            if not 0 <= v < order:
-                raise StructureError(f"{which} table entry {v} at row {i} is out of range 0..{order - 1}")
+        if min(row) < 0 or max(row) >= order:
+            v = next(v for v in row if not 0 <= v < order)
+            raise StructureError(f"{which} table entry {v} at row {i} is out of range 0..{order - 1}")
     return table
 
 

@@ -6,15 +6,16 @@ import string
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewlat
 from skewlat.census import enumerate_skew_lattices
-from skewlat.cli import ParseError, StructureFile, emit, entry, main, parse
-from skewlat.core import FiniteSkewLattice
-from skewlat.models import diamond_m3, om_window
+from skewlat.cli import FORMAT_TAG, FORMAT_VERSION, ParseError, StructureFile, emit, entry, main, parse
+from skewlat.core import FiniteSkewLattice, Table
+from skewlat.models import build_pfn_algebra, diamond_m3, om_window
 
 NON_NORMAL_TABLES = (((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2)))
 
@@ -31,6 +32,135 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- the reference parser ----------------------------------------------------
+
+class _Token(NamedTuple):
+    text: str
+    line: int
+    col: int
+    quoted: bool
+
+
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        i = 0
+        while i < len(raw):
+            ch = raw[i]
+            if ch in " \t\r":
+                i += 1
+                continue
+            if ch == "#":
+                break
+            col = i + 1
+            if ch == '"':
+                i += 1
+                parts: list[str] = []
+                while True:
+                    if i >= len(raw):
+                        raise ParseError("unterminated quoted string", lineno, col)
+                    ch = raw[i]
+                    if ch == '"':
+                        i += 1
+                        break
+                    if ch == "\\":
+                        if i + 1 >= len(raw) or raw[i + 1] not in _ESCAPES:
+                            raise ParseError("unknown escape in quoted string", lineno, i + 1)
+                        parts.append(_ESCAPES[raw[i + 1]])
+                        i += 2
+                        continue
+                    parts.append(ch)
+                    i += 1
+                tokens.append(_Token("".join(parts), lineno, col, quoted=True))
+                continue
+            j = i
+            while j < len(raw) and raw[j] not in ' \t\r#"':
+                j += 1
+            tokens.append(_Token(raw[i:j], lineno, col, quoted=False))
+            i = j
+    return tokens
+
+
+class _Cursor:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, what: str) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else _Token("", 1, 1, False)
+            raise ParseError(f"expected {what}, got end of file", last.line, last.col)
+        self.pos += 1
+        return tok
+
+    def expect_word(self, word: str) -> _Token:
+        tok = self.take(f"'{word}'")
+        if tok.quoted or tok.text != word:
+            raise ParseError(f"expected '{word}', got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def at_word(self, word: str) -> bool:
+        tok = self.peek()
+        return tok is not None and not tok.quoted and tok.text == word
+
+    def take_int(self, what: str, lo: int, hi: int) -> int:
+        tok = self.take(what)
+        if tok.quoted:
+            raise ParseError(f"expected {what}, got quoted string", tok.line, tok.col)
+        try:
+            value = int(tok.text)
+        except ValueError:
+            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
+        if not lo <= value <= hi:
+            raise ParseError(f"{what} {value} out of range [{lo}, {hi}]", tok.line, tok.col)
+        return value
+
+
+def _parse_oracle(text: str) -> StructureFile:
+    """The token-at-a-time parser that ``parse`` must agree with, kept as the reference."""
+    cur = _Cursor(_tokenize(text))
+    cur.expect_word(FORMAT_TAG)
+    tok = cur.take("format version")
+    if tok.quoted or tok.text != str(FORMAT_VERSION):
+        raise ParseError(f"unsupported format version {tok.text!r}", tok.line, tok.col)
+    cur.expect_word("n")
+    order = cur.take_int("order", 1, 10**6)
+    zero = None
+    if cur.at_word("zero"):
+        cur.take("'zero'")
+        zero = cur.take_int("zero id", 0, order - 1)
+    tables: list[Table] = []
+    for section in ("meet", "join"):
+        cur.expect_word(section)
+        rows = []
+        for _ in range(order):
+            rows.append(
+                tuple(cur.take_int(f"{section} entry", 0, order - 1) for _ in range(order))
+            )
+        tables.append(tuple(rows))
+    labels: tuple[str, ...] | None = None
+    if cur.at_word("labels"):
+        cur.take("'labels'")
+        got = []
+        for _ in range(order):
+            tok = cur.take("label string")
+            if not tok.quoted:
+                raise ParseError(f"labels must be quoted, got {tok.text!r}", tok.line, tok.col)
+            got.append(tok.text)
+        labels = tuple(got)
+    stray = cur.peek()
+    if stray is not None:
+        raise ParseError(f"unexpected token {stray.text!r}", stray.line, stray.col)
+    return StructureFile(order, tables[0], tables[1], zero=zero, labels=labels)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -67,6 +197,7 @@ def test_rejections_carry_positions(text, fragment, line, col):
         parse(text)
     assert fragment in str(err.value)
     assert (err.value.line, err.value.col) == (line, col)
+    assert _outcome(parse, text) == _outcome(_parse_oracle, text)
 
 
 def test_emit_round_trips_the_census():
@@ -85,6 +216,114 @@ _LABEL_ALPHABET = sorted(set(string.ascii_letters + string.digits + string.punct
 def test_labels_survive_quoting(labels):
     S = FiniteSkewLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), labels=labels)
     assert parse(emit(S)).labels == labels
+
+
+# --- the bulk parser against the reference ---------------------------------
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+def _source_tokens(sf: StructureFile) -> list[str]:
+    """The tokens of ``emit(sf)`` as they are written, quotes and escapes included."""
+    words = [FORMAT_TAG, str(FORMAT_VERSION), "n", str(sf.order)]
+    if sf.zero is not None:
+        words += ["zero", str(sf.zero)]
+    for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
+        words += [section, *(str(v) for row in table for v in row)]
+    if sf.labels is not None:
+        words += ["labels", *emit(sf).split("\nlabels\n")[1].splitlines()]
+    return words
+
+
+_PARSE_CORPUS = [S for n in (1, 2, 3) for S in enumerate_skew_lattices(n)] + [build_pfn_algebra(2, 2), build_pfn_algebra(3, 1)]
+# whitespace between tokens: tabs, line breaks anywhere (inside rows too) and
+# comments, some holding a quote or a bad escape that only a comment may hold
+_SEPARATORS = (" ", " ", "  ", "\t", " \t ", "\n", "\r\n", "\n\n", " # note\n", "\t# a \"quote\n", "#\\q\n", "# 1 2 3\n")
+_LABEL_TEXT = st.text(sorted(set(string.ascii_letters + string.digits + ' #"\\\n')), max_size=6)
+_CORRUPTIONS = (
+    "x", "1.5", "0x1", "-1", "+1", "1_0", "١", "0\x1f1", "1\x1f", "9999", "~n", None, "extra",
+    '"0"', '""', '"0"1', '1"0"', '"a\\qb"', '"ab\\', '"ab', '"a\\"', '"#"#"',
+)
+
+
+@st.composite
+def _laid_out(draw, corrupt: bool):
+    S = draw(st.sampled_from(_PARSE_CORPUS))
+    labels = draw(st.one_of(st.none(), st.lists(_LABEL_TEXT, min_size=S.order, max_size=S.order)))
+    sf = StructureFile(S.order, S.meet_table, S.join_table, zero=S.zero, labels=labels and tuple(labels))
+    words = _source_tokens(sf)
+    if corrupt:
+        k = draw(st.integers(0, len(words) - 1))
+        bad = draw(st.sampled_from(_CORRUPTIONS))
+        if bad is None:
+            del words[k]
+        elif bad == "extra":
+            words.insert(k, "0")
+        else:
+            words[k] = str(S.order) if bad == "~n" else bad
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(words), max_size=len(words)))
+    return sf, "".join(w + s for w, s in zip(words, seps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laid_out(corrupt=False))
+def test_bulk_parse_matches_the_reference_on_valid_layouts(case):
+    sf, text = case
+    assert parse(text) == _parse_oracle(text) == sf
+
+
+@settings(max_examples=400, deadline=None)
+@given(_laid_out(corrupt=True))
+def test_bulk_parse_matches_the_reference_on_corrupted_tokens(case):
+    _, text = case
+    assert _outcome(parse, text) == _outcome(_parse_oracle, text)
+
+
+@pytest.fixture(scope="module")
+def p42_text():
+    return emit(build_pfn_algebra(4, 2))
+
+
+def _p42_corruptions(text):
+    lines = text.split("\n")
+    meet_at, join_at = lines.index("meet"), lines.index("join")
+
+    def edit(row_line, col, value):
+        copy = list(lines)
+        copy[row_line] = " ".join(value if j == col else v for j, v in enumerate(copy[row_line].split(" ")))
+        return "\n".join(copy)
+
+    # the comment swallows the rest of join row 50, so every later entry shifts
+    # by 80 tokens and "labels" is read as a join entry
+    swallowed = list(lines)
+    swallowed[join_at + 51] = swallowed[join_at + 51].replace(" ", " # ", 1)
+    return {
+        "got '9x'": edit(join_at + 72, 40, "9x"),
+        "join entry 81 out of range": edit(join_at + 81, 79, "81"),
+        "got quoted string": edit(meet_at + 31, 12, '"7"'),
+        "got 'labels'": "\n".join(swallowed),
+    }
+
+
+def test_large_file_rejections_match_the_reference(p42_text, tmp_path, capsys):
+    assert parse(p42_text) == _parse_oracle(p42_text)
+    assert _run(capsys, "check", _write(tmp_path, "p42.skl", p42_text))[0] == 0
+    lines = p42_text.split("\n")
+    row = lines.index("join") + 40
+    lines[row] = lines[row].replace(" ", " # a row may break anywhere\n", 1)
+    split = "\n".join(lines)
+    assert parse(split) == _parse_oracle(split) == parse(p42_text)
+    for name, text in _p42_corruptions(p42_text).items():
+        expected = _outcome(_parse_oracle, text)
+        assert name in expected[0], name
+        assert _outcome(parse, text) == expected, name
+        code, out, err = _run(capsys, "check", _write(tmp_path, "bad.skl", text))
+        assert code == 2 and out == "", name
+        assert f"line {expected[1]}, column {expected[2]}:" in err, name
 
 
 # --- check and classify ----------------------------------------------------

@@ -49,8 +49,11 @@ def test_rejects_nonsquare_table():
 
 
 def test_rejects_out_of_range_entry():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^meet table entry 2 at row 0 is out of range 0\.\.1$"):
         FiniteSkewLattice(2, ((0, 2), (1, 1)), ((0, 1), (0, 1)))
+    # the first bad entry in row-major order is named, whichever side of the range it is on
+    with pytest.raises(StructureError, match=r"^join table entry -1 at row 1 is out of range 0\.\.2$"):
+        FiniteSkewLattice(3, ((0, 0, 0), (0, 1, 1), (0, 1, 2)), ((0, 1, 2), (1, -1, 7), (2, 9, 2)))
 
 
 def test_rejects_zero_out_of_range():
