@@ -25,14 +25,14 @@ subsets = list(enumerate_commuting_subsets(S))
 print("commuting subsets of P(2,2):", len(subsets))
 
 # fold the elements in any order vs. the least upper bound: same answer
-C = next(c for c in subsets if len(c.members) == 3)
-print("subset:", [S.labels[i] for i in C.members])
-print("  folded join:", S.labels[join_fold(S, C.members)])
-print("  order-theoretic sup:", S.labels[sup_natural(S, C.members)])
+C = next(c for c in subsets if len(c) == 3)
+print("subset:", [S.labels[i] for i in C])
+print("  folded join:", S.labels[join_fold(S, C)])
+print("  order-theoretic sup:", S.labels[sup_natural(S, C)])
 
 print("lattice sections of P(2,2):")
 for sec in lattice_sections(S):
-    print("  {", ", ".join(S.labels[i] for i in sec.members), "}")
+    print("  {", ", ".join(S.labels[i] for i in sec), "}")
 
 for T, name in ((S, "P(2,2)"), (om_window(3), "window of depth 3")):
     cert = check_implication_chain(T)

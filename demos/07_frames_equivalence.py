@@ -22,7 +22,7 @@ from skewlat import (
 # the five-element diamond is the classic non-distributive lattice
 m3 = diamond_m3()
 verdict = is_frame(m3)
-print("M3 is a frame:", verdict.is_frame, " failing instance:", verdict.failing_instance)
+print("M3 is a frame:", verdict.ok, " failing instance:", verdict.witness)
 
 S = build_pfn_algebra(2, 2)
 print("P(2,2) is a noncommutative frame:", is_ncframe(S).ok)

@@ -65,9 +65,6 @@ from .models import (
     pfn_carrier,
 )
 from .completeness import (
-    CommutationGraph,
-    CommutingSubset,
-    LatticeSection,
     check_bounded_above,
     check_implication_chain,
     check_join_complete,
@@ -83,7 +80,7 @@ from .completeness import (
     meet_fold,
     sup_natural,
 )
-from .frames import FrameVerdict, check_theorem_ncframes, is_frame, is_ncframe
+from .frames import check_theorem_ncframes, is_frame, is_ncframe
 from .census import (
     CanonicalForm,
     CensusFilter,

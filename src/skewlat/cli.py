@@ -326,7 +326,7 @@ def _cmd_sections(args: argparse.Namespace) -> int:
         print("no lattice section")
         return 1
     for sec in found:
-        print("section " + " ".join(str(i) for i in sec.members))
+        print("section " + " ".join(str(i) for i in sec))
     return 0
 
 

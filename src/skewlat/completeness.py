@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -57,9 +56,6 @@ from .core import (
 )
 
 __all__ = [
-    "CommutationGraph",
-    "CommutingSubset",
-    "LatticeSection",
     "commutation_graph",
     "commuting_subset",
     "enumerate_commuting_subsets",
@@ -79,54 +75,6 @@ __all__ = [
 SUBSET_ORDER_CAP = 12
 
 
-@dataclass(frozen=True)
-class CommutationGraph:
-    """Adjacency of the "commutes under both operations" relation.
-
-    Symmetric, with every vertex adjacent to itself (idempotency).
-    """
-
-    order: int
-    adjacency: tuple[tuple[bool, ...], ...]
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return self.adjacency[a][b]
-
-    def missing_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (a, b)
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-            if not self.adjacency[a][b]
-        )
-
-
-@dataclass(frozen=True)
-class CommutingSubset:
-    """A nonempty set of pairwise-commuting elements, as sorted ids."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-
-@dataclass(frozen=True)
-class LatticeSection:
-    """A commutative transversal subalgebra, one element per D-class."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-
 def _require_normal_symmetric(S: FiniteSkewLattice, op: str) -> None:
     _require_valid(S, op)
     if not check_identity(S, "normal").ok:
@@ -135,33 +83,39 @@ def _require_normal_symmetric(S: FiniteSkewLattice, op: str) -> None:
         raise PreconditionError(f"{op} is defined for symmetric structures only")
 
 
-def commutation_graph(S: FiniteSkewLattice) -> CommutationGraph:
-    """The graph whose edges are the pairs commuting under meet and join."""
+def commutation_graph(S: FiniteSkewLattice) -> tuple[int, ...]:
+    """The pairs commuting under meet and join, as one bitmask row per element.
+
+    Bit b of row a is set iff a and b commute; the relation is symmetric,
+    and every element commutes with itself (idempotency).
+    """
     _require_valid(S, "commutation_graph")
     m, j = S._m, S._j
-    adj = (m == m.T) & (j == j.T)
-    return CommutationGraph(order=S.order, adjacency=tuple(tuple(bool(v) for v in row) for row in adj))
+    return _row_masks((m == m.T) & (j == j.T))
 
 
-def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> CommutingSubset:
-    """Validate and wrap a set of ids as a commuting subset."""
+def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> tuple[int, ...]:
+    """Validate a set of ids as a commuting subset; return them sorted."""
     ids = tuple(sorted(set(int(v) for v in members)))
     if not ids:
         raise PreconditionError("commuting subsets are nonempty")
     for v in ids:
         if not 0 <= v < S.order:
             raise PreconditionError(f"id {v} out of range 0..{S.order - 1}")
-    g = commutation_graph(S)
+    rows = commutation_graph(S)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if not g.adjacent(a, b):
+            if not rows[a] >> b & 1:
                 raise PreconditionError(f"elements {a} and {b} do not commute")
-    return CommutingSubset(ids)
+    return ids
 
 
 def _require_subset_cap(S: FiniteSkewLattice) -> None:
-    if S.order > SUBSET_ORDER_CAP:
-        raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
+    n = S.order
+    if n > SUBSET_ORDER_CAP:
+        raise CapExceededError(
+            f"order {n} > {SUBSET_ORDER_CAP}: a commuting-subset scan visits up to 2^{n} - 1 = {2**n - 1} subsets"
+        )
 
 
 def _cliques(S: FiniteSkewLattice, masks, max_size: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -170,7 +124,7 @@ def _cliques(S: FiniteSkewLattice, masks, max_size: int | None = None) -> Iterat
 
     Extending a clique by a larger common neighbour v costs one ``&`` with v's row and one with ``masks[v]``.
     """
-    adj = _row_masks(np.array(commutation_graph(S).adjacency))
+    adj = commutation_graph(S)
     limit = S.order if max_size is None else max_size
     # a frame: a clique, the ids that may still extend it (never none) and its AND (-1: empty);
     # the remainder goes back below the child, so children come first
@@ -189,21 +143,18 @@ def _cliques(S: FiniteSkewLattice, masks, max_size: int | None = None) -> Iterat
             stack.append((grown, cand, acc))
 
 
-def enumerate_commuting_subsets(
-    S: FiniteSkewLattice, max_size: int | None = None
-) -> Iterator[CommutingSubset]:
-    """Yield every nonempty commuting subset exactly once.
+def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield every nonempty commuting subset exactly once, as a sorted tuple.
 
     Subsets are the cliques of the commutation graph, in lexicographic
-    order of the sorted member tuple (the walk the scans below share).
-    Above order 12 an explicit ``max_size`` is required, since the count
-    can explode.
+    order (the walk the scans below share).  Above order 12 an explicit
+    ``max_size`` is required, since the count can explode.
     """
     _require_valid(S, "enumerate_commuting_subsets")
-    if max_size is None:
-        _require_subset_cap(S)
+    if max_size is None and S.order > SUBSET_ORDER_CAP:
+        raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
     for members, _ in _cliques(S, (0,) * S.order, max_size):
-        yield CommutingSubset(members)
+        yield members
 
 
 def sup_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
@@ -249,12 +200,6 @@ def _checked_ids(S: FiniteSkewLattice, ids: Iterable[int], op: str) -> tuple[int
     return members
 
 
-def _as_commuting(S: FiniteSkewLattice, C) -> CommutingSubset:
-    if isinstance(C, CommutingSubset):
-        return C
-    return commuting_subset(S, C)
-
-
 def join_fold(S: FiniteSkewLattice, C) -> int:
     """Left fold of the join over a commuting subset in ascending id order.
 
@@ -265,7 +210,7 @@ def join_fold(S: FiniteSkewLattice, C) -> int:
     _require_valid(S, "join_fold")
     if not check_symmetric(S).ok:
         raise PreconditionError("join_fold is defined for symmetric structures only")
-    members = _as_commuting(S, C).members
+    members = commuting_subset(S, C)
     return functools.reduce(lambda a, b: S.join_table[a][b], members)
 
 
@@ -274,7 +219,7 @@ def meet_fold(S: FiniteSkewLattice, C) -> int:
     _require_valid(S, "meet_fold")
     if not check_symmetric(S).ok:
         raise PreconditionError("meet_fold is defined for symmetric structures only")
-    members = _as_commuting(S, C).members
+    members = commuting_subset(S, C)
     return functools.reduce(lambda a, b: S.meet_table[a][b], members)
 
 
@@ -340,7 +285,7 @@ def check_section_extension(S: FiniteSkewLattice) -> Certificate:
     _require_normal_symmetric(S, "check_section_extension")
     _require_subset_cap(S)
     sections = lattice_sections(S)
-    holding = [sum(1 << i for i, sec in enumerate(sections) if c in sec.members) for c in range(S.order)]
+    holding = [sum(1 << i for i, sec in enumerate(sections) if c in sec) for c in range(S.order)]
     for members, inside in _cliques(S, holding):
         if not inside:
             return Certificate(
@@ -355,7 +300,7 @@ def check_section_exists(S: FiniteSkewLattice) -> Certificate:
     sections = lattice_sections(S)
     if not sections:
         return Certificate(False, "a lattice section exists")
-    return Certificate(True, "a lattice section exists", ("section", sections[0].members))
+    return Certificate(True, "a lattice section exists", ("section", sections[0]))
 
 
 def _is_section(S: FiniteSkewLattice, members: tuple[int, ...]) -> bool:
@@ -368,8 +313,8 @@ def _is_section(S: FiniteSkewLattice, members: tuple[int, ...]) -> bool:
         return False
 
 
-def lattice_sections(S: FiniteSkewLattice) -> tuple[LatticeSection, ...]:
-    """All lattice sections, sorted by member tuple.
+def lattice_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
+    """All lattice sections as sorted member tuples, in sorted order.
 
     For a normal structure the sections are exactly the down-sets of the
     top class's elements, so those are collected and verified; without
@@ -392,7 +337,7 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[LatticeSection, ...]:
             members = tuple(sorted(combo))
             if _is_section(S, members):
                 found.append(members)
-    return tuple(LatticeSection(members) for members in sorted(found))
+    return tuple(sorted(found))
 
 
 def check_implication_chain(S: FiniteSkewLattice) -> Certificate:

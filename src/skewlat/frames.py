@@ -18,7 +18,6 @@ being inferred from the other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     Certificate,
@@ -35,24 +34,10 @@ from .completeness import _cliques, _extremum, _require_subset_cap
 # re-exported, unused here: the traced benchmark wraps frames.sup_natural and frames.enumerate_commuting_subsets
 from .completeness import enumerate_commuting_subsets as enumerate_commuting_subsets, sup_natural as sup_natural
 
-__all__ = ["FrameVerdict", "is_frame", "is_ncframe", "check_theorem_ncframes"]
+__all__ = ["is_frame", "is_ncframe", "check_theorem_ncframes"]
 
 
-@dataclass(frozen=True)
-class FrameVerdict:
-    """Outcome of the frame test, with the failing instance when false.
-
-    ``failing_instance`` is ``(x, Y)`` with ``x ∧ ⋁Y ≠ ⋁(x ∧ y for y in Y)``.
-    """
-
-    is_frame: bool
-    failing_instance: tuple[int, tuple[int, ...]] | None = None
-
-    def __bool__(self) -> bool:
-        return self.is_frame
-
-
-def is_frame(L) -> FrameVerdict:
+def is_frame(L) -> Certificate:
     """Decide whether a finite lattice is a frame.
 
     A finite lattice is complete outright, so the content is meet
@@ -61,6 +46,8 @@ def is_frame(L) -> FrameVerdict:
     ``(y, z)`` with ``y < z`` in lexicographic order and, for each, every
     ``x``; the first failure is the one an exhaustive scan of all
     subsets by size would report, since one-element subsets never fail.
+    A false certificate's witness is that failure, ``(x, (y, z))`` with
+    ``x ∧ (y ∨ z) ≠ (x ∧ y) ∨ (x ∧ z)``.
     """
     lat = L.lattice if isinstance(L, QuotientLattice) else L
     _require_valid(lat, "is_frame")
@@ -72,8 +59,8 @@ def is_frame(L) -> FrameVerdict:
         yz = jt[y][z]
         for x in range(n):
             if mt[x][yz] != jt[mt[x][y]][mt[x][z]]:
-                return FrameVerdict(False, (x, (y, z)))
-    return FrameVerdict(True)
+                return Certificate(False, "frame", (x, (y, z)))
+    return Certificate(True, "frame")
 
 
 def is_ncframe(S: FiniteSkewLattice) -> Certificate:
@@ -144,12 +131,12 @@ def check_theorem_ncframes(S: FiniteSkewLattice) -> Certificate:
     ncf = is_ncframe(S)
     shadow = is_frame(quotient(S))
     return Certificate(
-        ok=ncf.ok == shadow.is_frame,
+        ok=ncf.ok == shadow.ok,
         checked="noncommutative frame iff commutative image is a frame",
         witness=(
             ("ncframe", ncf.ok),
             ("ncframe_evidence", ncf.witness),
-            ("shadow_is_frame", shadow.is_frame),
-            ("shadow_evidence", shadow.failing_instance),
+            ("shadow_is_frame", shadow.ok),
+            ("shadow_evidence", shadow.witness),
         ),
     )

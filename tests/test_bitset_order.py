@@ -61,9 +61,9 @@ def _is_ncframe_oracle(S):
         return Certificate(False, "noncommutative frame", ("not strongly distributive", sd.witness))
     mt = S.meet_table
     for C in enumerate_commuting_subsets(S):
-        sup_c = _sup_oracle(S, C.members)
+        sup_c = _sup_oracle(S, C)
         if sup_c is None:
-            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", C.members))
+            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", C))
         for y in range(S.order):
             for law, lhs, family in (
                 ("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", mt[sup_c][y], [mt[c][y] for c in C]),
@@ -74,7 +74,7 @@ def _is_ncframe_oracle(S):
                     return Certificate(
                         False,
                         "noncommutative frame",
-                        (law, (("subset", C.members), ("y", y), ("lhs", lhs), ("rhs", rhs))),
+                        (law, (("subset", C), ("y", y), ("lhs", lhs), ("rhs", rhs))),
                     )
     return Certificate(True, "noncommutative frame")
 
@@ -85,7 +85,7 @@ def _prop_joins_oracle(S):
     qj = quotient(S).lattice.join_table
     leq = S._leq
     for C in enumerate_commuting_subsets(S):
-        s = _sup_oracle(S, C.members)
+        s = _sup_oracle(S, C)
         class_join = functools.reduce(lambda a, b: qj[a][b], [dp.class_of[c] for c in C])
         dominating = [a for a in dp.classes[class_join] if all(leq[c, a] for c in C)]
         ok = (s is not None) == (len(dominating) == 1)
@@ -96,7 +96,7 @@ def _prop_joins_oracle(S):
                 False,
                 "join exists iff one element dominates over the class join",
                 (
-                    ("subset", C.members),
+                    ("subset", C),
                     ("sup", s),
                     ("class_join", class_join),
                     ("dominating", tuple(dominating)),
@@ -108,8 +108,8 @@ def _prop_joins_oracle(S):
 def _join_complete_oracle(S):
     _require_normal_symmetric(S, "check_join_complete")
     for C in enumerate_commuting_subsets(S):
-        if _sup_oracle(S, C.members) is None:
-            return Certificate(False, "join complete", ("subset with no supremum", C.members))
+        if _sup_oracle(S, C) is None:
+            return Certificate(False, "join complete", ("subset with no supremum", C))
     return Certificate(True, "join complete")
 
 
@@ -118,17 +118,17 @@ def _bounded_above_oracle(S):
     leq = S._leq
     for C in enumerate_commuting_subsets(S):
         if not any(all(leq[c, s] for c in C) for s in range(S.order)):
-            return Certificate(False, "bounded from above", ("subset with no upper bound", C.members))
+            return Certificate(False, "bounded from above", ("subset with no upper bound", C))
     return Certificate(True, "bounded from above")
 
 
 def _section_extension_oracle(S):
     _require_normal_symmetric(S, "check_section_extension")
-    sections = [set(sec.members) for sec in lattice_sections(S)]
+    sections = [set(sec) for sec in lattice_sections(S)]
     for C in enumerate_commuting_subsets(S):
-        if not any(set(C.members) <= sec for sec in sections):
+        if not any(set(C) <= sec for sec in sections):
             return Certificate(
-                False, "commuting subsets extend to sections", ("subset inside no section", C.members)
+                False, "commuting subsets extend to sections", ("subset inside no section", C)
             )
     return Certificate(True, "commuting subsets extend to sections")
 
@@ -159,7 +159,7 @@ def _outcome(fn, S):
 
 def _id_sets(S, rng):
     """Every commuting subset, every pair, and 20 random sets of 3 to 5 ids."""
-    sets = [C.members for C in enumerate_commuting_subsets(S)]
+    sets = list(enumerate_commuting_subsets(S))
     sets += list(itertools.combinations(range(S.order), 2))
     for _ in range(20):
         sets.append(tuple(rng.sample(range(S.order), min(S.order, rng.randint(3, 5)))))

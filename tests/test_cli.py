@@ -380,7 +380,7 @@ def test_classify_reports_a_cap_as_a_cap(tmp_path, capsys):
     lines = out.splitlines()
     assert "normal yes" in lines and "symmetric yes" in lines
     assert "n/a" not in out
-    cap = "capped (order 16 > 12: pass max_size to bound subset enumeration)"
+    cap = "capped (order 16 > 12: a commuting-subset scan visits up to 2^16 - 1 = 65535 subsets)"
     for label in ("join-complete", "bounded-above", "extends-to-sections"):
         assert f"{label} {cap}" in lines
     assert "section-exists yes" in lines

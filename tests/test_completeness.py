@@ -38,43 +38,49 @@ NON_NORMAL_3 = FiniteSkewLattice(
 
 
 def _brute_commuting_subsets(S):
-    g = commutation_graph(S)
+    rows = commutation_graph(S)
     out = []
     for size in range(1, S.order + 1):
         for members in itertools.combinations(range(S.order), size):
-            if all(g.adjacent(a, b) for a, b in itertools.combinations(members, 2)):
+            if all(rows[a] >> b & 1 for a, b in itertools.combinations(members, 2)):
                 out.append(members)
     return sorted(out)
+
+
+def _missing_pairs(rows):
+    return tuple((a, b) for a in range(len(rows)) for b in range(a + 1, len(rows)) if not rows[a] >> b & 1)
 
 
 # --- the commutation graph ---------------------------------------------------
 
 def test_graph_is_reflexive_and_symmetric(p22):
-    g = commutation_graph(p22)
+    rows = commutation_graph(p22)
+    assert len(rows) == p22.order
     for a in range(p22.order):
-        assert g.adjacent(a, a)
+        assert rows[a] >> a & 1
+        assert rows[a] >> p22.order == 0
         for b in range(p22.order):
-            assert g.adjacent(a, b) == g.adjacent(b, a)
+            assert rows[a] >> b & 1 == rows[b] >> a & 1
+            commute = p22.meet(a, b) == p22.meet(b, a) and p22.join(a, b) == p22.join(b, a)
+            assert bool(rows[a] >> b & 1) == commute
 
 
 def test_window_graph_misses_exactly_the_top_pair():
-    g = commutation_graph(om_window(5))
-    assert g.missing_edges() == ((6, 7),)
+    assert _missing_pairs(commutation_graph(om_window(5))) == ((6, 7),)
 
 
 def test_lattice_graph_is_complete(b2):
-    assert commutation_graph(b2).missing_edges() == ()
+    assert _missing_pairs(commutation_graph(b2)) == ()
 
 
 def test_same_class_elements_do_not_commute(flat_left):
-    assert commutation_graph(flat_left).missing_edges() == ((0, 1),)
+    assert _missing_pairs(commutation_graph(flat_left)) == ((0, 1),)
 
 
 # --- commuting subsets ----------------------------------------------------------
 
 def test_subset_factory_validates(p22):
-    c = commuting_subset(p22, [3, 1, 0])
-    assert c.members == (0, 1, 3)
+    assert commuting_subset(p22, [3, 1, 0]) == (0, 1, 3)
     with pytest.raises(PreconditionError):
         commuting_subset(p22, [1, 2])  # same class, projections differ
     with pytest.raises(PreconditionError):
@@ -83,7 +89,7 @@ def test_subset_factory_validates(p22):
 
 def test_enumeration_matches_brute_force(p22, window4):
     for S in (p22, window4):
-        got = sorted(c.members for c in enumerate_commuting_subsets(S))
+        got = sorted(enumerate_commuting_subsets(S))
         assert got == _brute_commuting_subsets(S)
 
 
@@ -96,14 +102,14 @@ def test_enumeration_respects_max_size(p22):
     pairs = tuple(enumerate_commuting_subsets(p22, max_size=2))
     assert all(len(c) <= 2 for c in pairs)
     brute = [m for m in _brute_commuting_subsets(p22) if len(m) <= 2]
-    assert sorted(c.members for c in pairs) == brute
+    assert sorted(pairs) == brute
 
 
 def test_enumeration_is_lexicographic_and_bounded(p22, window4):
     # the first failing subset a scan reports depends on this order
     for S in (p22, window4, om_window(9), boolean_lattice(3)):
         for max_size in (None, 1, 2, 3):
-            got = [c.members for c in enumerate_commuting_subsets(S, max_size=max_size)]
+            got = list(enumerate_commuting_subsets(S, max_size=max_size))
             assert all(a < b for a, b in zip(got, got[1:])), (S, max_size)
             assert all(len(m) <= (max_size or S.order) for m in got)
             brute = _brute_commuting_subsets(S)
@@ -112,7 +118,7 @@ def test_enumeration_is_lexicographic_and_bounded(p22, window4):
 
 def test_enumeration_cap_without_size_bound():
     big = om_window(10)  # order 13
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^order 13 > 12: pass max_size to bound subset enumeration$"):
         tuple(enumerate_commuting_subsets(big))
     assert tuple(enumerate_commuting_subsets(big, max_size=1))
 
@@ -129,7 +135,7 @@ def test_every_subset_scan_is_capped_before_its_tables(scan, monkeypatch):
     for name in ("green_d", "quotient", "lattice_sections"):
         monkeypatch.setattr(completeness, name, built)
     big = om_window(10)  # order 13, normal, symmetric, with a zero
-    with pytest.raises(CapExceededError, match=r"^order 13 > 12: pass max_size to bound subset enumeration$"):
+    with pytest.raises(CapExceededError, match=r"^order 13 > 12: a commuting-subset scan visits up to 2\^13 - 1 = 8191 subsets$"):
         scan(big)
     assert "_up" not in big.__dict__  # no natural-order masks either
 
@@ -166,13 +172,30 @@ def test_sup_requires_members_in_range(chain2):
 def test_folds_agree_with_order_suprema(p22, window4):
     for S in (p22, window4):
         for c in enumerate_commuting_subsets(S):
-            assert join_fold(S, c) == sup_natural(S, c.members)
-            assert meet_fold(S, c) == inf_natural(S, c.members)
+            assert join_fold(S, c) == sup_natural(S, c)
+            assert meet_fold(S, c) == inf_natural(S, c)
 
 
 def test_fold_accepts_raw_ids(chain2):
     assert join_fold(chain2, [0, 1]) == 1
     assert meet_fold(chain2, (1, 0)) == 0
+
+
+@pytest.mark.parametrize("fold", [join_fold, meet_fold], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([], "commuting subsets are nonempty"),
+        ([0, 9], "id 9 out of range 0..8"),
+        ((1, 2), "elements 1 and 2 do not commute"),  # same class, projections differ
+    ],
+)
+def test_folds_reject_what_commuting_subset_rejects(p22, fold, ids, message):
+    with pytest.raises(PreconditionError) as folded:
+        fold(p22, ids)
+    with pytest.raises(PreconditionError) as direct:
+        commuting_subset(p22, ids)
+    assert str(folded.value) == str(direct.value) == message
 
 
 def test_fold_rejects_non_commuting(p22):
@@ -222,7 +245,7 @@ def test_chain_requires_normal_symmetric():
 
 def test_sections_of_partial_functions_are_the_total_function_downsets(p22):
     secs = lattice_sections(p22)
-    assert tuple(s.members for s in secs) == (
+    assert secs == (
         (0, 1, 3, 4),
         (0, 1, 6, 7),
         (0, 2, 3, 5),
@@ -233,9 +256,9 @@ def test_sections_of_partial_functions_are_the_total_function_downsets(p22):
 def test_each_section_is_a_commutative_transversal(p22):
     dp = green_d(p22)
     for sec in lattice_sections(p22):
-        sub = subalgebra(p22, sec.members)
+        sub = subalgebra(p22, sec)
         assert is_commutative(sub)
-        per_class = [sum(1 for m in sec.members if dp.class_of[m] == c) for c in range(dp.class_count)]
+        per_class = [sum(1 for m in sec if dp.class_of[m] == c) for c in range(dp.class_count)]
         assert per_class == [1] * dp.class_count
 
 
@@ -255,15 +278,14 @@ def _brute_sections(S):
 
 def test_fast_path_matches_transversal_scan(p22, window4):
     for S in (p22, window4):
-        assert sorted(s.members for s in lattice_sections(S)) == _brute_sections(S)
+        assert sorted(lattice_sections(S)) == _brute_sections(S)
 
 
 def test_sections_without_normality_use_the_fallback():
-    secs = lattice_sections(NON_NORMAL_3)
-    assert tuple(s.members for s in secs) == ((0, 1), (1, 2))
+    assert lattice_sections(NON_NORMAL_3) == ((0, 1), (1, 2))
     assert _brute_sections(NON_NORMAL_3) == [(0, 1), (1, 2)]
 
 
 def test_window_has_one_section_per_top():
     W = om_window(3)
-    assert tuple(s.members for s in lattice_sections(W)) == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))
+    assert lattice_sections(W) == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))

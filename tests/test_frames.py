@@ -8,6 +8,7 @@ import pytest
 from skewlat.census import canonicalize, enumerate_skew_lattices
 from skewlat.completeness import enumerate_commuting_subsets, sup_natural
 from skewlat.core import (
+    Certificate,
     FiniteSkewLattice,
     Homomorphism,
     PreconditionError,
@@ -20,7 +21,7 @@ from skewlat.core import (
     quotient,
     subalgebra,
 )
-from skewlat.frames import FrameVerdict, check_theorem_ncframes, is_frame, is_ncframe
+from skewlat.frames import check_theorem_ncframes, is_frame, is_ncframe
 from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
 
 
@@ -35,19 +36,20 @@ def _sd_with_zero(max_order=4):
 
 def test_boolean_lattice_is_a_frame(b2):
     verdict = is_frame(b2)
-    assert verdict.is_frame and bool(verdict)
-    assert verdict.failing_instance is None
+    assert verdict.ok and bool(verdict)
+    assert verdict.checked == "frame"
+    assert verdict.witness is None
 
 
 def test_chains_are_frames():
-    assert is_frame(chain_lattice(3)).is_frame
-    assert is_frame(chain_lattice(1)).is_frame
+    assert is_frame(chain_lattice(3)).ok
+    assert is_frame(chain_lattice(1)).ok
 
 
 def test_diamond_fails_with_reusable_witness(m3):
     verdict = is_frame(m3)
-    assert not verdict.is_frame
-    x, ys = verdict.failing_instance
+    assert not verdict.ok
+    x, ys = verdict.witness
     assert (x, ys) == (3, (1, 2))
     joined = 0
     for y in ys:
@@ -59,7 +61,7 @@ def test_diamond_fails_with_reusable_witness(m3):
 
 
 def test_quotient_objects_are_accepted(p22):
-    assert is_frame(quotient(p22)).is_frame
+    assert is_frame(quotient(p22)).ok
 
 
 def test_noncommutative_input_is_rejected(flat_left):
@@ -84,8 +86,8 @@ def _exhaustive_frame_scan(L):
             for x in range(n):
                 rhs = functools.reduce(lambda a, b: jt[a][b], [mt[x][y] for y in Y])
                 if mt[x][join_y] != rhs:
-                    return FrameVerdict(False, (x, Y))
-    return FrameVerdict(True)
+                    return Certificate(False, "frame", (x, Y))
+    return Certificate(True, "frame")
 
 
 def _lattice(n, relations):
@@ -153,11 +155,11 @@ def test_translated_suprema_stay_below_the_meet(p22, window4):
     # sup of {x ∧ y : y in Y} never exceeds x ∧ sup Y
     for S in [*_sd_with_zero(3), p22, window4]:
         for c in enumerate_commuting_subsets(S):
-            s = sup_natural(S, c.members)
+            s = sup_natural(S, c)
             if s is None:
                 continue
             for x in range(S.order):
-                translated = {S.meet(x, y) for y in c.members}
+                translated = {S.meet(x, y) for y in c}
                 t = sup_natural(S, translated)
                 assert t is not None
                 assert natural_leq(S, t, S.meet(x, s))

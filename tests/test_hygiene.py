@@ -2,10 +2,13 @@
 and no module-level private name goes unreferenced."""
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import skewlat
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewlat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -94,3 +97,13 @@ def test_the_scan_flags_an_orphaned_private_name():
         "a.py: _recursive (line 6)",
         "a.py: _Hidden (line 7)",
     ]
+
+
+def test_every_exported_name_resolves():
+    # a stale entry would otherwise fail only on `from skewlat import *`
+    assert len(skewlat.__all__) == len(set(skewlat.__all__))
+    assert [name for name in skewlat.__all__ if not hasattr(skewlat, name)] == []
+    for path in MODULES:
+        module = importlib.import_module(f"skewlat.{path.stem}")
+        exported = getattr(module, "__all__", ())
+        assert [name for name in exported if not hasattr(module, name)] == [], path.name
