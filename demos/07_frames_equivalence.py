@@ -32,6 +32,12 @@ print("equivalence with the shadow:", res.ok)
 for key, value in res.witness:
     print("  ", key, "=", value)
 
+# no commuting subset is walked (Lemmas A and C), so order 243 is in reach:
+# a walk over P(5,2) would visit about 10^11 subsets
+big = build_pfn_algebra(5, 2)
+res = check_theorem_ncframes(big)
+print(f"P(5,2), order {big.order}: equivalence holds:", res.ok, dict(res.witness))
+
 # every strongly distributive structure with zero at small order agrees
 filt = CensusFilter(strongly_distributive=True, has_zero=True)
 checked = 0

@@ -10,9 +10,9 @@ subsets, and to satisfy both infinite distributive laws
 over every commuting subset.  ``check_theorem_ncframes`` decides the
 equivalence that justifies the name: such a structure is a
 noncommutative frame exactly when its maximal commutative image is a
-frame.  On finite input everything is decidable by exhaustive scans,
-and both sides of the equivalence are computed honestly rather than one
-being inferred from the other.
+frame.  On finite input the noncommutative side needs no subset walk
+(Lemma C, in ``is_ncframe``), and the commutative side scans the
+quotient pairwise; neither side is inferred from the other.
 """
 
 from __future__ import annotations
@@ -22,15 +22,17 @@ import itertools
 from .core import (
     Certificate,
     FiniteSkewLattice,
+    InternalConsistencyError,
     PreconditionError,
     QuotientLattice,
     _require_valid,
     check_identity,
+    check_symmetric,
     detect_zero,
     is_commutative,
     quotient,
 )
-from .completeness import _cliques, _extremum, _require_subset_cap
+from .completeness import check_join_complete
 # re-exported, unused here: the traced benchmark wraps frames.sup_natural and frames.enumerate_commuting_subsets
 from .completeness import enumerate_commuting_subsets as enumerate_commuting_subsets, sup_natural as sup_natural
 
@@ -66,18 +68,16 @@ def is_frame(L) -> Certificate:
 def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     """Decide whether a finite skew lattice is a noncommutative frame.
 
-    Checks, in order: a zero element exists; the structure is strongly
-    distributive; every commuting subset has a supremum (automatic on
-    finite input, still verified); and both infinite distributive laws
-    hold over every commuting subset.  The right-hand sides are suprema
-    of the translated families, so a missing supremum there also fails
-    the law.
-
-    One walk over the commuting subsets ANDs a packed mask per member,
-    which carries the common upper bounds of C and of every translated
-    family at once; masks precomputed per ``s = ⋁C`` then certify both
-    laws for all y in one test.  A subset that screen cannot certify
-    goes through the per-y scan, which builds the witness.
+    It is one exactly when it has a zero and is strongly distributive,
+    by Lemma C, given the premise of Lemma A that ``check_join_complete``
+    checks.  Proof: strong distributivity implies normal and symmetric
+    (Leech 1992, Semigroup Forum 44; a miss raises
+    ``InternalConsistencyError``).  A normal band has axyb = ayxb, so if
+    c₁ and c₂ commute, (c₁∧y)∧(c₂∧y) = c₁∧c₂∧y = (c₂∧y)∧(c₁∧y), and
+    likewise for y∧c₁ and y∧c₂.  Folding (x∨z)∧y = (x∧y)∨(z∧y) and its
+    mirror over a commuting subset C gives (⋁C)∧y = ⋁(c∧y) and
+    y∧(⋁C) = ⋁(y∧c) as join folds of commuting families, and by Lemma A
+    each fold is a supremum.
     """
     _require_valid(S, "is_ncframe")
     if detect_zero(S) is None:
@@ -85,32 +85,9 @@ def is_ncframe(S: FiniteSkewLattice) -> Certificate:
     sd = check_identity(S, "strongly_distributive")
     if not sd.ok:
         return Certificate(False, "noncommutative frame", ("not strongly distributive", sd.witness))
-    _require_subset_cap(S)
-    n, mt, up, down = S.order, S.meet_table, S._up, S._down
-    field = (1 << n) - 1
-    # block k (bits k*n ..) of packed[c] is _up[ids[c][k]]: of c, then of c∧y for each y, then of y∧c
-    ids = [[c] + [mt[c][y] for y in range(n)] + [mt[y][c] for y in range(n)] for c in range(n)]
-    packed = [sum(up[t] << k * n for k, t in enumerate(row)) for row in ids]
-    # bounds B have the supremum t (least-id rule, any relation) if t is in B, B ⊆ _up[t]
-    # and no id below t tied with it is in B; s = ⋁C passes if every block of ids[s] does
-    avoid = [field & ~up[t] | up[t] & down[t] & (1 << t) - 1 for t in range(n)]
-    need_s = [sum(1 << k * n + t for k, t in enumerate(row)) for row in ids]
-    avoid_s = [sum(avoid[t] << k * n for k, t in enumerate(row)) for row in ids]
-    for members, acc in _cliques(S, packed):
-        s = _extremum(up, acc & field)
-        if s is None:
-            return Certificate(False, "noncommutative frame", ("commuting subset with no supremum", members))
-        if acc & need_s[s] == need_s[s] and not acc & avoid_s[s]:
-            continue
-        for y in range(n):
-            for law, k in (("(⋁xᵢ)∧y = ⋁(xᵢ∧y)", 1 + y), ("y∧(⋁xᵢ) = ⋁(y∧xᵢ)", 1 + n + y)):
-                rhs = _extremum(up, acc >> k * n & field)
-                if rhs != ids[s][k]:
-                    return Certificate(
-                        False,
-                        "noncommutative frame",
-                        (law, (("subset", members), ("y", y), ("lhs", ids[s][k]), ("rhs", rhs))),
-                    )
+    if not (check_identity(S, "normal").ok and check_symmetric(S).ok):
+        raise InternalConsistencyError("strongly distributive but not normal and symmetric")
+    check_join_complete(S)
     return Certificate(True, "noncommutative frame")
 
 
@@ -119,8 +96,9 @@ def check_theorem_ncframes(S: FiniteSkewLattice) -> Certificate:
 
     Preconditions mirror the hypotheses: a valid, strongly distributive
     structure with a zero (finite, hence join complete — the ncframe
-    side re-verifies that).  Both sides are computed independently and
-    compared; the witness records the two verdicts and their evidence.
+    side re-checks Lemma A's premise).  Both sides are computed
+    independently and compared; the witness records the two verdicts
+    and their evidence.
     """
     _require_valid(S, "check_theorem_ncframes")
     if detect_zero(S) is None:

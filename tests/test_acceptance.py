@@ -113,7 +113,7 @@ def test_criterion_06_frame_equivalence_holds_everywhere(census_all, p22, window
         S
         for S in census_all
         if check_identity(S, "strongly_distributive").ok and detect_zero(S) is not None
-    ] + [p22, window4]
+    ] + [p22, window4, build_pfn_algebra(2, 3), build_pfn_algebra(4, 2), build_pfn_algebra(5, 2), om_window(20)]
     bad = [S for S in pool if not check_theorem_ncframes(S).ok]
     elapsed = time.monotonic() - start
     ok = not bad and elapsed < 60.0

@@ -1,24 +1,29 @@
-"""The bitmask sup/inf kernel against the list-based scans it replaced.
+"""The bitmask sup/inf kernel and the subset checks against list-based oracles.
 
 ``sup_natural``/``inf_natural`` and the checks built on suprema
-(``is_ncframe`` and the completeness ladder) now read the natural order
-as bitmask upsets and downsets.  The list-based bodies they had before
-are kept here as oracles, and every result element and every
-``Certificate`` (verdict and witness) must match them.  On genuine
-finite structures the checks all hold, so a second pass replaces the
+(``is_ncframe`` and the completeness ladder) read the natural order as
+bitmask upsets and downsets.  The list-based subset walks they had
+before are kept here as oracles, and every result element and every
+``Certificate`` (verdict and witness) must match them on genuine
+structures, where all the checks hold.  A second pass replaces the
 cached natural order by a randomly perturbed relation: suprema then go
-missing, move or stop being unique, and the failure witnesses are
-compared too.
+missing, move or stop being unique.  There ``check_prop_joins`` and
+``check_section_extension`` must still match their walks witness for
+witness, while the three checks decided by Lemma A and Lemma C
+(``check_join_complete``, ``check_bounded_above``, ``is_ncframe``) must
+either have a sound premise or raise ``InternalConsistencyError``.
 """
 
 import functools
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 
 from skewlat.completeness import (
+    _joins_are_suprema,
     _require_normal_symmetric,
     check_bounded_above,
     check_join_complete,
@@ -26,12 +31,23 @@ from skewlat.completeness import (
     check_section_extension,
     enumerate_commuting_subsets,
     inf_natural,
+    join_fold,
     lattice_sections,
     sup_natural,
 )
-from skewlat.core import Certificate, FiniteSkewLattice, _require_valid, check_identity, detect_zero, green_d, quotient
+from skewlat.core import (
+    Certificate,
+    FiniteSkewLattice,
+    InternalConsistencyError,
+    _require_valid,
+    check_identity,
+    check_symmetric,
+    detect_zero,
+    green_d,
+    quotient,
+)
 from skewlat.frames import is_ncframe
-from skewlat.models import boolean_lattice, chain_lattice, om_window
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, om_window
 
 # --- oracles: the list-based scans as they were ------------------------------
 
@@ -133,10 +149,14 @@ def _section_extension_oracle(S):
     return Certificate(True, "commuting subsets extend to sections")
 
 
-CHECKS = (
+# decided by a lemma whose premise is checked: equal to the walk on genuine structures only
+LEMMA_CHECKS = (
     (is_ncframe, _is_ncframe_oracle),
     (check_join_complete, _join_complete_oracle),
     (check_bounded_above, _bounded_above_oracle),
+)
+# still walks: equal to the walk on any cached order
+WALK_CHECKS = (
     (check_prop_joins, _prop_joins_oracle),
     (check_section_extension, _section_extension_oracle),
 )
@@ -213,7 +233,7 @@ def test_sup_and_inf_match_the_list_scans(zoo):
 
 def test_checks_match_the_list_scans(zoo):
     for S in zoo:
-        for fn, oracle in CHECKS:
+        for fn, oracle in LEMMA_CHECKS + WALK_CHECKS:
             assert _outcome(fn, S) == _outcome(oracle, S), (fn.__name__, S)
 
 
@@ -226,32 +246,60 @@ def test_checks_match_the_list_scans_on_a_perturbed_order(census_all, p22):
             for ids in _id_sets(T, rng):
                 assert sup_natural(T, ids) == _sup_oracle(T, ids), (S, ids)
                 assert inf_natural(T, ids) == _inf_oracle(T, ids), (S, ids)
-            for fn, oracle in CHECKS:
+            for fn, oracle in WALK_CHECKS:
                 got = _outcome(fn, T)
                 assert got == _outcome(oracle, T), (fn.__name__, S)
                 if isinstance(got, Certificate) and not got.ok:
-                    failures.add((fn.__name__, got.witness[0]))
-    # every failure branch that reads suprema or bounds was reached
-    assert {name for name, _ in failures} == {
-        "is_ncframe", "check_join_complete", "check_bounded_above", "check_prop_joins", "check_section_extension"
-    }
-    assert {w for name, w in failures if name == "is_ncframe"} >= {
-        "commuting subset with no supremum", "(⋁xᵢ)∧y = ⋁(xᵢ∧y)", "y∧(⋁xᵢ) = ⋁(y∧xᵢ)"
-    }
+                    failures.add(fn.__name__)
+    # the failure branch of every remaining walk was reached
+    assert failures == {"check_prop_joins", "check_section_extension"}
 
 
-def test_ncframe_matches_the_list_scan_on_heavily_perturbed_orders(census_all):
-    # at this flip rate a law also fails with lhs an upper bound of the family that is not its least one
-    rng = random.Random(11)
-    upper_not_least = 0
-    for S in census_all:
-        for _ in range(3):
-            T = _perturbed(S, rng, flip=0.5)
-            got = _outcome(is_ncframe, T)
-            assert got == _outcome(_is_ncframe_oracle, T), S
-            if isinstance(got, Certificate) and not got.ok and got.witness[0].endswith("xᵢ)"):
-                law, fields = got.witness[0], dict(got.witness[1])
-                mt, y = T.meet_table, fields["y"]
-                family = [mt[c][y] if law.startswith("(⋁") else mt[y][c] for c in fields["subset"]]
-                upper_not_least += all(T._leq[f, fields["lhs"]] for f in family)
-    assert upper_not_least > 0
+def _guarded(S):
+    return check_identity(S, "normal").ok and check_symmetric(S).ok
+
+
+def test_the_lemma_premise_is_sound_on_perturbed_orders(zoo):
+    # a passing premise makes every commuting subset's join fold its supremum;
+    # a failing one makes all three lemma checks raise instead of answering
+    rng = random.Random(12)
+    passed = failed = 0
+    for flip in (0.02, 0.05, 0.2):
+        for S in filter(_guarded, zoo):
+            T = _perturbed(S, rng, flip)
+            try:
+                _joins_are_suprema(T)
+            except InternalConsistencyError:
+                failed += 1
+                for fn in (check_join_complete, check_bounded_above):
+                    with pytest.raises(InternalConsistencyError):
+                        fn(T)
+                if detect_zero(T) is not None and check_identity(T, "strongly_distributive").ok:
+                    with pytest.raises(InternalConsistencyError):
+                        is_ncframe(T)
+                else:
+                    assert is_ncframe(T) == is_ncframe(S)
+                continue
+            passed += not np.array_equal(T._leq, S._leq)  # a pass on a changed order
+            assert _join_complete_oracle(T).ok, S
+            for C in enumerate_commuting_subsets(T):
+                assert _sup_oracle(T, C) == join_fold(T, C), (S, C)
+    assert passed > 0 and failed > 0
+
+
+@pytest.mark.parametrize(
+    "S, cell, message",
+    [
+        (chain_lattice(2), (1, 0), "natural order is not a partial order at 0"),
+        # 1 and 2 do not commute, so no pair test reads the added 1 ≤ 2
+        (build_pfn_algebra(2, 2), (1, 2), "natural order is not a partial order at 1"),
+        # 2 becomes an upper bound of 1 and 2 below their join 3
+        (boolean_lattice(2), (1, 2), "join 3 of the commuting pair 1, 2 is not their supremum"),
+    ],
+    ids=["antisymmetry", "transitivity", "least upper bound"],
+)
+def test_the_premise_names_each_kind_of_fault(S, cell, message):
+    leq = S._leq.copy()
+    leq[cell] = not leq[cell]
+    with pytest.raises(InternalConsistencyError, match=rf"^{re.escape(message)}$"):
+        _joins_are_suprema(_with_order(S, leq))

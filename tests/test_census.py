@@ -16,7 +16,7 @@ from skewlat.census import (
     search_counterexample,
 )
 from skewlat.cli import main
-from skewlat.completeness import check_join_complete
+from skewlat.completeness import check_section_extension
 from skewlat.core import (
     CapExceededError,
     FiniteSkewLattice,
@@ -399,10 +399,10 @@ def test_a_failed_precondition_is_neither_yes_nor_no(capsys):
     assert len(non_normal) == 2
     capped = build_pfn_algebra(2, 3)  # order 16, past the commuting-subset cap
     with pytest.raises(CapExceededError):
-        check_join_complete(capped)
+        check_section_extension(capped)
     for S in non_normal + [capped]:
-        assert not CensusFilter(join_complete=True).matches(S)
-        assert not CensusFilter(join_complete=False).matches(S)
+        assert not CensusFilter(extends_to_sections=True).matches(S)
+        assert not CensusFilter(extends_to_sections=False).matches(S)
 
 
 def test_unknown_predicate_is_reported():

@@ -372,17 +372,17 @@ def test_classify_marks_unguarded_checks(tmp_path, capsys):
 
 
 def test_classify_reports_a_cap_as_a_cap(tmp_path, capsys):
-    # order 16 is normal and symmetric; only the subset-enumeration cap stops
-    # the first three ladder checks
+    # order 16 is normal and symmetric; the subset-enumeration cap stops only
+    # the section-extension walk, the two lemma checks above it answer
     _, text, _ = _run(capsys, "paper", "pfn", "--sizes", "2,3")
     code, out, _ = _run(capsys, "classify", _write(tmp_path, "p23.skl", text))
     assert code == 0
     lines = out.splitlines()
     assert "normal yes" in lines and "symmetric yes" in lines
     assert "n/a" not in out
+    assert "join-complete yes" in lines and "bounded-above yes" in lines
     cap = "capped (order 16 > 12: a commuting-subset scan visits up to 2^16 - 1 = 65535 subsets)"
-    for label in ("join-complete", "bounded-above", "extends-to-sections"):
-        assert f"{label} {cap}" in lines
+    assert [line for line in lines if "capped" in line] == [f"extends-to-sections {cap}"]
     assert "section-exists yes" in lines
 
 
@@ -546,6 +546,14 @@ def test_theorem_confirms_the_equivalence(tmp_path, capsys, p22):
     code, out, _ = _run(capsys, "theorem", path)
     assert code == 0
     assert out.splitlines()[0] == "noncommutative frame: yes"
+    assert out.splitlines()[-1] == "verdict: equivalence holds"
+
+
+def test_theorem_answers_past_the_subset_cap(tmp_path, capsys):
+    # order 16 used to stop at the commuting-subset cap and exit 2
+    _, text, _ = _run(capsys, "paper", "pfn", "--sizes", "2,3")
+    code, out, _ = _run(capsys, "theorem", _write(tmp_path, "p23.skl", text))
+    assert code == 0
     assert out.splitlines()[-1] == "verdict: equivalence holds"
 
 

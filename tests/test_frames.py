@@ -13,6 +13,7 @@ from skewlat.core import (
     Homomorphism,
     PreconditionError,
     check_identity,
+    check_symmetric,
     detect_zero,
     green_d,
     is_homomorphism,
@@ -141,6 +142,18 @@ def test_weak_distributivity_is_reported(m3):
     assert "distributive" in reason
 
 
+def test_strong_distributivity_implies_normal_and_symmetric(census_to_order_five, p22):
+    # Leech 1992; is_ncframe relies on it and raises if it ever fails
+    models = [p22, build_pfn_algebra(2, 3), boolean_lattice(3), chain_lattice(5), diamond_m3()]
+    models += [om_window(k) for k in range(1, 10)]
+    strong = 0
+    for S in [*itertools.chain.from_iterable(census_to_order_five.values()), *models]:
+        if check_identity(S, "strongly_distributive").ok:
+            strong += 1
+            assert check_identity(S, "normal").ok and check_symmetric(S).ok, S
+    assert strong == 47  # 34 of the 85 census structures and 13 of the 14 models
+
+
 def test_every_small_strongly_distributive_structure_with_zero_is_an_ncframe():
     checked = 0
     for S in _sd_with_zero(4):
@@ -177,7 +190,8 @@ def test_meet_is_monotone_on_strongly_distributive_structures(p22):
 # --- the equivalence verifier ---------------------------------------------------------
 
 def test_equivalence_holds_on_the_models(p22, window4):
-    for S in (p22, window4, build_pfn_algebra(1, 2), chain_lattice(3), boolean_lattice(2)):
+    # P(5,2) has order 243, where a subset walk would visit about 10^11 subsets
+    for S in (p22, window4, build_pfn_algebra(1, 2), chain_lattice(3), boolean_lattice(2), build_pfn_algebra(5, 2)):
         cert = check_theorem_ncframes(S)
         assert cert.ok
         evidence = dict(cert.witness)
