@@ -238,9 +238,17 @@ def emit(source: FiniteSkewLattice | StructureFile) -> str:
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"n {sf.order}"]
     if sf.zero is not None:
         lines.append(f"zero {sf.zero}")
+    names = [str(v) for v in range(sf.order)]
+
+    def row_text(row) -> str:
+        # a row of ids joins their names; StructureFile does not validate, so any other row goes cell by cell
+        if len(row) and 0 <= min(row) and max(row) < sf.order:
+            return " ".join([names[v] for v in row])
+        return " ".join(map(str, row))
+
     for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
         lines.append(section)
-        lines.extend(" ".join(map(str, row)) for row in table)
+        lines.extend(map(row_text, table))
     if sf.labels is not None:
         lines.append("labels")
         lines.extend(_quote(lab) for lab in sf.labels)

@@ -10,14 +10,14 @@ commutative transversal subalgebra, one element per D-class); and a
 lattice section exists.  All four hold on finite structures; the
 infinite models in :mod:`skewlat.models` are where they come apart.
 
-The first two are decided by Lemma A (``_joins_are_suprema``), whose
-premise is checked on the structure's own natural order in O(n²) mask
-tests.  Section extension and ``check_prop_joins`` (a commuting subset
-has a supremum exactly when one element of its class join lies above
-it, and that element is the supremum) walk the commuting subsets depth
-first in lexicographic order, carrying the running AND of one mask per
-member; ``enumerate_commuting_subsets`` wraps the same walk.  Above
-order 12 each walk raises ``CapExceededError`` before it builds a mask.
+No verdict walks the commuting subsets.  Join completeness and
+boundedness follow from Lemma A (``_joins_are_suprema``),
+``check_prop_joins`` (a commuting subset has a supremum exactly when
+one element of its class join lies above it) from Lemmas A and B, and
+section extension from Lemmas A and D.  Each premise is checked on the
+structure's own natural order in at most O(n²) mask tests, Lemma A's
+once per structure.  ``enumerate_commuting_subsets`` walks the cliques
+depth first in lexicographic order, for callers that want them.
 """
 
 from __future__ import annotations
@@ -100,51 +100,34 @@ def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> tuple[int,
     return ids
 
 
-def _require_subset_cap(S: FiniteSkewLattice) -> None:
-    n = S.order
-    if n > SUBSET_ORDER_CAP:
-        raise CapExceededError(
-            f"order {n} > {SUBSET_ORDER_CAP}: a commuting-subset scan visits up to 2^{n} - 1 = {2**n - 1} subsets"
-        )
-
-
-def _cliques(S: FiniteSkewLattice, masks, max_size: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(members, acc)`` for every nonempty commuting subset in lexicographic order,
-    ``acc`` being the AND of ``masks[c]`` over the members; callers check the subset cap first.
-
-    Extending a clique by a larger common neighbour v costs one ``&`` with v's row and one with ``masks[v]``.
-    """
-    adj = commutation_graph(S)
-    limit = S.order if max_size is None else max_size
-    # a frame: a clique, the ids that may still extend it (never none) and its AND (-1: empty);
-    # the remainder goes back below the child, so children come first
-    stack = [((), (1 << S.order) - 1, -1)]
-    while stack:
-        members, cand, acc = stack.pop()
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if cand:
-            stack.append((members, cand, acc))
-        grown, acc = members + (v,), acc & masks[v]
-        yield grown, acc
-        cand &= adj[v]
-        if cand and len(grown) < limit:
-            stack.append((grown, cand, acc))
-
-
 def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield every nonempty commuting subset exactly once, as a sorted tuple.
 
     Subsets are the cliques of the commutation graph, in lexicographic
-    order (the walk the scans below share).  Above order 12 an explicit
+    order; extending a clique by a larger common neighbour costs one
+    ``&`` with that neighbour's row.  Above order 12 an explicit
     ``max_size`` is required, since the count can explode.
     """
     _require_valid(S, "enumerate_commuting_subsets")
     if max_size is None and S.order > SUBSET_ORDER_CAP:
         raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
-    for members, _ in _cliques(S, (0,) * S.order, max_size):
-        yield members
+    adj = commutation_graph(S)
+    limit = S.order if max_size is None else max_size
+    # a frame: a clique and the ids that may still extend it (never none);
+    # the remainder goes back below the child, so children come first
+    stack = [((), (1 << S.order) - 1)]
+    while stack:
+        members, cand = stack.pop()
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if cand:
+            stack.append((members, cand))
+        grown = members + (v,)
+        yield grown
+        cand &= adj[v]
+        if cand and len(grown) < limit:
+            stack.append((grown, cand))
 
 
 def sup_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
@@ -228,32 +211,25 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
     class of the quotient-join of C's classes, there is exactly one
     element lying above all of C; and when it exists it is that element
     and projects onto the class join.
+
+    On finite input this holds outright, by Lemmas A and B.  Proof: by
+    Lemma A, ⋁C exists and is the join fold of C, so it lies in the
+    class join, as ``quotient`` verifies that the class map is a join
+    homomorphism.  Lemma B: no element lies below another of its own
+    D-class, since x ≤ y and x D y give y = y∧x∧y = x∧y = x (Leech 1989,
+    Algebra Universalis 26: D-classes are rectangular).  So an element
+    of the class join above C, being above ⋁C, is ⋁C.  Lemma B's premise
+    is one mask test per element on the cached order; a miss raises
+    ``InternalConsistencyError`` naming the element.
     """
     _require_normal_symmetric(S, "check_prop_joins")
-    _require_subset_cap(S)
+    _joins_are_suprema(S)
+    quotient(S)  # raises unless the class map is a join homomorphism
     dp = green_d(S)
-    class_of = dp.class_of
     class_masks = [sum(1 << a for a in members) for members in dp.classes]
-    qj = quotient(S).lattice.join_table
-    up = S._up
-    for members, bounds in _cliques(S, up):
-        s = _extremum(up, bounds)
-        class_join = class_of[members[0]]
-        for c in members[1:]:
-            class_join = qj[class_join][class_of[c]]
-        dominating = bounds & class_masks[class_join]
-        # a supremum is the one element of the class join above C; no supremum, not exactly one
-        if dominating != 1 << s if s is not None else dominating.bit_count() == 1:
-            return Certificate(
-                False,
-                "join exists iff one element dominates over the class join",
-                (
-                    ("subset", members),
-                    ("sup", s),
-                    ("class_join", class_join),
-                    ("dominating", tuple(a for a in dp.classes[class_join] if dominating >> a & 1)),
-                ),
-            )
+    for a, c in enumerate(dp.class_of):
+        if S._up[a] & class_masks[c] != 1 << a:
+            raise InternalConsistencyError(f"element {a} lies below another element of its D-class")
     return Certificate(True, "join exists iff one element dominates over the class join")
 
 
@@ -271,8 +247,11 @@ def _joins_are_suprema(S: FiniteSkewLattice) -> None:
     be a partial order (one mask test per element and per element of its
     upset) and each commuting pair's join its least upper bound there.
     Validation guarantees both, so a miss raises
-    ``InternalConsistencyError`` naming the element or the pair.
+    ``InternalConsistencyError`` naming the element or the pair.  A
+    passing check is remembered on the structure, like an identity.
     """
+    if "joins_are_suprema" in S._memo:
+        return
     up, down, jt = S._up, S._down, S.join_table
     for a, row in enumerate(commutation_graph(S)):
         if up[a] & down[a] != 1 << a or any(up[s] & ~up[a] for s in _ids(up[a])):
@@ -281,6 +260,7 @@ def _joins_are_suprema(S: FiniteSkewLattice) -> None:
             bounds, s = up[a] & up[b], jt[a][b]
             if not bounds >> s & 1 or up[s] & bounds != bounds:
                 raise InternalConsistencyError(f"join {s} of the commuting pair {a}, {b} is not their supremum")
+    S._memo["joins_are_suprema"] = True
 
 
 def check_join_complete(S: FiniteSkewLattice) -> Certificate:
@@ -298,16 +278,23 @@ def check_bounded_above(S: FiniteSkewLattice) -> Certificate:
 
 
 def check_section_extension(S: FiniteSkewLattice) -> Certificate:
-    """Every commuting subset extends to (sits inside) a lattice section."""
+    """Every commuting subset extends to (sits inside) a lattice section.
+
+    On finite input this holds outright, by Lemmas A and D.  Proof:
+    ``lattice_sections`` returns the down-sets ↓t of top elements t
+    that it verified to be sections, and in a normal structure every
+    such down-set is one.  Lemma D: they cover every element s, since
+    for t in the top class s ≤ s∨t∨s (the two commute, and by Lemma A
+    their join bounds them) and s∨t∨s is in the top class.  By Lemma A
+    a commuting subset C lies in ↓⋁C, so in the section ↓t holding ⋁C.
+    Lemma D's premise is the cover itself; a miss raises
+    ``InternalConsistencyError`` naming the element.
+    """
     _require_normal_symmetric(S, "check_section_extension")
-    _require_subset_cap(S)
-    sections = lattice_sections(S)
-    holding = [sum(1 << i for i, sec in enumerate(sections) if c in sec) for c in range(S.order)]
-    for members, inside in _cliques(S, holding):
-        if not inside:
-            return Certificate(
-                False, "commuting subsets extend to sections", ("subset inside no section", members)
-            )
+    _joins_are_suprema(S)
+    missing = set(range(S.order)).difference(*lattice_sections(S))
+    if missing:
+        raise InternalConsistencyError(f"element {min(missing)} lies in no lattice section")
     return Certificate(True, "commuting subsets extend to sections")
 
 

@@ -225,7 +225,8 @@ class FiniteSkewLattice:
         return _compute_d_partition(self)
 
     @cached_property
-    def _identity_cache(self) -> dict:
+    def _memo(self) -> dict:
+        # verdicts kept per structure: identity certificates by name, checked lemma premises
         return {}
 
 
@@ -591,7 +592,7 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     _require_valid(S, "check_identity")
-    cache = S._identity_cache
+    cache = S._memo
     if name not in cache:
         cache[name] = _identity_scan(S, name)
     return cache[name]

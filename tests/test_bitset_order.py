@@ -7,11 +7,12 @@ before are kept here as oracles, and every result element and every
 ``Certificate`` (verdict and witness) must match them on genuine
 structures, where all the checks hold.  A second pass replaces the
 cached natural order by a randomly perturbed relation: suprema then go
-missing, move or stop being unique.  There ``check_prop_joins`` and
-``check_section_extension`` must still match their walks witness for
-witness, while the three checks decided by Lemma A and Lemma C
-(``check_join_complete``, ``check_bounded_above``, ``is_ncframe``) must
-either have a sound premise or raise ``InternalConsistencyError``.
+missing, move or stop being unique.  There ``sup_natural`` and
+``inf_natural`` must still match their list scans, while the five
+checks decided by Lemmas A to D (``check_join_complete``,
+``check_bounded_above``, ``is_ncframe``, ``check_prop_joins``,
+``check_section_extension``) must either have sound premises or raise
+``InternalConsistencyError``.
 """
 
 import functools
@@ -154,9 +155,6 @@ LEMMA_CHECKS = (
     (is_ncframe, _is_ncframe_oracle),
     (check_join_complete, _join_complete_oracle),
     (check_bounded_above, _bounded_above_oracle),
-)
-# still walks: equal to the walk on any cached order
-WALK_CHECKS = (
     (check_prop_joins, _prop_joins_oracle),
     (check_section_extension, _section_extension_oracle),
 )
@@ -233,73 +231,120 @@ def test_sup_and_inf_match_the_list_scans(zoo):
 
 def test_checks_match_the_list_scans(zoo):
     for S in zoo:
-        for fn, oracle in LEMMA_CHECKS + WALK_CHECKS:
+        for fn, oracle in LEMMA_CHECKS:
             assert _outcome(fn, S) == _outcome(oracle, S), (fn.__name__, S)
 
 
-def test_checks_match_the_list_scans_on_a_perturbed_order(census_all, p22):
+def test_sup_and_inf_match_the_list_scans_on_a_perturbed_order(census_all, p22):
     rng = random.Random(7)
-    failures = set()
     for S in list(census_all) + [om_window(4), boolean_lattice(3), chain_lattice(6), p22]:
         for _ in range(3):
             T = _perturbed(S, rng)
             for ids in _id_sets(T, rng):
                 assert sup_natural(T, ids) == _sup_oracle(T, ids), (S, ids)
                 assert inf_natural(T, ids) == _inf_oracle(T, ids), (S, ids)
-            for fn, oracle in WALK_CHECKS:
-                got = _outcome(fn, T)
-                assert got == _outcome(oracle, T), (fn.__name__, S)
-                if isinstance(got, Certificate) and not got.ok:
-                    failures.add(fn.__name__)
-    # the failure branch of every remaining walk was reached
-    assert failures == {"check_prop_joins", "check_section_extension"}
 
 
 def _guarded(S):
     return check_identity(S, "normal").ok and check_symmetric(S).ok
 
 
+def _extended(S, x, y):
+    """A copy of S whose cached order is the natural one plus x ≤ y, closed under transitivity."""
+    leq = S._leq.copy()
+    leq[x, y] = True
+    for k in range(S.order):
+        leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
+    return _with_order(S, leq)
+
+
 def test_the_lemma_premise_is_sound_on_perturbed_orders(zoo):
-    # a passing premise makes every commuting subset's join fold its supremum;
-    # a failing one makes all three lemma checks raise instead of answering
+    # a passing premise makes every commuting subset's join fold its supremum,
+    # and prop_joins and section extension hold as their walks decide them;
+    # a failing one makes the lemma checks raise instead of answering
     rng = random.Random(12)
     passed = failed = 0
-    for flip in (0.02, 0.05, 0.2):
-        for S in filter(_guarded, zoo):
-            T = _perturbed(S, rng, flip)
-            try:
-                _joins_are_suprema(T)
-            except InternalConsistencyError:
-                failed += 1
-                for fn in (check_join_complete, check_bounded_above):
-                    with pytest.raises(InternalConsistencyError):
-                        fn(T)
-                if detect_zero(T) is not None and check_identity(T, "strongly_distributive").ok:
-                    with pytest.raises(InternalConsistencyError):
-                        is_ncframe(T)
-                else:
-                    assert is_ncframe(T) == is_ncframe(S)
-                continue
-            passed += not np.array_equal(T._leq, S._leq)  # a pass on a changed order
-            assert _join_complete_oracle(T).ok, S
-            for C in enumerate_commuting_subsets(T):
-                assert _sup_oracle(T, C) == join_fold(T, C), (S, C)
+    outcomes = set()
+    guarded = list(filter(_guarded, zoo))
+    perturbed = [_perturbed(S, rng, flip) for flip in (0.02, 0.05, 0.2) for S in guarded]
+    # one added pair at a time on the small structures, where Lemma B's premise can survive it
+    perturbed += [
+        _extended(S, x, y)
+        for S in guarded
+        if S.order <= 4
+        for x, y in itertools.permutations(range(S.order), 2)
+        if not S._leq[x, y]
+    ]
+    for T in perturbed:
+        S = FiniteSkewLattice(T.order, T.meet_table, T.join_table, zero=T.zero)
+        changed = not np.array_equal(T._leq, S._leq)
+        try:
+            _joins_are_suprema(T)
+        except InternalConsistencyError:
+            failed += 1
+            for fn in (check_join_complete, check_bounded_above, check_prop_joins, check_section_extension):
+                with pytest.raises(InternalConsistencyError):
+                    fn(T)
+            if detect_zero(T) is not None and check_identity(T, "strongly_distributive").ok:
+                with pytest.raises(InternalConsistencyError):
+                    is_ncframe(T)
+            else:
+                assert is_ncframe(T) == is_ncframe(S)
+            continue
+        passed += changed  # a pass on a changed order
+        assert _join_complete_oracle(T).ok, S
+        for C in enumerate_commuting_subsets(T):
+            assert _sup_oracle(T, C) == join_fold(T, C), (S, C)
+        for fn, oracle in ((check_prop_joins, _prop_joins_oracle), (check_section_extension, _section_extension_oracle)):
+            got = _outcome(fn, T)
+            if isinstance(got, Certificate):
+                assert got.ok and got == oracle(T), (fn.__name__, S)
+                outcomes.add((fn.__name__, "held", changed))
+            else:
+                assert got[0] is InternalConsistencyError, (fn.__name__, S, got)
+                outcomes.add((fn.__name__, "raised", changed))
     assert passed > 0 and failed > 0
+    # Lemma B's premise holds on some changed orders and fails on others
+    assert {("check_prop_joins", "held", True), ("check_prop_joins", "raised", True)} <= outcomes
+    # Lemma D's holds only on the natural order itself: passing Lemma A's premise makes
+    # the cached order contain the natural one, so an added x < y joins two elements
+    # that do not commute, and then no section ↓t with y ≤ t is left to hold y
+    assert ("check_section_extension", "held", False) in outcomes
+    assert ("check_section_extension", "held", True) not in outcomes
+    assert ("check_section_extension", "raised", True) in outcomes
+
+
+# a two-element left-zero class above a copy of itself, 0 < 1 and 2 < 3
+_FLAT_OVER_FLAT = FiniteSkewLattice(
+    4,
+    ((0, 0, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2), (2, 3, 2, 3)),
+    ((0, 1, 2, 3), (1, 1, 3, 3), (0, 1, 2, 3), (1, 1, 3, 3)),
+)
 
 
 @pytest.mark.parametrize(
-    "S, cell, message",
+    "check, S, cell, message",
     [
-        (chain_lattice(2), (1, 0), "natural order is not a partial order at 0"),
+        (_joins_are_suprema, chain_lattice(2), (1, 0), "natural order is not a partial order at 0"),
         # 1 and 2 do not commute, so no pair test reads the added 1 ≤ 2
-        (build_pfn_algebra(2, 2), (1, 2), "natural order is not a partial order at 1"),
+        (_joins_are_suprema, build_pfn_algebra(2, 2), (1, 2), "natural order is not a partial order at 1"),
         # 2 becomes an upper bound of 1 and 2 below their join 3
-        (boolean_lattice(2), (1, 2), "join 3 of the commuting pair 1, 2 is not their supremum"),
+        (_joins_are_suprema, boolean_lattice(2), (1, 2), "join 3 of the commuting pair 1, 2 is not their supremum"),
+        # 3 and 4 form a D-class; Lemma A's premise survives the added 3 ≤ 4
+        (check_prop_joins, om_window(2), (3, 4), "element 3 lies below another element of its D-class"),
+        (check_section_extension, om_window(2), (3, 4), "element 4 lies in no lattice section"),
+        # 0 ≤ 3 spans two classes, so Lemma B's premise holds, but ↓3 = {0, 2, 3} is no section
+        (check_section_extension, _FLAT_OVER_FLAT, (0, 3), "element 2 lies in no lattice section"),
     ],
-    ids=["antisymmetry", "transitivity", "least upper bound"],
+    ids=["antisymmetry", "transitivity", "least upper bound", "lemma B", "lemma D", "lemma D across classes"],
 )
-def test_the_premise_names_each_kind_of_fault(S, cell, message):
+def test_the_premise_names_each_kind_of_fault(check, S, cell, message):
     leq = S._leq.copy()
     leq[cell] = not leq[cell]
+    T = _with_order(S, leq)
+    if check is not _joins_are_suprema:
+        _joins_are_suprema(T)  # Lemma A's premise holds
+    if S is _FLAT_OVER_FLAT:
+        assert check_prop_joins(T).ok
     with pytest.raises(InternalConsistencyError, match=rf"^{re.escape(message)}$"):
-        _joins_are_suprema(_with_order(S, leq))
+        check(T)

@@ -16,7 +16,6 @@ from skewlat.census import (
     search_counterexample,
 )
 from skewlat.cli import main
-from skewlat.completeness import check_section_extension
 from skewlat.core import (
     CapExceededError,
     FiniteSkewLattice,
@@ -397,10 +396,7 @@ def test_a_failed_precondition_is_neither_yes_nor_no(capsys):
     assert capsys.readouterr().out == "0\n"
     non_normal = [S for S in enumerate_skew_lattices(3) if not check_identity(S, "normal").ok]
     assert len(non_normal) == 2
-    capped = build_pfn_algebra(2, 3)  # order 16, past the commuting-subset cap
-    with pytest.raises(CapExceededError):
-        check_section_extension(capped)
-    for S in non_normal + [capped]:
+    for S in non_normal:
         assert not CensusFilter(extends_to_sections=True).matches(S)
         assert not CensusFilter(extends_to_sections=False).matches(S)
 

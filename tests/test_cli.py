@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skewlat
 from skewlat.census import enumerate_skew_lattices
@@ -20,6 +20,8 @@ from skewlat.models import build_pfn_algebra, diamond_m3, om_window
 NON_NORMAL_TABLES = (((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2)))
 
 CHAIN2_TEXT = "skewlat 1\nn 2\nzero 0\nmeet\n0 0\n0 1\njoin\n0 1\n1 1\n"
+
+LADDER_YES = ["join-complete yes", "bounded-above yes", "extends-to-sections yes", "section-exists yes"]
 
 
 def _write(tmp_path, name, text):
@@ -208,6 +210,28 @@ def test_emit_round_trips_the_census():
             assert emit(back) == emit(S)
 
 
+def _emit_per_cell(sf: StructureFile) -> str:
+    # the file text with every table cell written by str()
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"n {sf.order}"] + ([f"zero {sf.zero}"] if sf.zero is not None else [])
+    for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
+        lines += [section, *(" ".join(str(v) for v in row) for row in table)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@example((2, [[0, -1], [2, 1]], [[-2, 1], [1, 1]]))
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    *[st.lists(st.lists(st.integers(-n - 2, 2 * n + 2), min_size=n, max_size=n), min_size=n, max_size=n)] * 2,
+)))
+def test_emit_writes_every_cell_as_its_number(case):
+    # hand-built files are not validated: negative and out-of-range entries are
+    # written as they are, never looked up as names
+    n, meet, join = case
+    sf = StructureFile(n, tuple(map(tuple, meet)), tuple(map(tuple, join)))
+    assert emit(sf) == _emit_per_cell(sf)
+
+
 _LABEL_ALPHABET = sorted(set(string.ascii_letters + string.digits + string.punctuation + " \n"))
 
 
@@ -371,19 +395,23 @@ def test_classify_marks_unguarded_checks(tmp_path, capsys):
     assert out.count("n/a (needs normal and symmetric)") == 4
 
 
-def test_classify_reports_a_cap_as_a_cap(tmp_path, capsys):
-    # order 16 is normal and symmetric; the subset-enumeration cap stops only
-    # the section-extension walk, the two lemma checks above it answer
+def test_classify_answers_past_the_subset_cap(tmp_path, capsys):
+    # order 16 is normal and symmetric, and every ladder check is decided by a
+    # lemma; extends-to-sections used to stop at the commuting-subset cap
     _, text, _ = _run(capsys, "paper", "pfn", "--sizes", "2,3")
     code, out, _ = _run(capsys, "classify", _write(tmp_path, "p23.skl", text))
     assert code == 0
     lines = out.splitlines()
     assert "normal yes" in lines and "symmetric yes" in lines
-    assert "n/a" not in out
-    assert "join-complete yes" in lines and "bounded-above yes" in lines
-    cap = "capped (order 16 > 12: a commuting-subset scan visits up to 2^16 - 1 = 65535 subsets)"
-    assert [line for line in lines if "capped" in line] == [f"extends-to-sections {cap}"]
-    assert "section-exists yes" in lines
+    assert "n/a" not in out and "capped" not in out
+    assert lines[-4:] == LADDER_YES
+
+
+def test_classify_answers_on_p42(tmp_path, capsys, p42_text):
+    # order 81: the whole ladder is decided by lemmas, no subset is walked
+    code, out, _ = _run(capsys, "classify", _write(tmp_path, "p42.skl", p42_text))
+    assert code == 0
+    assert out.splitlines()[-4:] == LADDER_YES
 
 
 def test_reports_are_reproducible(tmp_path, capsys):

@@ -12,7 +12,6 @@ from skewlat.core import (
     is_commutative,
     subalgebra,
 )
-from skewlat import completeness
 from skewlat.completeness import (
     check_bounded_above,
     check_implication_chain,
@@ -123,25 +122,15 @@ def test_enumeration_cap_without_size_bound():
     assert tuple(enumerate_commuting_subsets(big, max_size=1))
 
 
-@pytest.mark.parametrize("scan", [check_prop_joins, check_section_extension], ids=lambda f: f.__name__)
-def test_every_subset_scan_is_capped_before_its_tables(scan, monkeypatch):
-    def built(*args):
-        raise AssertionError("per-structure tables built before the cap")
-
-    for name in ("green_d", "quotient", "lattice_sections"):
-        monkeypatch.setattr(completeness, name, built)
-    big = om_window(10)  # order 13, normal, symmetric, with a zero
-    with pytest.raises(CapExceededError, match=r"^order 13 > 12: a commuting-subset scan visits up to 2\^13 - 1 = 8191 subsets$"):
-        scan(big)
-    assert "_up" not in big.__dict__  # no natural-order masks either
-
-
 def test_the_lemma_checks_answer_past_the_subset_cap():
-    # decided by Lemmas A and C without a walk, from order 13 (k = 10) on; every
+    # decided by Lemmas A to D without a walk, from order 13 (k = 10) on; every
     # finite window is join complete, so the paper's counterexample needs the whole chain
-    for k in range(10, 31):
-        W = om_window(k)
-        assert check_join_complete(W).ok and check_bounded_above(W).ok and is_ncframe(W).ok, k
+    checks = (check_join_complete, check_bounded_above, is_ncframe, check_prop_joins, check_section_extension)
+    for S in [om_window(k) for k in range(10, 31)] + [build_pfn_algebra(2, 3)]:
+        assert S.order > 12
+        assert all(check(S).ok for check in checks), S
+        chain = check_implication_chain(S)
+        assert chain.ok and all(verdict is True for _, verdict in chain.witness), S
 
 
 # --- suprema and infima ------------------------------------------------------------
