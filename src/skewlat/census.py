@@ -38,6 +38,7 @@ from .core import (
     IDENTITY_NAMES,
     PreconditionError,
     Table,
+    _effective_cap,
     check_identity,
     check_lemma_reg,
     check_symmetric,
@@ -54,7 +55,6 @@ from .completeness import (
     check_section_extension,
 )
 from .frames import check_theorem_ncframes, is_ncframe
-from .models import _effective_cap
 
 __all__ = [
     "CensusFilter",
@@ -67,8 +67,7 @@ __all__ = [
 ]
 
 CENSUS_CAP_ENV = "SKEWLAT_CENSUS_CAP"
-DEFAULT_CAP_UNFILTERED = 4
-DEFAULT_CAP_FILTERED = 5
+DEFAULT_CAP = 5
 CROSS_CHECK_CAP = 3
 
 
@@ -96,7 +95,7 @@ PREDICATES: dict[str, Callable[[FiniteSkewLattice], object]] = {
 
 
 def _holds(name: str, S: FiniteSkewLattice) -> bool | None:
-    # None when a precondition fails (caps included): the property does not apply
+    # None when a precondition fails: the property does not apply
     try:
         return bool(PREDICATES[name](S))
     except PreconditionError:
@@ -118,10 +117,6 @@ class CensusFilter:
 
     def __repr__(self) -> str:
         return f"CensusFilter(**{self._wants!r})"
-
-    @property
-    def active(self) -> bool:
-        return bool(self._wants)
 
     def matches(self, S: FiniteSkewLattice) -> bool:
         return all(_holds(key, S) == want for key, want in self._wants.items())
@@ -376,15 +371,14 @@ def enumerate_skew_lattices(
 
     Every yielded structure is valid, carries its zero when one exists,
     and is the realization of its own canonical form, so runs are
-    reproducible.  The default order cap is 4, or 5 when a filter is
-    active; raise it with ``order_cap`` or the SKEWLAT_CENSUS_CAP
-    environment variable if you mean it.
+    reproducible.  The default order cap is 5; raise it with
+    ``order_cap`` or the SKEWLAT_CENSUS_CAP environment variable if you
+    mean it.
     """
     if order < 1:
         raise PreconditionError(f"census needs order >= 1, got {order}")
     filt = filt or CensusFilter()
-    default = DEFAULT_CAP_FILTERED if filt.active else DEFAULT_CAP_UNFILTERED
-    cap = _effective_cap(order_cap, default, CENSUS_CAP_ENV)
+    cap = _effective_cap(order_cap, DEFAULT_CAP, CENSUS_CAP_ENV)
     if order > cap:
         raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
     for cf in sorted(_census_forms(order, filt)):

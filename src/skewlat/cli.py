@@ -36,7 +36,6 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
-    CapExceededError,
     FiniteSkewLattice,
     IDENTITY_NAMES,
     PreconditionError,
@@ -45,9 +44,10 @@ from .core import (
     Table,
     check_identity,
     detect_zero,
+    natural_leq,
     quotient,
 )
-from .completeness import _bounds, lattice_sections, sup_natural
+from .completeness import lattice_sections, sup_natural
 from .census import PREDICATES, CensusFilter, enumerate_skew_lattices
 from .frames import check_theorem_ncframes
 from .models import (
@@ -293,8 +293,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         label = key.replace("_", "-")
         try:
             print(f"{label} {_yesno(PREDICATES[key](S))}")
-        except CapExceededError as exc:
-            print(f"{label} capped ({exc})")
         except PreconditionError:
             # only the ladder checks have a precondition beyond validity
             print(f"{label} n/a (needs normal and symmetric)")
@@ -317,8 +315,7 @@ def _cmd_sup(args: argparse.Namespace) -> int:
     members = args.elements
     s = sup_natural(S, members)
     if s is None:
-        bounds = _bounds(S._up, members)
-        ubs = [u for u in range(S.order) if bounds >> u & 1]
+        ubs = [u for u in range(S.order) if all(natural_leq(S, c, u) for c in members)]
         print(f"no supremum of {{{', '.join(str(c) for c in sorted(set(members)))}}};"
               f" upper bounds {{{', '.join(str(u) for u in ubs)}}} have no least element")
         return 1

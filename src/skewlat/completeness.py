@@ -35,6 +35,7 @@ from .core import (
     FiniteSkewLattice,
     InternalConsistencyError,
     PreconditionError,
+    _element_ids,
     _require_valid,
     _row_masks,
     check_identity,
@@ -86,12 +87,7 @@ def commutation_graph(S: FiniteSkewLattice) -> tuple[int, ...]:
 
 def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> tuple[int, ...]:
     """Validate a set of ids as a commuting subset; return them sorted."""
-    ids = tuple(sorted(set(int(v) for v in members)))
-    if not ids:
-        raise PreconditionError("commuting subsets are nonempty")
-    for v in ids:
-        if not 0 <= v < S.order:
-            raise PreconditionError(f"id {v} out of range 0..{S.order - 1}")
+    ids = _element_ids(S, members, "commuting_subset")
     rows = commutation_graph(S)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
@@ -132,12 +128,14 @@ def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = Non
 
 def sup_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Least upper bound of a nonempty set in the natural order, if any."""
-    return _extremum(S._up, _bounds(S._up, _checked_ids(S, ids, "sup_natural")))
+    _require_valid(S, "sup_natural")
+    return _extremum(S._up, _bounds(S._up, _element_ids(S, ids, "sup_natural")))
 
 
 def inf_natural(S: FiniteSkewLattice, ids: Iterable[int]) -> int | None:
     """Greatest lower bound of a nonempty set in the natural order, if any."""
-    return _extremum(S._down, _bounds(S._down, _checked_ids(S, ids, "inf_natural")))
+    _require_valid(S, "inf_natural")
+    return _extremum(S._down, _bounds(S._down, _element_ids(S, ids, "inf_natural")))
 
 
 def _bounds(masks: tuple[int, ...], members: Iterable[int]) -> int:
@@ -168,17 +166,6 @@ def _extremum(masks: tuple[int, ...], bounds: int) -> int | None:
             return s
         rest ^= low
     return None
-
-
-def _checked_ids(S: FiniteSkewLattice, ids: Iterable[int], op: str) -> tuple[int, ...]:
-    _require_valid(S, op)
-    members = tuple(sorted(set(int(v) for v in ids)))
-    if not members:
-        raise PreconditionError(f"{op} needs a nonempty set of elements")
-    for v in members:
-        if not 0 <= v < S.order:
-            raise PreconditionError(f"{op}: id {v} out of range 0..{S.order - 1}")
-    return members
 
 
 def join_fold(S: FiniteSkewLattice, C) -> int:

@@ -11,13 +11,16 @@ maximal commutative image, the natural partial order, down-sets,
 restrictions and homomorphisms.
 
 Elements are the positions ``0 .. order-1``; optional labels are for
-display only and never affect computation.  Construction only checks
+display only and never affect computation.  Every function of the
+package that takes element ids checks them with ``_element_ids``, so
+each id error reads the same way.  Construction only checks
 that the raw tables are well formed.  Whether the tables actually
 satisfy the skew lattice axioms is a separate, explicit question
 answered by :func:`validate_skew_axioms`; operations that need a valid
 structure check that verdict (cached on the instance) before working.
 
-Each axiom and identity is written once, as equation text such as
+Each axiom and identity, and the frame law that ``frames.is_frame``
+scans, is written once, as equation text such as
 ``"x∧y∧z∧x = x∧z∧y∧x"``, and compiled at import into a scan that fixes
 x and sweeps y and z: a table row or column serves each subterm that
 depends on x alone, so most gathers are 1-D takes.  Small tables are
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
@@ -86,6 +90,19 @@ class InternalConsistencyError(SkewLatticeError):
 
 class CapExceededError(PreconditionError):
     """A configured size cap would be exceeded; pass an explicit override."""
+
+
+def _effective_cap(explicit: int | None, default: int, env_name: str) -> int:
+    """The explicit cap, else the environment variable ``env_name``, else ``default``."""
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(env_name)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise PreconditionError(f"{env_name} must be an integer, got {env!r}") from exc
+    return default
 
 
 @dataclass(frozen=True)
@@ -173,9 +190,6 @@ class FiniteSkewLattice:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     @cached_property
     def _m(self) -> np.ndarray:
@@ -522,15 +536,19 @@ _AXIOM_LAWS = tuple(_law(text, name) for name, text in (
 ))
 
 
+def _zero_laws(S: FiniteSkewLattice) -> np.ndarray:
+    """``ok[z, x]``: x∧z = z = z∧x and x∨z = x = z∨x, the zero laws for z at x."""
+    m, j, ids = S._m, S._j, np.arange(S.order)
+    return (m == ids[:, None]) & (m.T == ids[:, None]) & (j == ids) & (j.T == ids)
+
+
 def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
     for law in _AXIOM_LAWS:
         w = _scan(S, law)
         if w is not None:
             return Certificate(False, "skew lattice axioms", (law.name, w))
     if S.zero is not None:
-        z, m, j, ids = S.zero, S._m, S._j, np.arange(S.order)
-        ok = (m[:, z] == z) & (m[z, :] == z) & (j[:, z] == ids) & (j[z, :] == ids)
-        bad = np.flatnonzero(~ok)
+        bad = np.flatnonzero(~_zero_laws(S)[S.zero])
         if bad.size:
             return Certificate(
                 False, "skew lattice axioms", ("zero laws x∧0=0=0∧x, x∨0=x=0∨x", (int(bad[0]),))
@@ -556,6 +574,17 @@ def _require_valid(S: FiniteSkewLattice, op: str) -> None:
         raise PreconditionError(f"{op} needs a valid skew lattice; {law} fails at {where}")
 
 
+def _element_ids(S: FiniteSkewLattice, members: Iterable[int], op: str) -> tuple[int, ...]:
+    """``members`` as sorted unique ids; raises unless nonempty and in range."""
+    ids = tuple(sorted({int(v) for v in members}))
+    if not ids:
+        raise PreconditionError(f"{op} needs a nonempty set of elements")
+    for v in ids:
+        if not 0 <= v < S.order:
+            raise PreconditionError(f"{op}: id {v} out of range 0..{S.order - 1}")
+    return ids
+
+
 # name -> laws; a named identity holds when all of its laws do
 _IDENTITY_LAWS = {
     name: tuple(_law(text) for text in texts)
@@ -570,6 +599,9 @@ _IDENTITY_LAWS = {
 }
 
 IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
+
+# meet distributes over binary joins; ``frames.is_frame`` scans it on lattices
+_FRAME_LAW = _law("z∧(x∨y) = (z∧x)∨(z∧y)")
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str) -> Certificate:
@@ -627,12 +659,8 @@ def is_commutative(S: FiniteSkewLattice) -> bool:
 
 def detect_zero(S: FiniteSkewLattice) -> int | None:
     """Find the element satisfying the zero laws, if any (it is unique)."""
-    m, j = S._m, S._j
-    ids = np.arange(S.order)
-    for z in range(S.order):
-        if (m[:, z] == z).all() and (m[z, :] == z).all() and (j[:, z] == ids).all() and (j[z, :] == ids).all():
-            return z
-    return None
+    zeros = np.flatnonzero(_zero_laws(S).all(axis=1))
+    return int(zeros[0]) if zeros.size else None
 
 
 def _compute_d_partition(S: FiniteSkewLattice) -> DPartition:
@@ -685,9 +713,7 @@ def natural_leq(S: FiniteSkewLattice, a: int, b: int) -> bool:
     tested invariant rather than an assumption.
     """
     _require_valid(S, "natural_leq")
-    for name, v in (("a", a), ("b", b)):
-        if not 0 <= v < S.order:
-            raise PreconditionError(f"natural_leq: id {name}={v} out of range 0..{S.order - 1}")
+    _element_ids(S, (a, b), "natural_leq")
     return bool(S._leq[a, b])
 
 
@@ -720,16 +746,12 @@ def quotient(S: FiniteSkewLattice) -> QuotientLattice:
             f"quotient {('meet', 'join')[k]} not well defined on classes {a},{b}: got classes {vals.tolist()}"
         )
     meet_rows, join_rows = (img[np.ix_(reps, reps)].tolist() for img in images)
-    if S.labels is not None:
-        labels = tuple("{" + ",".join(S.label(i) for i in A) + "}" for A in dp.classes)
-    else:
-        labels = tuple("{" + ",".join(str(i) for i in A) + "}" for A in dp.classes)
     lat = FiniteSkewLattice(
         order=q,
         meet_table=meet_rows,
         join_table=join_rows,
         zero=dp.class_of[S.zero] if S.zero is not None else None,
-        labels=labels,
+        labels=tuple("{" + ",".join(S.label(i) for i in A) + "}" for A in dp.classes),
     )
     if not lat.validity.ok:
         law, where = lat.validity.witness
@@ -804,12 +826,7 @@ def subalgebra(S: FiniteSkewLattice, members: Iterable[int]) -> FiniteSkewLattic
     The subset must be closed under both operations.  A declared zero is
     carried over when it belongs to the subset; labels follow the parent.
     """
-    ids = sorted(set(int(v) for v in members))
-    if not ids:
-        raise PreconditionError("subalgebra needs a nonempty subset")
-    for v in ids:
-        if not 0 <= v < S.order:
-            raise PreconditionError(f"subalgebra: id {v} out of range 0..{S.order - 1}")
+    ids = _element_ids(S, members, "subalgebra")
     index = {v: i for i, v in enumerate(ids)}
     k = len(ids)
     meet_rows = [[0] * k for _ in range(k)]
@@ -838,8 +855,7 @@ def down_set(S: FiniteSkewLattice, a: int) -> FiniteSkewLattice:
     internal-consistency error rather than returning a verdict.
     """
     _require_valid(S, "down_set")
-    if not 0 <= a < S.order:
-        raise PreconditionError(f"down_set: id {a} out of range 0..{S.order - 1}")
+    _element_ids(S, (a,), "down_set")
     ids = [int(u) for u in np.flatnonzero(S._leq[:, a])]
     try:
         return subalgebra(S, ids)
@@ -855,8 +871,7 @@ def restriction(S: FiniteSkewLattice, a: int, u: int) -> int:
     is an internal-consistency error.
     """
     _require_valid(S, "restriction")
-    if not 0 <= a < S.order:
-        raise PreconditionError(f"restriction: id {a} out of range 0..{S.order - 1}")
+    _element_ids(S, (a,), "restriction")
     if not check_identity(S, "normal").ok:
         raise PreconditionError("restriction is defined for normal structures only")
     dp = S._dpart

@@ -12,12 +12,11 @@ equivalence that justifies the name: such a structure is a
 noncommutative frame exactly when its maximal commutative image is a
 frame.  On finite input the noncommutative side needs no subset walk
 (Lemma C, in ``is_ncframe``), and the commutative side scans the
-quotient pairwise; neither side is inferred from the other.
+quotient for the binary distributive law, compiled like every law in
+``core``; neither side is inferred from the other.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .core import (
     Certificate,
@@ -25,7 +24,9 @@ from .core import (
     InternalConsistencyError,
     PreconditionError,
     QuotientLattice,
+    _FRAME_LAW,
     _require_valid,
+    _scan,
     check_identity,
     check_symmetric,
     detect_zero,
@@ -44,25 +45,30 @@ def is_frame(L) -> Certificate:
 
     A finite lattice is complete outright, so the content is meet
     distributivity over joins of subsets, which on finite lattices is
-    equivalent to pairwise distributivity.  The scan visits pairs
-    ``(y, z)`` with ``y < z`` in lexicographic order and, for each, every
-    ``x``; the first failure is the one an exhaustive scan of all
-    subsets by size would report, since one-element subsets never fail.
-    A false certificate's witness is that failure, ``(x, (y, z))`` with
-    ``x ∧ (y ∨ z) ≠ (x ∧ y) ∨ (x ∧ z)``.
+    equivalent to pairwise distributivity.  A false certificate's
+    witness is ``(x, (y, z))`` with ``y < z`` and
+    ``x ∧ (y ∨ z) ≠ (x ∧ y) ∨ (x ∧ z)``, the first such failure with
+    ``(y, z, x)`` in lexicographic order; it is the one an exhaustive
+    scan of all subsets by size would report, since one-element subsets
+    never fail.
+
+    The compiled scan of ``z∧(x∨y) = (z∧x)∨(z∧y)`` reports the first
+    violation ``(a, b, c)`` in lexicographic order, and ``(c, (a, b))``
+    is that witness.  Proof: on a commutative table the law is symmetric
+    in the joined variables x and y, and it holds when they are equal
+    (both sides are z∧x, by idempotency).  So if ``(a, b, c)`` fails,
+    ``a ≠ b`` and ``(b, a, c)`` fails too, and the first failure has
+    ``a < b``: it is the least failing ``(y, z, x)`` with ``y < z``.
     """
     lat = L.lattice if isinstance(L, QuotientLattice) else L
     _require_valid(lat, "is_frame")
     if not is_commutative(lat):
         raise PreconditionError("is_frame is defined for commutative structures (lattices) only")
-    n = lat.order
-    mt, jt = lat.meet_table, lat.join_table
-    for y, z in itertools.combinations(range(n), 2):
-        yz = jt[y][z]
-        for x in range(n):
-            if mt[x][yz] != jt[mt[x][y]][mt[x][z]]:
-                return Certificate(False, "frame", (x, (y, z)))
-    return Certificate(True, "frame")
+    w = _scan(lat, _FRAME_LAW)
+    if w is None:
+        return Certificate(True, "frame")
+    a, b, c = w
+    return Certificate(False, "frame", (c, (a, b)))
 
 
 def is_ncframe(S: FiniteSkewLattice) -> Certificate:

@@ -31,7 +31,6 @@ documented here and in the README rather than modelled.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -43,6 +42,7 @@ from .core import (
     FiniteSkewLattice,
     PreconditionError,
     StructureError,
+    _effective_cap,
     check_identity,
     detect_zero,
     is_commutative,
@@ -78,18 +78,6 @@ BUILD_CAP_ENV = "SKEWLAT_BUILD_CAP"
 DEFAULT_BUILD_CAP = 4096
 
 
-def _effective_cap(explicit: int | None, default: int, env_name: str) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(env_name)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PreconditionError(f"{env_name} must be an integer, got {env!r}") from exc
-    return default
-
-
 @dataclass(frozen=True)
 class PartialFunction:
     """A finite partial function, held as its graph."""
@@ -110,9 +98,6 @@ class PartialFunction:
     @property
     def domain(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.graph)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(sorted(self.graph))
 
     def meet(self, other: "PartialFunction") -> "PartialFunction":
         dom = other.domain

@@ -524,7 +524,7 @@ def test_census_rejects_bad_filters(capsys, filt, fragment):
 
 
 def test_census_respects_the_order_cap(capsys):
-    code, _, err = _run(capsys, "census", "--order", "5")
+    code, _, err = _run(capsys, "census", "--order", "6")
     assert code == 2 and "pass order_cap to override" in err
 
 

@@ -178,8 +178,8 @@ def test_fold_accepts_raw_ids(chain2):
 @pytest.mark.parametrize(
     "ids, message",
     [
-        ([], "commuting subsets are nonempty"),
-        ([0, 9], "id 9 out of range 0..8"),
+        ([], "commuting_subset needs a nonempty set of elements"),
+        ([0, 9], "commuting_subset: id 9 out of range 0..8"),
         ((1, 2), "elements 1 and 2 do not commute"),  # same class, projections differ
     ],
 )

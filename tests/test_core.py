@@ -28,7 +28,7 @@ from skewlat.core import (
     validate_skew_axioms,
 )
 from skewlat.census import enumerate_skew_lattices
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
 
 # the least non-normal structure: a two-element class under a top element
 NON_NORMAL_3 = FiniteSkewLattice(
@@ -444,3 +444,25 @@ def test_identity_verdicts_are_isomorphism_invariant(case):
 def test_quotient_order_is_isomorphism_invariant(case):
     S, perm = case
     assert quotient(_relabeled(S, perm)).lattice.order == quotient(S).lattice.order
+
+
+def _zero_law_failures(S, z):
+    # oracle: the elements x at which z breaks x∧z = z = z∧x or x∨z = x = z∨x
+    return [
+        x for x in range(S.order) if not (S.meet(x, z) == z == S.meet(z, x) and S.join(x, z) == x == S.join(z, x))
+    ]
+
+
+def test_zero_laws_match_the_per_candidate_loop(census_to_order_five):
+    structures = [S for n in sorted(census_to_order_five) for S in census_to_order_five[n]]
+    for S in (om_window(9), build_pfn_algebra(2, 2), boolean_lattice(3), chain_lattice(7), diamond_m3()):
+        n = S.order
+        structures += [S, _relabeled(S, [n - 1 - i for i in range(n)])]
+        structures += [_relabeled(S, [(i + 1) % n for i in range(n)])]
+    for S in structures:
+        zeros = [z for z in range(S.order) if not _zero_law_failures(S, z)]
+        assert detect_zero(S) == (zeros[0] if zeros else None)
+        for z in {0, S.order - 1, S.order // 2}:
+            cert = validate_skew_axioms(FiniteSkewLattice(S.order, S.meet_table, S.join_table, zero=z))
+            bad = _zero_law_failures(S, z)
+            assert cert.witness == (("zero laws x∧0=0=0∧x, x∨0=x=0∨x", (bad[0],)) if bad else None)

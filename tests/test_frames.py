@@ -91,6 +91,50 @@ def _exhaustive_frame_scan(L):
     return Certificate(True, "frame")
 
 
+def _pairwise_frame_scan(L):
+    # reference: pairs y < z in lexicographic order, every x for each
+    n = L.order
+    mt, jt = L.meet_table, L.join_table
+    for y, z in itertools.combinations(range(n), 2):
+        for x in range(n):
+            if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]:
+                return Certificate(False, "frame", (x, (y, z)))
+    return Certificate(True, "frame")
+
+
+def _product(*lattices):
+    # the direct product, elements numbered in row-major order of their coordinates
+    P = lattices[0]
+    for L in lattices[1:]:
+        k, size = L.order, P.order * L.order
+        tables = [
+            [[op(P, a // k, b // k) * k + op(L, a % k, b % k) for b in range(size)] for a in range(size)]
+            for op in (FiniteSkewLattice.meet, FiniteSkewLattice.join)
+        ]
+        P = FiniteSkewLattice(size, *tables)
+    return P
+
+
+@pytest.mark.parametrize(
+    "build, witness",
+    [
+        (lambda: _product(diamond_m3(), chain_lattice(13)), (39, (13, 26))),
+        (lambda: _product(chain_lattice(13), diamond_m3()), (3, (1, 2))),
+        (lambda: _product(chain_lattice(2), diamond_m3(), chain_lattice(7)), (21, (7, 14))),
+        (lambda: chain_lattice(70), None),
+        (lambda: boolean_lattice(7), None),
+    ],
+    ids=["M3xC13", "C13xM3", "C2xM3xC7", "C70", "B7"],
+)
+def test_the_row_path_scan_matches_the_pairwise_loop(build, witness):
+    # orders 65 to 128: the compiled scan takes one x at a time here
+    L = build()
+    assert L.order > 64
+    verdict = is_frame(L)
+    assert verdict == _pairwise_frame_scan(L)
+    assert verdict.witness == witness
+
+
 def _lattice(n, relations):
     # reflexive-transitive closure of the given a <= b pairs
     leq = [[a == b or (a, b) in relations for b in range(n)] for a in range(n)]
@@ -115,7 +159,7 @@ def test_exhaustive_and_pairwise_checks_agree(census_by_order, m3, b2):
     non_frames = 0
     for L in lattices:
         verdict = is_frame(L)
-        assert verdict == _exhaustive_frame_scan(L)
+        assert verdict == _exhaustive_frame_scan(L) == _pairwise_frame_scan(L)
         non_frames += not verdict
     assert non_frames == 3
 

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level private name goes unreferenced."""
+no module-level private name goes unreferenced, and private names are
+imported only from ``core``."""
 
 import ast
 import importlib
@@ -43,6 +44,38 @@ def test_every_module_level_import_is_used(path):
 def test_the_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nfrom e import f as f\nprint(b)\n")
     assert _unused_imports(tree) == ["os (line 1)", "d (line 2)"]
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    # `from .m import _x` (or `from skewlat.m import _x`) with m other than core
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("skewlat")):
+            if (node.module or "").rpartition(".")[2] == "core":
+                continue
+            found += [f"{alias.name} from {node.module} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_private_names_are_imported_only_from_core(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_imports(tree) == []
+
+
+def test_the_scan_flags_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .core import _scan, check_identity\n"
+        "from skewlat.core import _law\n"
+        "from .models import _effective_cap, chain_lattice\n"
+        "def f():\n    from skewlat.completeness import _bounds\n"
+    )
+    assert _private_imports(tree) == [
+        "_effective_cap from models (line 4)",
+        "_bounds from skewlat.completeness (line 6)",
+    ]
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
