@@ -3,18 +3,22 @@
 The main enumeration (:func:`enumerate_skew_lattices`) searches meet
 tables first: a depth-first fill of the off-diagonal cells with
 idempotent diagonal and incremental associativity checking, so that a
-cell assignment is rejected the moment it completes a bad triple.  A
-lex-leader rule keeps one meet table per isomorphism class, its least
-relabeling in row-major order: a partial table is rejected as soon as
-some relabeling of it is provably smaller.  The other tables of the
-class need no search, since their joins are the relabeled joins of
-this one and every filter is isomorphism-invariant.  The join table is
-then searched the same way, with the absorption laws doing most of the
-work up front: two pin ``x∨(x∧y)`` and ``(x∧y)∨y`` outright, and two
-confine each other cell ``x∨y`` to the ``v`` with ``x∧v = x`` and
-``v∧y = y`` (an empty cell ends the search).  Each structure found is
-merged through :func:`canonicalize`, the least relabeling of the table
-pair.
+cell assignment is rejected the moment it completes a bad triple.  The
+absorption laws confine each join ``x∨y`` to ``cand(x, y)``, the ``v``
+with ``x∧v = x`` and ``v∧y = y``, so a partial meet table is also
+rejected once some ``cand(x, y)`` is empty with its unassigned cells
+read as wildcards: no completion of it can take a join.  A lex-leader
+rule keeps one meet table per isomorphism class, its least relabeling
+in row-major order: a partial table is rejected as soon as some
+relabeling of it is provably smaller.  Its relabeling walks are
+watched: each waits on one cell and is advanced only when that cell
+is assigned.  The other tables of the class need no search, since
+their joins are the relabeled joins of this one and every filter is
+isomorphism-invariant.  The join table is then searched the same way,
+each cell ``x∨y`` ranging over ``cand(x, y)``, with the absorption
+laws ``x∨(x∧y) = x`` and ``(x∧y)∨y = y`` pinned up front.  Each
+structure found is merged through :func:`canonicalize`, the least
+relabeling of the table pair.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -207,45 +211,59 @@ Hook = Callable[[list[list[int]], int, int], bool]
 
 
 def _left_handed_hook(T: list[list[int]], p: int, q: int) -> bool:
-    # partial check of x∧y∧x = x∧y
-    n = len(T)
-    for x in range(n):
-        row = T[x]
-        for y in range(n):
-            v = row[y]
-            if v < 0:
-                continue
-            w = T[v][x]
-            if 0 <= w != v:
-                return False
-    return True
+    # x∧y∧x = x∧y on the pairs whose evaluation reads the assigned cell
+    # (p, q): (x, y) = (p, q), or (x∧y, x) = (p, q)
+    w = T[p][q]
+    if 0 <= T[w][p] != w:
+        return False
+    return w == p or p not in T[q]
+
+
+def _normal_ok(T: list[list[int]], x: int, y: int, z: int) -> bool:
+    # x∧y∧z∧x = x∧z∧y∧x, open while a product is unassigned (-1)
+    Tx = T[x]
+    xy, xz = Tx[y], Tx[z]
+    if xy < 0 or xz < 0:
+        return True
+    xyz, xzy = T[xy][z], T[xz][y]
+    if xyz < 0 or xzy < 0:
+        return True
+    left, right = T[xyz][x], T[xzy][x]
+    return left < 0 or right < 0 or left == right
 
 
 def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
-    # partial check of x∧y∧z∧x = x∧z∧y∧x
+    # x∧y∧z∧x = x∧z∧y∧x on the triples whose left side reads the assigned
+    # cell (p, q): (x, y), (x∧y, z) or (x∧y∧z, x) is (p, q).  The law is
+    # symmetric in y and z, so these also cover every read of the right side
+    rows = range(len(T))
+    Tq = T[q]
+    return (
+        all(_normal_ok(T, p, q, z) for z in rows)
+        and all(_normal_ok(T, x, y, q) for x in rows for y in rows if T[x][y] == p)
+        and all(_normal_ok(T, q, y, z) for y in rows if Tq[y] >= 0 for z in rows if T[Tq[y]][z] == p)
+    )
+
+
+def _join_candidate_hook(T: list[list[int]], p: int, q: int) -> bool:
+    # every x∨y (x ≠ y) needs a value in cand(x, y) = {v : x∧v = x, v∧y = y},
+    # reading an unassigned cell as a wildcard, so the sets only shrink down
+    # the search.  Setting p∧q = w removes q from each cand(p, ·) unless w = p,
+    # and p from each cand(·, q) unless w = q: only those sets can empty
     n = len(T)
-    for x in range(n):
-        row = T[x]
-        for y in range(n):
-            xy = row[y]
-            if xy < 0:
-                continue
-            for z in range(n):
-                xyz = T[xy][z]
-                if xyz < 0:
-                    continue
-                left = T[xyz][x]
-                if left < 0:
-                    continue
-                xz = row[z]
-                if xz < 0:
-                    continue
-                xzy = T[xz][y]
-                if xzy < 0:
-                    continue
-                right = T[xzy][x]
-                if 0 <= right != left:
-                    return False
+    w = T[p][q]
+    if w != p:
+        Tp = T[p]
+        row = [v for v in range(n) if Tp[v] == p or Tp[v] < 0]
+        for j in range(n):
+            if j != p and not any(T[v][j] == j or T[v][j] < 0 for v in row):
+                return False
+    if w != q:
+        col = [v for v in range(n) if T[v][q] == q or T[v][q] < 0]
+        for i in range(n):
+            Ti = T[i]
+            if i != q and not any(Ti[v] == i or Ti[v] < 0 for v in col):
+                return False
     return True
 
 
@@ -253,52 +271,82 @@ _MEET_HOOKS: dict[str, Hook] = {"left_handed": _left_handed_hook, "normal": _nor
 
 
 @functools.cache
-def _lex_walks(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]], ...]:
-    # for each carrier permutation π but the identity: π and the off-diagonal
-    # cells (a, b) in row-major order as (a, b, π⁻¹a, π⁻¹b), since
-    # T^π[a][b] = π(T[π⁻¹a][π⁻¹b]); the diagonal is fixed by every π
+def _lex_walks(n: int) -> tuple[tuple, ...]:
+    # the first leg of the walk of each carrier permutation π but the
+    # identity.  The walk compares T[a][b] with T^π[a][b] = π(T[π⁻¹a][π⁻¹b])
+    # over the off-diagonal cells (a, b) in row-major order (the diagonal is
+    # fixed by every π), and each comparison waits on the later of the two
+    # cells it reads.  The walk is cut into legs (cell, π, comparisons
+    # (a, b, π⁻¹a, π⁻¹b), next leg or None): a leg starts wherever the wait
+    # exceeds every earlier one and holds the comparisons that become
+    # decidable once its cell is assigned.
     cells = [(a, b) for a in range(n) for b in range(n) if a != b]
-    walks = []
+    index = {cell: k for k, cell in enumerate(cells)}
+    firsts = []
     for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
         inv = sorted(range(n), key=perm.__getitem__)
-        walks.append((perm, tuple((a, b, inv[a], inv[b]) for a, b in cells)))
-    return tuple(walks)
+        legs: list[tuple[int, list]] = []
+        for pos, (a, b) in enumerate(cells):
+            wait = max(pos, index[inv[a], inv[b]])
+            if not legs or wait > legs[-1][0]:
+                legs.append((wait, []))
+            legs[-1][1].append((a, b, inv[a], inv[b]))
+        leg = None
+        for wait, steps in reversed(legs):
+            leg = (wait, perm, tuple(steps), leg)
+        firsts.append(leg)
+    return tuple(firsts)
 
 
 class _LexLeaderHook:
     """Reject a partial table once some relabeling of it is provably row-major smaller.
 
     For each π the walk compares ``T[a][b]`` with ``T^π[a][b]`` cell by
-    cell and stops at the first cell where either is unassigned (no
-    verdict yet) or they differ: a smaller ``T^π`` prunes, a larger one
-    stays larger in the whole subtree, so π is dropped there.  A
-    complete table survives exactly when it is the least of its
-    relabelings.  The walks left open after cell k are kept for the
-    children of that node, so the hook is for a search without pins,
-    whose k-th assignment is the k-th off-diagonal cell in row-major order.
+    cell and stops at the first comparison that reads an unassigned cell
+    (no verdict yet) or finds the two differ: a smaller ``T^π`` prunes, a
+    larger one stays larger in the whole subtree, so π is dropped there.
+    A complete table survives exactly when it is the least of its
+    relabelings.
+
+    The walks are watched, as a SAT solver watches clauses: an open walk
+    waits on one cell, the later of the two its next comparison reads,
+    and node k advances only the walks waiting on cell k, each to the
+    next cell it waits on.  The hook is for a search without pins, whose
+    k-th assignment is the k-th off-diagonal cell in row-major order, so
+    k is worked out from (p, q).  Each node logs the walks it moved; a
+    call at depth k first undoes the logs of depth k and deeper, which
+    belong to a sibling or to a subtree the search has left.
     """
 
     def __init__(self, n: int) -> None:
         self._n = n
-        # _open[k + 1]: (π, walk, resume position) of every π still undecided after cell k
-        self._open = {0: [(perm, walk, 0) for perm, walk in _lex_walks(n)]}
+        # _waiting[k]: the legs of the walks that wait on cell k
+        self._waiting: list[list[tuple]] = [[] for _ in range(n * (n - 1))]
+        for leg in _lex_walks(n):
+            self._waiting[leg[0]].append(leg)
+        # (k, cells): node k appended one leg to _waiting[cell] for each cell
+        self._log: list[tuple[int, list[int]]] = []
 
     def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
         k = p * (self._n - 1) + (q if q < p else q - 1)
-        still_open = []
-        for perm, walk, start in self._open[k]:
-            for pos in range(start, len(walk)):
-                a, b, ia, ib = walk[pos]
-                t, u = T[a][b], T[ia][ib]
-                if t < 0 or u < 0:
-                    still_open.append((perm, walk, pos))
-                    break
-                if perm[u] != t:
-                    if perm[u] < t:
+        waiting, log = self._waiting, self._log
+        while log and log[-1][0] >= k:
+            for cell in log.pop()[1]:
+                waiting[cell].pop()
+        moved: list[int] = []
+        log.append((k, moved))
+        for _, perm, steps, after in waiting[k]:
+            for a, b, ia, ib in steps:
+                t, u = T[a][b], perm[T[ia][ib]]
+                if u != t:
+                    if u < t:
                         return False
                     break
-        # a walk run to its end compared a complete table: there are no children
-        self._open[k + 1] = still_open
+            else:
+                # a walk with no leg left compared a complete table: there are no children
+                if after is not None:
+                    waiting[after[0]].append(after)
+                    moved.append(after[0])
         return True
 
 
@@ -347,14 +395,14 @@ def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     full_range = tuple(range(n))
     forms: set[CanonicalForm] = set()
     # one meet table per meet class, its least relabeling: the others' joins
-    # are relabeled joins of this one, and every filter is isomorphism-invariant
-    for M in _table_search(n, [], lambda i, j: full_range, filter_hooks + (_LexLeaderHook(n),)):
+    # are relabeled joins of this one, and every filter is isomorphism-invariant;
+    # a meet table reaches the join search only when no cand(i, j) is empty
+    meet_hooks = filter_hooks + (_join_candidate_hook, _LexLeaderHook(n))
+    for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
         cand = [
             [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
             for i in range(n)
         ]
-        if any(not cand[i][j] for i in range(n) for j in range(n) if i != j):
-            continue
         # absorption pins x∨(x∧y) = x and (x∧y)∨y = y
         pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
         for J in _table_search(n, pins, lambda i, j: cand[i][j], ()):

@@ -73,17 +73,116 @@ def _canonicalize_oracle(S):
     return CanonicalForm(*best)
 
 
+def _left_handed_rescan(T, p, q):
+    # x∧y∧x = x∧y over the whole partial table, ignoring the cell just assigned
+    n = len(T)
+    for x in range(n):
+        row = T[x]
+        for y in range(n):
+            v = row[y]
+            if v < 0:
+                continue
+            w = T[v][x]
+            if 0 <= w != v:
+                return False
+    return True
+
+
+def _normal_rescan(T, p, q):
+    # x∧y∧z∧x = x∧z∧y∧x over the whole partial table, ignoring the cell just assigned
+    n = len(T)
+    for x in range(n):
+        row = T[x]
+        for y in range(n):
+            xy = row[y]
+            if xy < 0:
+                continue
+            for z in range(n):
+                xyz = T[xy][z]
+                if xyz < 0:
+                    continue
+                left = T[xyz][x]
+                if left < 0:
+                    continue
+                xz = row[z]
+                if xz < 0:
+                    continue
+                xzy = T[xz][y]
+                if xzy < 0:
+                    continue
+                right = T[xzy][x]
+                if 0 <= right != left:
+                    return False
+    return True
+
+
+RESCANS = {"left_handed": _left_handed_rescan, "normal": _normal_rescan}
+
+
+def _rescan_hooks(filt):
+    # the filter hooks of the oracles, sharing no pruning code with census._MEET_HOOKS
+    return tuple(hook for key, hook in RESCANS.items() if filt._wants.get(key) is True)
+
+
+def _reference_walks(n):
+    # for each carrier permutation π but the identity: π and the off-diagonal
+    # cells (a, b) in row-major order as (a, b, π⁻¹a, π⁻¹b)
+    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+    walks = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = sorted(range(n), key=perm.__getitem__)
+        walks.append((perm, tuple((a, b, inv[a], inv[b]) for a, b in cells)))
+    return walks
+
+
+class _ReferenceLexLeaderHook:
+    """The unwatched lex-leader hook: every node re-walks every open relabeling.
+
+    The walks left open after cell k are kept for the children of that
+    node, in a list copied at every node.
+    """
+
+    def __init__(self, n):
+        self._n = n
+        # _open[k + 1]: (π, walk, resume position) of every π still undecided after cell k
+        self._open = {0: [(perm, walk, 0) for perm, walk in _reference_walks(n)]}
+
+    def __call__(self, T, p, q):
+        k = p * (self._n - 1) + (q if q < p else q - 1)
+        still_open = []
+        for perm, walk, start in self._open[k]:
+            for pos in range(start, len(walk)):
+                a, b, ia, ib = walk[pos]
+                t, u = T[a][b], T[ia][ib]
+                if t < 0 or u < 0:
+                    still_open.append((perm, walk, pos))
+                    break
+                if perm[u] != t:
+                    if perm[u] < t:
+                        return False
+                    break
+        self._open[k + 1] = still_open
+        return True
+
+
+def _join_candidates(M):
+    n = len(M)
+    return [[tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)] for i in range(n)]
+
+
+def _joins_possible(cand):
+    # the completed-table rule: no cand(i, j), i ≠ j, is empty
+    n = len(cand)
+    return all(cand[i][j] for i in range(n) for j in range(n) if i != j)
+
+
 def _census_forms_oracle(order, filt):
     # every labeled meet table, then a join search and an n! canonicalization per structure
     n = order
-    hooks = tuple(hook for key, hook in census._MEET_HOOKS.items() if filt._wants.get(key) is True)
     forms = set()
-    for M in census._table_search(n, [], lambda i, j: tuple(range(n)), hooks):
-        cand = [
-            [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
-            for i in range(n)
-        ]
-        if any(not cand[i][j] for i in range(n) for j in range(n) if i != j):
+    for M in census._table_search(n, [], lambda i, j: tuple(range(n)), _rescan_hooks(filt)):
+        cand = _join_candidates(M)
+        if not _joins_possible(cand):
             continue
         pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
         for J in census._table_search(n, pins, lambda i, j: cand[i][j], ()):
@@ -195,10 +294,6 @@ def _least_relabeling(M):
     return _canonicalize_oracle(FiniteSkewLattice(len(M), M, M)).meet_table
 
 
-def _meet_hooks(filt):
-    return tuple(hook for key, hook in census._MEET_HOOKS.items() if filt._wants.get(key) is True)
-
-
 def _lex_leader_violations(n, hooks):
     # the pruned meet search against the labeled one under the same filter hooks
     full = tuple(range(n))
@@ -211,11 +306,73 @@ def _lex_leader_violations(n, hooks):
 
 
 def test_the_lex_leader_search_yields_each_meet_class_once():
-    hook_sets = {_meet_hooks(filt) for filt in (CensusFilter(),) + FILTER_CASES}
+    hook_sets = {_rescan_hooks(filt) for filt in (CensusFilter(),) + FILTER_CASES}
     assert len(hook_sets) == 4  # none, either hook, both
     for hooks in hook_sets:
         for n in (1, 2, 3, 4):
             assert _lex_leader_violations(n, hooks) == [], (hooks, n)
+
+
+FAST_HOOK_SETS = tuple(
+    tuple(census._MEET_HOOKS[key] for key in keys)
+    for keys in ((), ("left_handed",), ("normal",), ("left_handed", "normal"))
+)
+
+
+def test_the_watched_walks_prune_as_the_reference_walks_do():
+    for hooks in FAST_HOOK_SETS:
+        for n in (1, 2, 3, 4, 5):
+            full = tuple(range(n))
+            watched = census._table_search(n, [], lambda i, j: full, hooks + (census._LexLeaderHook(n),))
+            reference = census._table_search(n, [], lambda i, j: full, hooks + (_ReferenceLexLeaderHook(n),))
+            assert list(watched) == list(reference), (hooks, n)
+
+
+def test_the_join_candidate_prune_keeps_exactly_the_tables_with_candidates():
+    for n in (1, 2, 3, 4):
+        full = tuple(range(n))
+        pruned = list(census._table_search(n, [], lambda i, j: full, (census._join_candidate_hook,)))
+        labeled = list(census._table_search(n, [], lambda i, j: full, ()))
+        kept = [M for M in labeled if _joins_possible(_join_candidates(M))]
+        assert pruned == kept, n
+        assert n < 3 or len(kept) < len(labeled)
+
+
+def _join_candidate_rescan(T, p, q):
+    # no cand(i, j), i ≠ j, is empty over the whole partial table, an unassigned cell a wildcard
+    n = len(T)
+    return all(
+        any(T[i][v] in (i, -1) and T[v][j] in (j, -1) for v in range(n))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
+
+
+def test_the_incremental_hooks_match_the_rescans():
+    # on partial tables that passed the rescan before (p, q) was assigned
+    rng = random.Random(15)
+    pairs = {
+        "left_handed": (census._left_handed_hook, _left_handed_rescan),
+        "normal": (census._normal_hook, _normal_rescan),
+        "join_candidates": (census._join_candidate_hook, _join_candidate_rescan),
+    }
+    verdicts = {key: set() for key in pairs}
+    for n in range(2, 7):
+        for _ in range(150):
+            unassigned = rng.random()
+            T = [[-1 if rng.random() < unassigned else rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            for p, q in itertools.product(range(n), repeat=2):
+                if T[p][q] < 0:
+                    continue
+                before = [row[:] for row in T]
+                before[p][q] = -1
+                for key, (hook, rescan) in pairs.items():
+                    if rescan(before, p, q):
+                        verdict = rescan(T, p, q)
+                        assert hook(T, p, q) == verdict, (key, T, p, q)
+                        verdicts[key].add(verdict)
+    assert verdicts == {key: {False, True} for key in pairs}
 
 
 def test_canonicalize_matches_the_full_relabeling_oracle(census_to_order_five):

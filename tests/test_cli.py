@@ -12,12 +12,41 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skewlat
-from skewlat.census import enumerate_skew_lattices
+from skewlat.census import canonicalize, enumerate_skew_lattices
 from skewlat.cli import FORMAT_TAG, FORMAT_VERSION, ParseError, StructureFile, emit, entry, main, parse
-from skewlat.core import FiniteSkewLattice, Table
+from skewlat.core import FiniteSkewLattice, Table, check_symmetric
 from skewlat.models import build_pfn_algebra, diamond_m3, om_window
 
 NON_NORMAL_TABLES = (((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2)))
+
+# the four classes of order 7 that are not symmetric, in canonical form: the
+# smallest skew lattices on which the ladder gives no verdict
+NON_SYMMETRIC_ORDER_SEVEN = (
+    (
+        ((0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1, 1), (0, 0, 2, 0, 2, 0, 2), (3, 3, 3, 3, 3, 3, 3),
+         (3, 3, 4, 3, 4, 3, 4), (3, 5, 3, 3, 3, 5, 5), (0, 1, 2, 3, 4, 5, 6)),
+        ((0, 1, 2, 3, 4, 5, 6), (1, 1, 6, 5, 6, 5, 6), (2, 6, 2, 4, 4, 6, 6), (0, 1, 2, 3, 4, 5, 6),
+         (2, 6, 2, 4, 4, 6, 6), (1, 1, 6, 5, 6, 5, 6), (6, 6, 6, 6, 6, 6, 6)),
+    ),
+    (
+        ((0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1, 1), (0, 0, 2, 2, 0, 2, 2), (0, 0, 3, 3, 0, 3, 3),
+         (0, 4, 0, 0, 4, 4, 4), (0, 1, 2, 2, 1, 5, 5), (0, 4, 3, 3, 4, 6, 6)),
+        ((0, 1, 2, 3, 4, 5, 6), (1, 1, 5, 6, 4, 5, 6), (2, 5, 2, 3, 6, 5, 6), (3, 5, 2, 3, 6, 5, 6),
+         (4, 1, 5, 6, 4, 5, 6), (5, 5, 5, 6, 6, 5, 6), (6, 5, 5, 6, 6, 5, 6)),
+    ),
+    (
+        ((0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 5, 5), (0, 0, 2, 3, 2, 0, 3), (0, 0, 2, 3, 2, 0, 3),
+         (0, 1, 2, 3, 4, 5, 6), (0, 1, 0, 0, 1, 5, 5), (0, 1, 2, 3, 4, 5, 6)),
+        ((0, 1, 2, 3, 4, 5, 6), (1, 1, 4, 4, 4, 1, 4), (2, 4, 2, 2, 4, 4, 4), (3, 6, 3, 3, 6, 6, 6),
+         (4, 4, 4, 4, 4, 4, 4), (5, 5, 6, 6, 6, 5, 6), (6, 6, 6, 6, 6, 6, 6)),
+    ),
+    (
+        ((0, 0, 0, 0, 4, 4, 4), (0, 1, 0, 1, 4, 4, 6), (0, 0, 2, 2, 4, 5, 4), (0, 1, 2, 3, 4, 5, 6),
+         (0, 0, 0, 4, 4, 4, 4), (0, 0, 2, 5, 4, 5, 4), (0, 1, 0, 6, 4, 4, 6)),
+        ((0, 1, 2, 3, 0, 2, 1), (1, 1, 3, 3, 1, 3, 1), (2, 3, 2, 3, 2, 2, 3), (3, 3, 3, 3, 3, 3, 3),
+         (4, 6, 5, 3, 4, 5, 6), (5, 3, 5, 3, 5, 5, 3), (6, 6, 3, 3, 6, 3, 6)),
+    ),
+)
 
 CHAIN2_TEXT = "skewlat 1\nn 2\nzero 0\nmeet\n0 0\n0 1\njoin\n0 1\n1 1\n"
 
@@ -392,6 +421,18 @@ def test_classify_marks_unguarded_checks(tmp_path, capsys):
     code, out, _ = _run(capsys, "classify", _write(tmp_path, "nn.skl", emit(S)))
     assert code == 0
     assert "normal no" in out.splitlines()
+    assert out.count("n/a (needs normal and symmetric)") == 4
+
+
+@pytest.mark.parametrize("tables", NON_SYMMETRIC_ORDER_SEVEN, ids=range(len(NON_SYMMETRIC_ORDER_SEVEN)))
+def test_classify_gives_no_ladder_verdict_on_a_non_symmetric_class(tmp_path, capsys, tables):
+    S = FiniteSkewLattice(7, *tables)
+    assert S.validity.ok and not check_symmetric(S).ok
+    cf = canonicalize(S)
+    assert (cf.meet_table, cf.join_table) == tables
+    code, out, _ = _run(capsys, "classify", _write(tmp_path, "ns7.skl", emit(S)))
+    assert code == 0
+    assert "symmetric no" in out.splitlines()
     assert out.count("n/a (needs normal and symmetric)") == 4
 
 
