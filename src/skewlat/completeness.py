@@ -310,11 +310,19 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
     For a normal structure the sections are exactly the down-sets of the
     top class's elements, so those are collected and verified; without
     normality the search falls back to checking every class transversal.
-    Tests hold the fast path against the brute-force one.
+    Tests hold the fast path against the brute-force one.  The answer is
+    remembered on the structure, which the ladder and ``classify`` ask
+    more than once.
     """
     _require_valid(S, "lattice_sections")
     if not check_symmetric(S).ok:
         raise PreconditionError("lattice_sections is defined for symmetric structures only")
+    if "lattice_sections" not in S._memo:
+        S._memo["lattice_sections"] = _find_sections(S)
+    return S._memo["lattice_sections"]
+
+
+def _find_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
     dp = green_d(S)
     leq = S._leq
     found: list[tuple[int, ...]] = []

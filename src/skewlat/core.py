@@ -240,7 +240,8 @@ class FiniteSkewLattice:
 
     @cached_property
     def _memo(self) -> dict:
-        # verdicts kept per structure: identity certificates by name, checked lemma premises
+        # verdicts kept per structure: identity certificates by name, lemma verdicts and
+        # checked lemma premises, the lattice sections
         return {}
 
 
@@ -500,27 +501,34 @@ def _law(text: str, name: str | None = None) -> _Law:
     )
 
 
-def _scan(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
+def _scan(S: FiniteSkewLattice, law: _Law, ids: np.ndarray | None = None) -> tuple[int, ...] | None:
     """First violation of ``law`` in lexicographic order, or None.
 
     Only one slab of x values is evaluated at a time, or one x once a
     slab would hold no more, and the scan stops at the first slab that
-    holds a violation.
+    holds a violation.  ``ids``, a sorted index vector, restricts every
+    variable to those elements; such a scan always runs the slab
+    evaluator, whose takes read any index vector in place of the carrier.
     """
     c, n = S._tables, S.order
-    step = _SLAB_CELLS // n ** (law.arity - 1)
-    if step <= 1:
-        out = [np.empty((n, n), dtype=np.intp) for _ in range(law.planes)]
-        for a in range(n):
-            w = _first_true(law.row(c, a, out))
-            if w is not None:
-                return (a, *w)
-        return None
+    if ids is None:
+        ids = c.ids
+        step = _SLAB_CELLS // n ** (law.arity - 1)
+        if step <= 1:
+            out = [np.empty((n, n), dtype=np.intp) for _ in range(law.planes)]
+            for a in range(n):
+                w = _first_true(law.row(c, a, out))
+                if w is not None:
+                    return (a, *w)
+            return None
+    else:
+        c = c._replace(ids=ids, col=ids[:, None])
+        step = max(1, _SLAB_CELLS // len(ids) ** (law.arity - 1))
     shape = (-1,) + (1,) * (law.arity - 1)
-    for x0 in range(0, n, step):
-        w = _first_true(law.slab(c, np.arange(x0, min(x0 + step, n)).reshape(shape), None))
+    for x0 in range(0, len(ids), step):
+        w = _first_true(law.slab(c, ids[x0 : x0 + step].reshape(shape), None))
         if w is not None:
-            return (w[0] + x0, *w[1:])
+            return (int(ids[x0 + w[0]]), *(int(ids[v]) for v in w[1:]))
     return None
 
 
@@ -604,8 +612,120 @@ IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
 _FRAME_LAW = _law("z∧(x∨y) = (z∧x)∨(z∧y)")
 
 
-def _identity_scan(S: FiniteSkewLattice, name: str) -> Certificate:
+# --- lemmas that prove an identity law holds without its n³ scan ----------------------
+#
+# Each lemma takes a valid structure S and one law, and returns True only
+# when it has proved that the law holds on S; False means only that its
+# premise fails, and the law is scanned.  The proofs use Leech's first
+# decomposition theorem (Leech 1989, Algebra Universalis 26): D is a
+# congruence and S/D is a lattice.  Below, a ≤ b is the natural order,
+# a = a∧b = b∧a, and x∧w∧x ≤ x for all x and w.
+
+
+def _down_sets_commute(S: FiniteSkewLattice, law: _Law) -> bool:
+    """Lemma E: S is normal iff any two elements with a common upper bound commute under ∧.
+
+    Proof.  ⇒: if x, y ≤ a, then x∧y = a∧x∧y∧a = a∧y∧x∧a = y∧x.  ⇐: u =
+    x∧y∧z∧x and v = x∧z∧y∧x lie below x, and in one D-class, as S/D is
+    commutative.  So u∧v = v∧u, and u = u∧v∧u = u∧v = v∧u∧v = v.  Every
+    element lies below a maximal one, so it is enough that each ↓t with t
+    maximal commutes: Σ|↓t|·n cells read instead of n³.  The order is
+    read from the meet table, not from the cached ``_leq``, so no cache
+    can make this verdict.
+    """
+    m = S._m
+    ids = np.arange(S.order)[:, None]
+    leq = (m == ids) & (m.T == ids)  # leq[a, b]: a ≤ b
+    noncommuting = m != m.T
+    # one row per maximal element t, the mask of ↓t
+    for below in leq.T[np.count_nonzero(leq, axis=1) == 1]:
+        if noncommuting[below][:, below].any():
+            return False
+    return True
+
+
+def _normal_gives_meet_regularity(S: FiniteSkewLattice, law: _Law) -> bool:
+    """Lemma F: a normal S satisfies x∧y∧x∧z∧x = x∧y∧z∧x.
+
+    Proof: the normal law at (x, y∧x, z), then at (x, z, y), gives
+    x∧(y∧x)∧z∧x = x∧z∧(y∧x)∧x = x∧z∧y∧x = x∧y∧z∧x.
+    """
+    return check_identity(S, "normal").ok
+
+
+def _distributive_meet_by_classes(S: FiniteSkewLattice, law: _Law) -> bool:
+    """Lemma G: if S is normal, x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x) holds at (x, y, z)
+    iff it holds at the D-class representatives of x, y and z.
+
+    Proof.  Both sides lie in ↓x: the left one is x∧w∧x, and if p, q ≤ x
+    then x∨(p∨q) = (x∨p)∨q = x = p∨(q∨x) = (p∨q)∨x.  ↓x meets each
+    D-class at most once: two D-related p, q ≤ x commute by Lemma E, so
+    p = p∧q∧p = p∧q = q∧p∧q = q.  As D is a congruence, the class of each
+    side depends only on [x], [y] and [z], so the sides are equal exactly
+    when their classes are, at (x, y, z) and at the representatives
+    alike.  The law is then scanned over R³, R one representative per
+    class, instead of the n³ cube.
+
+    The proof needs only that each element is D-related to its
+    representative, not that the cached partition is the D-partition.
+    That is checked on the tables, x∧r∧x = x and r∧x∧r = r for each x
+    and its representative r; a miss raises ``InternalConsistencyError``
+    naming the element.
+    """
+    if not check_identity(S, "normal").ok:
+        return False
+    m, dp = S._m, S._dpart
+    firsts = np.array([members[0] for members in dp.classes], dtype=np.intp)
+    reps = firsts[np.asarray(dp.class_of, dtype=np.intp)]
+    x = np.arange(S.order)
+    bad = np.flatnonzero((m[m[x, reps], x] != x) | (m[m[reps, x], reps] != reps))
+    if bad.size:
+        a = int(bad[0])
+        raise InternalConsistencyError(f"element {a} is not D-related to its class representative {int(reps[a])}")
+    used = np.zeros(S.order, dtype=bool)
+    used[reps] = True
+    return _scan(S, law, np.flatnonzero(used)) is None
+
+
+def _handed_distributivity(handedness: str, S: FiniteSkewLattice, law: _Law) -> bool:
+    """Lemma H: with one handedness, one strong distributive law is Lemma G's law.
+
+    Proof.  If S is left-handed, x∧w∧x = x∧w, so x∧(y∨z) = x∧(y∨z)∧x and
+    (x∧y)∨(x∧z) = (x∧y∧x)∨(x∧z∧x): the law x∧(y∨z) = (x∧y)∨(x∧z) is
+    Lemma G's law cell by cell.  If S is right-handed, x∧w∧x = w∧x, so
+    (x∨y)∧z = (x∧z)∨(y∧z) at (x, y, z) is Lemma G's law at (z, x, y).
+    So the law holds when S has ``handedness`` and Lemma G has proved
+    its own law.
+    """
+    return check_identity(S, handedness).ok and _proved(S, _IDENTITY_LAWS["distributive"][0])
+
+
+# law text -> the lemma that can prove it holds; ``_proved`` remembers its answer
+_LEMMAS = {
+    "x∧y∧z∧x = x∧z∧y∧x": _down_sets_commute,
+    "x∧y∧x∧z∧x = x∧y∧z∧x": _normal_gives_meet_regularity,
+    "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)": _distributive_meet_by_classes,
+    "(x∨y)∧z = (x∧z)∨(y∧z)": functools.partial(_handed_distributivity, "right_handed"),
+    "x∧(y∨z) = (x∧y)∨(x∧z)": functools.partial(_handed_distributivity, "left_handed"),
+}
+
+
+def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
+    """Whether the lemma filed under ``law`` proves that it holds on S."""
+    lemma = _LEMMAS.get(law.text)
+    if lemma is None:
+        return False
+    key = ("lemma", law.text)
+    if key not in S._memo:
+        S._memo[key] = lemma(S, law)
+    return S._memo[key]
+
+
+def _identity_scan(S: FiniteSkewLattice, name: str, proved: Callable[[_Law], bool] = lambda law: False) -> Certificate:
+    """Scan the laws of ``name`` in order, skipping each law that ``proved`` says holds."""
     for law in _IDENTITY_LAWS[name]:
+        if proved(law):
+            continue
         w = _scan(S, law)
         if w is not None:
             return Certificate(False, name, (law.name, w))
@@ -620,13 +740,23 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     single meet-side law; ``left_handed``/``right_handed`` pair the meet
     and join handedness laws.  The witness cites the violated law of the
     pair together with the first bad tuple.
+
+    The laws are scanned in that order, except that a law is skipped
+    when a lemma of ``_LEMMAS`` proves it holds, so the certificate is
+    the scan's.  Lemma E decides ``normal`` from the down-sets of the
+    maximal elements; the scan runs only for a failure's witness.
+    Lemma F: normal implies the meet law of ``regular``.  Lemma G: if S
+    is normal, the meet law of ``distributive`` is decided on one
+    representative per D-class.  Lemma H: on a left- or right-handed S,
+    one law of ``strongly_distributive`` is Lemma G's law, relabeled.
+    The join-side laws are always scanned.
     """
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     _require_valid(S, "check_identity")
     cache = S._memo
     if name not in cache:
-        cache[name] = _identity_scan(S, name)
+        cache[name] = _identity_scan(S, name, functools.partial(_proved, S))
     return cache[name]
 
 

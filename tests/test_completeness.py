@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from skewlat import completeness
 from skewlat.core import (
     CapExceededError,
     FiniteSkewLattice,
@@ -282,3 +283,14 @@ def test_sections_without_normality_use_the_fallback():
 def test_window_has_one_section_per_top():
     W = om_window(3)
     assert lattice_sections(W) == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))
+
+
+def test_sections_are_found_once_per_structure(monkeypatch):
+    # the ladder asks for the sections twice and callers ask again
+    calls = []
+    find = completeness._find_sections
+    monkeypatch.setattr(completeness, "_find_sections", lambda S: calls.append(S) or find(S))
+    S = build_pfn_algebra(2, 2)
+    assert check_implication_chain(S).ok
+    assert lattice_sections(S) == lattice_sections(FiniteSkewLattice(S.order, S.meet_table, S.join_table))
+    assert len(calls) == 2 and calls[0] is S

@@ -345,6 +345,27 @@ def test_compiled_laws_match_the_plain_evaluator(slab, monkeypatch):
     assert violated > 100
 
 
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+def test_a_scan_over_an_index_subset_matches_a_loop_over_it(slab, monkeypatch):
+    # the first violation with every variable drawn from a sorted subset of the carrier
+    if slab is not None:
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
+    laws = [core._law(text) for text in LAW_TEXTS]
+    rng = random.Random(16)
+    violated = 0
+    for n in (1, 2, 3, 5, 7, 9):
+        for _ in range(6):
+            tables = [[[rng.randrange(n) if rng.random() < 0.2 else max(a, b) for b in range(n)] for a in range(n)]
+                      for _ in range(2)]
+            S = FiniteSkewLattice(n, *tables)
+            ids = sorted(rng.sample(range(n), rng.randint(1, n)))
+            for law in laws:
+                want = next((p for p in itertools.product(ids, repeat=law.arity) if _violated(S, law.text, p)), None)
+                assert core._scan(S, law, np.array(ids, dtype=np.intp)) == want, (law.text, ids)
+                violated += want is not None
+    assert violated > 100
+
+
 def test_a_malformed_law_is_rejected():
     for text in ("x∧y", "x∧(y = x", "x∧ = x", "x∧y = y∧x)", "x∧w = x", "y∧z = z∧y"):
         with pytest.raises(ValueError):
