@@ -541,10 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         args.window = 6 if args.family == "omega" else 50
     try:
         return args.handler(args)
-    except (ParseError, StructureError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, StructureError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -472,7 +472,8 @@ def _row_eval(term, arity: int, planes: list):
 
 
 class _Law(NamedTuple):
-    """One equation: the label a witness cites, its text and its compiled scans."""
+    """One equation: the label a witness cites, its text, its compiled scans
+    and the lemma, if any, that can prove it holds without a scan."""
 
     name: str
     text: str
@@ -480,9 +481,10 @@ class _Law(NamedTuple):
     row: Callable  # row(c, a, out): mask of violations over the y, z plane at x = a
     slab: Callable  # slab(c, xs, out): mask of violations over an x-slab
     planes: int  # plane buffers that ``row`` writes into
+    lemma: Callable | None = None  # lemma(S, law): True only once proved; see ``_proved``
 
 
-def _law(text: str, name: str | None = None) -> _Law:
+def _law(text: str, name: str | None = None, lemma: Callable | None = None) -> _Law:
     """Compile ``lhs = rhs``; its variables must be x, or x and y, or x, y and z."""
     lhs, rhs = _parse_equation(text)
     used = _variables(lhs) | _variables(rhs)
@@ -498,6 +500,7 @@ def _law(text: str, name: str | None = None) -> _Law:
         lambda c, x, out: np.not_equal(rl(c, x, out), rr(c, x, out)),
         lambda c, x, out: np.not_equal(sl(c, x, out), sr(c, x, out)),
         len(planes),
+        lemma,
     )
 
 
@@ -593,33 +596,15 @@ def _element_ids(S: FiniteSkewLattice, members: Iterable[int], op: str) -> tuple
     return ids
 
 
-# name -> laws; a named identity holds when all of its laws do
-_IDENTITY_LAWS = {
-    name: tuple(_law(text) for text in texts)
-    for name, texts in (
-        ("regular", ("x∧y∧x∧z∧x = x∧y∧z∧x", "x∨y∨x∨z∨x = x∨y∨z∨x")),
-        ("normal", ("x∧y∧z∧x = x∧z∧y∧x",)),
-        ("distributive", ("x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)")),
-        ("strongly_distributive", ("(x∨y)∧z = (x∧z)∨(y∧z)", "x∧(y∨z) = (x∧y)∨(x∧z)")),
-        ("left_handed", ("x∧y∧x = x∧y", "x∨y∨x = y∨x")),
-        ("right_handed", ("x∧y∧x = y∧x", "x∨y∨x = x∨y")),
-    )
-}
-
-IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
-
-# meet distributes over binary joins; ``frames.is_frame`` scans it on lattices
-_FRAME_LAW = _law("z∧(x∨y) = (z∧x)∨(z∧y)")
-
-
 # --- lemmas that prove an identity law holds without its n³ scan ----------------------
 #
-# Each lemma takes a valid structure S and one law, and returns True only
-# when it has proved that the law holds on S; False means only that its
-# premise fails, and the law is scanned.  The proofs use Leech's first
-# decomposition theorem (Leech 1989, Algebra Universalis 26): D is a
-# congruence and S/D is a lattice.  Below, a ≤ b is the natural order,
-# a = a∧b = b∧a, and x∧w∧x ≤ x for all x and w.
+# Each lemma takes a valid structure S and the law of ``_IDENTITY_LAWS``
+# that carries it, and returns True only when it has proved that the law
+# holds on S; False means only that its premise fails, and the law is
+# scanned.  The proofs use Leech's first decomposition theorem (Leech
+# 1989, Algebra Universalis 26): D is a congruence and S/D is a lattice.
+# Below, a ≤ b is the natural order, a = a∧b = b∧a, and x∧w∧x ≤ x for all
+# x and w.
 
 
 def _down_sets_commute(S: FiniteSkewLattice, law: _Law) -> bool:
@@ -682,9 +667,7 @@ def _distributive_meet_by_classes(S: FiniteSkewLattice, law: _Law) -> bool:
     if bad.size:
         a = int(bad[0])
         raise InternalConsistencyError(f"element {a} is not D-related to its class representative {int(reps[a])}")
-    used = np.zeros(S.order, dtype=bool)
-    used[reps] = True
-    return _scan(S, law, np.flatnonzero(used)) is None
+    return _scan(S, law, firsts) is None  # sorted: classes are numbered by their least member
 
 
 def _handed_distributivity(handedness: str, S: FiniteSkewLattice, law: _Law) -> bool:
@@ -700,31 +683,46 @@ def _handed_distributivity(handedness: str, S: FiniteSkewLattice, law: _Law) -> 
     return check_identity(S, handedness).ok and _proved(S, _IDENTITY_LAWS["distributive"][0])
 
 
-# law text -> the lemma that can prove it holds; ``_proved`` remembers its answer
-_LEMMAS = {
-    "x∧y∧z∧x = x∧z∧y∧x": _down_sets_commute,
-    "x∧y∧x∧z∧x = x∧y∧z∧x": _normal_gives_meet_regularity,
-    "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)": _distributive_meet_by_classes,
-    "(x∨y)∧z = (x∧z)∨(y∧z)": functools.partial(_handed_distributivity, "right_handed"),
-    "x∧(y∨z) = (x∧y)∨(x∧z)": functools.partial(_handed_distributivity, "left_handed"),
+# name -> laws, each with the lemma that can prove it; a named identity holds when all
+# of its laws do
+_IDENTITY_LAWS = {
+    name: tuple(_law(text, lemma=lemma) for text, lemma in laws)
+    for name, laws in (
+        ("regular", (("x∧y∧x∧z∧x = x∧y∧z∧x", _normal_gives_meet_regularity), ("x∨y∨x∨z∨x = x∨y∨z∨x", None))),
+        ("normal", (("x∧y∧z∧x = x∧z∧y∧x", _down_sets_commute),)),
+        ("distributive", (
+            ("x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", _distributive_meet_by_classes),
+            ("x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)", None),
+        )),
+        ("strongly_distributive", (
+            ("(x∨y)∧z = (x∧z)∨(y∧z)", functools.partial(_handed_distributivity, "right_handed")),
+            ("x∧(y∨z) = (x∧y)∨(x∧z)", functools.partial(_handed_distributivity, "left_handed")),
+        )),
+        ("left_handed", (("x∧y∧x = x∧y", None), ("x∨y∨x = y∨x", None))),
+        ("right_handed", (("x∧y∧x = y∧x", None), ("x∨y∨x = x∨y", None))),
+    )
 }
+
+IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
+
+# meet distributes over binary joins; ``frames.is_frame`` scans it on lattices
+_FRAME_LAW = _law("z∧(x∨y) = (z∧x)∨(z∧y)")
 
 
 def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
-    """Whether the lemma filed under ``law`` proves that it holds on S."""
-    lemma = _LEMMAS.get(law.text)
-    if lemma is None:
+    """Whether ``law.lemma`` proves that ``law`` holds on S; the verdict is memoised."""
+    if law.lemma is None:
         return False
     key = ("lemma", law.text)
     if key not in S._memo:
-        S._memo[key] = lemma(S, law)
+        S._memo[key] = law.lemma(S, law)
     return S._memo[key]
 
 
-def _identity_scan(S: FiniteSkewLattice, name: str, proved: Callable[[_Law], bool] = lambda law: False) -> Certificate:
-    """Scan the laws of ``name`` in order, skipping each law that ``proved`` says holds."""
+def _identity_scan(S: FiniteSkewLattice, name: str, lemmas: bool = False) -> Certificate:
+    """Scan the laws of ``name`` in order; with ``lemmas``, skip each law its lemma proves."""
     for law in _IDENTITY_LAWS[name]:
-        if proved(law):
+        if lemmas and _proved(S, law):
             continue
         w = _scan(S, law)
         if w is not None:
@@ -742,7 +740,7 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     pair together with the first bad tuple.
 
     The laws are scanned in that order, except that a law is skipped
-    when a lemma of ``_LEMMAS`` proves it holds, so the certificate is
+    when the lemma it carries proves it holds, so the certificate is
     the scan's.  Lemma E decides ``normal`` from the down-sets of the
     maximal elements; the scan runs only for a failure's witness.
     Lemma F: normal implies the meet law of ``regular``.  Lemma G: if S
@@ -756,7 +754,7 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     _require_valid(S, "check_identity")
     cache = S._memo
     if name not in cache:
-        cache[name] = _identity_scan(S, name, functools.partial(_proved, S))
+        cache[name] = _identity_scan(S, name, lemmas=True)
     return cache[name]
 
 
@@ -957,22 +955,20 @@ def subalgebra(S: FiniteSkewLattice, members: Iterable[int]) -> FiniteSkewLattic
     carried over when it belongs to the subset; labels follow the parent.
     """
     ids = _element_ids(S, members, "subalgebra")
-    index = {v: i for i, v in enumerate(ids)}
-    k = len(ids)
-    meet_rows = [[0] * k for _ in range(k)]
-    join_rows = [[0] * k for _ in range(k)]
-    for a in ids:
-        for b in ids:
-            for rows, table, opname in ((meet_rows, S.meet_table, "meet"), (join_rows, S.join_table, "join")):
-                v = table[a][b]
-                if v not in index:
-                    raise PreconditionError(f"subset not closed: {opname} of {a},{b} is {v}")
-                rows[index[a]][index[b]] = index[v]
+    index = np.full(S.order, -1, dtype=np.intp)  # position in the subset, -1 outside it
+    index[list(ids)] = np.arange(len(ids))
+    cells = np.ix_(ids, ids)
+    tables = [index[S._m[cells]], index[S._j[cells]]]
+    # first cell outside the subset, with ids in order and the meet before the join
+    w = _first_true(np.stack(tables, axis=-1) < 0)
+    if w is not None:
+        a, b, k = ids[w[0]], ids[w[1]], w[2]
+        raise PreconditionError(f"subset not closed: {('meet', 'join')[k]} of {a},{b} is {(S._m, S._j)[k][a, b]}")
     return FiniteSkewLattice(
-        order=k,
-        meet_table=meet_rows,
-        join_table=join_rows,
-        zero=index[S.zero] if S.zero is not None and S.zero in index else None,
+        order=len(ids),
+        meet_table=tables[0].tolist(),
+        join_table=tables[1].tolist(),
+        zero=int(index[S.zero]) if S.zero is not None and index[S.zero] >= 0 else None,
         labels=tuple(S.label(v) for v in ids) if S.labels is not None else None,
     )
 

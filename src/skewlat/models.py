@@ -44,7 +44,7 @@ from .core import (
     StructureError,
     _effective_cap,
     check_identity,
-    detect_zero,
+    green_d,
     is_commutative,
     lattice_from_order,
 )
@@ -499,21 +499,14 @@ def is_boolean_lattice(S: FiniteSkewLattice) -> bool:
     """
     if not S.validity.ok or not is_commutative(S):
         return False
-    m, j = S._m, S._j
-    bottom = detect_zero(S)
-    if bottom is None:
-        return False
-    tops = [t for t in range(S.order) if (m[:, t] == np.arange(S.order)).all()]
-    if len(tops) != 1:
-        return False
-    top = tops[0]
-    n = S.order
+    # a lattice's D-classes are singletons, and a finite one has a top and a bottom class
+    dp = green_d(S)
+    (bottom,), (top,) = dp.classes[dp.bottom_class], dp.classes[dp.top_class]
     # on a commutative structure both laws of the pair are x∧(y∨z) = (x∧y)∨(x∧z)
     if not check_identity(S, "strongly_distributive").ok:
         return False
-    return all(
-        any(m[x, y] == bottom and j[x, y] == top for y in range(n)) for x in range(n)
-    )
+    # every x has a complement y: x∧y = bottom and x∨y = top
+    return bool(((S._m == bottom) & (S._j == top)).any(axis=1).all())
 
 
 def diamond_m3() -> FiniteSkewLattice:

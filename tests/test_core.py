@@ -1,7 +1,9 @@
 """Axioms, identities, class structure and quotients on known structures."""
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -344,6 +346,48 @@ def test_subalgebra_requires_closure(p22):
 def test_subalgebra_keeps_labels(p22):
     sub = subalgebra(p22, [0, 1])
     assert sub.labels == ("{}", "{1:0}")
+
+
+def _subalgebra_by_loop(S, members):
+    """The cell-by-cell reference: the first cell that leaves the subset raises,
+    ids in order and the meet before the join."""
+    ids = sorted(set(members))
+    index = {v: i for i, v in enumerate(ids)}
+    k = len(ids)
+    meet_rows = [[0] * k for _ in range(k)]
+    join_rows = [[0] * k for _ in range(k)]
+    for a in ids:
+        for b in ids:
+            for rows, table, opname in ((meet_rows, S.meet_table, "meet"), (join_rows, S.join_table, "join")):
+                v = table[a][b]
+                if v not in index:
+                    return f"subset not closed: {opname} of {a},{b} is {v}"
+                rows[index[a]][index[b]] = index[v]
+    zero = index[S.zero] if S.zero is not None and S.zero in index else None
+    labels = tuple(S.label(v) for v in ids) if S.labels is not None else None
+    return FiniteSkewLattice(k, meet_rows, join_rows, zero=zero, labels=labels)
+
+
+def _subalgebra_or_error(S, members):
+    try:
+        return subalgebra(S, members)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_subalgebra_matches_the_loop(p22):
+    rng = random.Random(17)
+    cases = [(p22, rng.sample(range(p22.order), rng.randint(1, p22.order))) for _ in range(300)]
+    cases += [(S, rng.sample(range(S.order), rng.randint(1, S.order))) for S in _all_census() for _ in range(3)]
+    p42 = build_pfn_algebra(4, 2)
+    cases += [(p42, np.flatnonzero(p42._leq[:, a])) for a in range(p42.order)]
+    closed = 0
+    for S, members in cases:
+        got = _subalgebra_or_error(S, members)
+        assert got == _subalgebra_by_loop(S, members), (S, sorted(members))
+        closed += not isinstance(got, str)
+    # both outcomes are exercised
+    assert 100 < closed < len(cases) - 100, closed
 
 
 def test_restriction_picks_the_unique_lower_witness(p22):

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level private name goes unreferenced, and private names are
-imported only from ``core``."""
+no module-level private name goes unreferenced, private names are
+imported only from ``core``, and each law's text is written once."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import skewlat
+from skewlat import core
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skewlat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -140,3 +141,35 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"skewlat.{path.stem}")
         exported = getattr(module, "__all__", ())
         assert [name for name in exported if not hasattr(module, name)] == [], path.name
+
+
+def _repeated_laws(trees: dict[str, ast.Module]) -> list[str]:
+    # string constants that parse as a law, docstrings aside, written more than once
+    seen = defaultdict(list)
+    for module, tree in trees.items():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                try:
+                    core._parse_equation(node.value)
+                except ValueError:
+                    continue
+                seen[node.value].append(f"{module}:{node.lineno}")
+    return [f"{text} ({', '.join(where)})" for text, where in seen.items() if len(where) > 1]
+
+
+def test_each_law_text_is_written_once():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert _repeated_laws(trees) == []
+
+
+def test_the_scan_flags_a_repeated_law():
+    a = ast.parse(
+        '"""x∧y = y∧x is a docstring."""\n'
+        'LAWS = ("x∧y = y∧x", "x∨x = x", "not a law")\n'
+        'def f():\n    """x∨x = x"""\n    return "x ∨ x=x", "not a law"\n'
+    )
+    b = ast.parse('LAW = "x∧y = y∧x"\n')
+    assert _repeated_laws({"a.py": a, "b.py": b}) == ["x∧y = y∧x (a.py:2, b.py:1)"]
