@@ -117,6 +117,9 @@ class CensusFilter:
         unknown = [key for key in wants if key not in PREDICATES]
         if unknown:
             raise ValueError(f"unknown filter {unknown[0]!r}; known: {', '.join(sorted(PREDICATES))}")
+        for key, want in wants.items():
+            if not (want is None or isinstance(want, bool)):
+                raise ValueError(f"filter {key!r} wants {want!r}; use True, False or None")
         self._wants = {key: want for key, want in wants.items() if want is not None}
 
     def __repr__(self) -> str:

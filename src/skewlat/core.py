@@ -13,8 +13,9 @@ restrictions and homomorphisms.
 Elements are the positions ``0 .. order-1``; optional labels are for
 display only and never affect computation.  Every function of the
 package that takes element ids checks them with ``_element_ids``, so
-each id error reads the same way.  Construction only checks
-that the raw tables are well formed.  Whether the tables actually
+each id error reads the same way.  Construction only checks, in
+one vectorised pass, that the raw tables are well formed, and keeps
+them as the arrays every scan reads.  Whether the tables actually
 satisfy the skew lattice axioms is a separate, explicit question
 answered by :func:`validate_skew_axioms`; operations that need a valid
 structure check that verdict (cached on the instance) before working.
@@ -127,8 +128,27 @@ class Certificate:
 Table = tuple[tuple[int, ...], ...]
 
 
-def _freeze_table(rows: Iterable[Iterable[int]], order: int, which: str) -> Table:
-    table = tuple(tuple(map(int, row)) for row in rows)
+def _as_int(v: Any, what: str) -> int:
+    """``v`` as an ``int`` when ``operator.index`` accepts it; ``what`` names it in the error."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise StructureError(f"{what} is {v!r}, not an integer") from None
+
+
+def _table_array(rows: Any, order: int, which: str) -> np.ndarray:
+    """``rows`` as a read-only order×order intp array; errors name the first bad row or entry."""
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged rows, or a nested entry
+        arr = np.empty(0)
+    if arr.shape == (order, order) and arr.dtype.kind in "biu":
+        table = arr.astype(np.intp, copy=False)
+        if table.view(np.uintp).max() < order:  # a negative entry wraps to a huge one
+            table.flags.writeable = False
+            return table
+    # anything else is read cell by cell, to name the first fault
+    table = [[_as_int(v, f"{which} table entry at row {i}") for v in row] for i, row in enumerate(rows)]
     if len(table) != order:
         raise StructureError(f"{which} table has {len(table)} rows, expected {order}")
     for i, row in enumerate(table):
@@ -137,7 +157,7 @@ def _freeze_table(rows: Iterable[Iterable[int]], order: int, which: str) -> Tabl
         if min(row) < 0 or max(row) >= order:
             v = next(v for v in row if not 0 <= v < order)
             raise StructureError(f"{which} table entry {v} at row {i} is out of range 0..{order - 1}")
-    return table
+    return _table_array(table, order, which)
 
 
 def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
@@ -149,12 +169,18 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
 class FiniteSkewLattice:
     """Two total operation tables over the carrier ``0 .. order-1``.
 
+    A table is an iterable of rows of integers, or an integer or bool
+    ndarray; an entry counts as an integer when ``operator.index``
+    accepts it, so a float or a string is an error, not truncated.  The
+    constructor converts and checks each table once, into the read-only
+    intp array ``_m`` or ``_j`` that every scan reads, and renders
+    ``meet_table``/``join_table`` from it as tuples of ``int``.
+
     ``zero`` optionally names an element expected to absorb meets and be
     neutral for joins; the claim is verified during validation, not at
-    construction.  Derived data (numpy views, the validation verdict,
-    the D-partition, the natural order) is computed lazily and cached,
-    so the constructor stays cheap for search code that builds many
-    candidates.
+    construction.  The rest of the derived data (the validation verdict,
+    the D-partition, the natural order) is computed on first use and
+    cached.
     """
 
     order: int
@@ -164,12 +190,19 @@ class FiniteSkewLattice:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
+        try:
+            order = operator.index(self.order)
+        except TypeError:
+            order = 0
+        if order < 1 or isinstance(self.order, bool):
             raise StructureError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "meet_table", _freeze_table(self.meet_table, self.order, "meet"))
-        object.__setattr__(self, "join_table", _freeze_table(self.join_table, self.order, "join"))
+        object.__setattr__(self, "order", order)
+        for which in ("meet", "join"):
+            arr = _table_array(getattr(self, f"{which}_table"), order, which)
+            object.__setattr__(self, f"_{which[0]}", arr)
+            object.__setattr__(self, f"{which}_table", tuple(map(tuple, arr.tolist())))
         if self.zero is not None:
-            z = int(self.zero)
+            z = _as_int(self.zero, "zero id")
             if not 0 <= z < self.order:
                 raise StructureError(f"zero id {z} is out of range 0..{self.order - 1}")
             object.__setattr__(self, "zero", z)
@@ -190,18 +223,6 @@ class FiniteSkewLattice:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
-
-    @cached_property
-    def _m(self) -> np.ndarray:
-        arr = np.asarray(self.meet_table, dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def _j(self) -> np.ndarray:
-        arr = np.asarray(self.join_table, dtype=np.intp)
-        arr.flags.writeable = False
-        return arr
 
     @cached_property
     def _tables(self) -> "_Tables":
@@ -299,7 +320,7 @@ class Homomorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple(_as_int(v, f"mapping image of {i}") for i, v in enumerate(self.mapping))
         if len(mapping) != self.source.order:
             raise StructureError(f"mapping has {len(mapping)} entries for source order {self.source.order}")
         for i, v in enumerate(mapping):
@@ -873,7 +894,7 @@ def quotient(S: FiniteSkewLattice) -> QuotientLattice:
         raise InternalConsistencyError(
             f"quotient {('meet', 'join')[k]} not well defined on classes {a},{b}: got classes {vals.tolist()}"
         )
-    meet_rows, join_rows = (img[np.ix_(reps, reps)].tolist() for img in images)
+    meet_rows, join_rows = (img[np.ix_(reps, reps)] for img in images)
     lat = FiniteSkewLattice(
         order=q,
         meet_table=meet_rows,
@@ -966,8 +987,8 @@ def subalgebra(S: FiniteSkewLattice, members: Iterable[int]) -> FiniteSkewLattic
         raise PreconditionError(f"subset not closed: {('meet', 'join')[k]} of {a},{b} is {(S._m, S._j)[k][a, b]}")
     return FiniteSkewLattice(
         order=len(ids),
-        meet_table=tables[0].tolist(),
-        join_table=tables[1].tolist(),
+        meet_table=tables[0],
+        join_table=tables[1],
         zero=int(index[S.zero]) if S.zero is not None and index[S.zero] >= 0 else None,
         labels=tuple(S.label(v) for v in ids) if S.labels is not None else None,
     )

@@ -154,9 +154,7 @@ def build_pfn_algebra(
     labels = tuple(
         "{" + ",".join(f"{x}:{v - 1}" for x, v in enumerate(row) if v) + "}" for row in digits.tolist()
     )
-    return FiniteSkewLattice(
-        order=order, meet_table=meet.tolist(), join_table=join.tolist(), zero=0, labels=labels
-    )
+    return FiniteSkewLattice(order=order, meet_table=meet, join_table=join, zero=0, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -561,3 +561,11 @@ def test_unknown_predicate_is_reported():
         search_counterexample(2, "validated", "frobnicates")
     with pytest.raises(ValueError, match="unknown filter 'frobnicates'; known: .*join_complete"):
         CensusFilter(frobnicates=True)
+
+
+def test_census_filter_wants_true_false_or_none():
+    with pytest.raises(ValueError, match=r"^filter 'normal' wants 'yes'; use True, False or None$"):
+        CensusFilter(normal="yes")
+    with pytest.raises(ValueError, match=r"^filter 'normal' wants 1; use True, False or None$"):
+        CensusFilter(left_handed=True, normal=1)
+    assert repr(CensusFilter(normal=True, left_handed=None)) == "CensusFilter(**{'normal': True})"

@@ -46,8 +46,15 @@ def _all_census(max_order=4):
 # --- construction and validation ------------------------------------------
 
 def test_rejects_nonsquare_table():
-    with pytest.raises(StructureError):
-        FiniteSkewLattice(2, ((0, 0), (1,)), ((0, 1), (0, 1)))
+    J = ((0, 1), (0, 1))
+    cases = [
+        (((0, 0), (1,)), r"meet table row 1 has 1 entries, expected 2"),  # ragged: the row is named
+        (((0, 0),), r"meet table has 1 rows, expected 2"),
+        (np.zeros((2, 3), dtype=int), r"meet table row 0 has 3 entries, expected 2"),
+    ]
+    for meet, message in cases:
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            FiniteSkewLattice(2, meet, J)
 
 
 def test_rejects_out_of_range_entry():
@@ -56,11 +63,34 @@ def test_rejects_out_of_range_entry():
     # the first bad entry in row-major order is named, whichever side of the range it is on
     with pytest.raises(StructureError, match=r"^join table entry -1 at row 1 is out of range 0\.\.2$"):
         FiniteSkewLattice(3, ((0, 0, 0), (0, 1, 1), (0, 1, 2)), ((0, 1, 2), (1, -1, 7), (2, 9, 2)))
+    # an entry is an integer when operator.index takes it, or a cell of an integer or bool array;
+    # anything else is named as given, never truncated or parsed
+    J = ((0, 1), (1, 1))
+    cases = [
+        (((0, 2**70), (0, 1)), r"meet table entry 1180591620717411303424 at row 0 is out of range 0\.\.1"),
+        (((0, 2**63), (0, 1)), r"meet table entry 9223372036854775808 at row 0 is out of range 0\.\.1"),
+        (np.array([[0, 0], [200, 1]], dtype=np.uint8), r"meet table entry 200 at row 1 is out of range 0\.\.1"),
+        (np.array([[0, 2**64 - 1], [0, 1]], dtype=np.uint64),
+         r"meet table entry 18446744073709551615 at row 0 is out of range 0\.\.1"),
+        (np.array([[0, 0], [0, -1]]), r"meet table entry -1 at row 1 is out of range 0\.\.1"),
+        (((0, 0.7), (0, 1)), r"meet table entry at row 0 is 0\.7, not an integer"),
+        (((0, 0), ("1", 1)), r"meet table entry at row 1 is '1', not an integer"),
+        (((0, None), (0, 1)), r"meet table entry at row 0 is None, not an integer"),
+        (((0, (1, 2)), (0, 1)), r"meet table entry at row 0 is \(1, 2\), not an integer"),
+        (((0, [1]), (0, [1])), r"meet table entry at row 0 is \[1\], not an integer"),
+        (np.array([[0.0, 0.0], [0.0, 1.0]]), r"meet table entry at row 0 is np\.float64\(0\.0\), not an integer"),
+    ]
+    for meet, message in cases:
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            FiniteSkewLattice(2, meet, J)
 
 
 def test_rejects_zero_out_of_range():
     with pytest.raises(StructureError):
         FiniteSkewLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), zero=5)
+    for zero in (0.7, "0"):
+        with pytest.raises(StructureError, match=f"^zero id is {zero!r}, not an integer$"):
+            FiniteSkewLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), zero=zero)
 
 
 def test_rejects_wrong_label_count():
@@ -68,9 +98,36 @@ def test_rejects_wrong_label_count():
         FiniteSkewLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), labels=("only one",))
 
 
+def test_order_is_a_positive_integer_and_not_a_bool():
+    for order in (0, -1, 2.0, "2", True, None):
+        M = ((0,),) if order is True else ((0, 0), (0, 1))
+        with pytest.raises(StructureError, match=r"^order must be a positive integer, got "):
+            FiniteSkewLattice(order, M, M)
+    S = FiniteSkewLattice(np.int64(2), ((0, 0), (0, 1)), ((0, 1), (1, 1)), zero=np.int64(0))
+    assert type(S.order) is int and type(S.zero) is int and repr(S) == "FiniteSkewLattice(order=2, zero=0)"
+
+
 def test_tables_are_frozen_tuples(chain2):
-    assert isinstance(chain2.meet_table, tuple)
-    assert all(isinstance(row, tuple) for row in chain2.meet_table)
+    M, J = chain2.meet_table, chain2.join_table
+    kinds = {
+        "tuple rows": lambda T: T,
+        "list rows": lambda T: [list(row) for row in T],
+        "generator of rows": lambda T: (iter(row) for row in T),
+        "int64 array": lambda T: np.array(T, dtype=np.int64),
+        "uint8 array": lambda T: np.array(T, dtype=np.uint8),
+        "intp array": lambda T: np.array(T, dtype=np.intp),
+    }
+    for kind, make in kinds.items():
+        meet, join = make(M), make(J)
+        S = FiniteSkewLattice(chain2.order, meet, join, zero=chain2.zero)
+        assert S == chain2 and hash(S) == hash(chain2), kind
+        assert isinstance(S.meet_table, tuple), kind
+        assert all(isinstance(row, tuple) and all(type(v) is int for v in row) for row in S.meet_table), kind
+        assert S.meet_table == tuple(map(tuple, S._m.tolist())), kind
+        assert S.join_table == tuple(map(tuple, S._j.tolist())), kind
+        assert not S._m.flags.writeable and not S._j.flags.writeable and S._m.dtype == np.intp, kind
+        if isinstance(meet, np.ndarray):  # the caller's array is copied, not frozen or shared
+            assert meet.flags.writeable and not np.shares_memory(meet, S._m), kind
 
 
 # --- axiom scan ------------------------------------------------------------
@@ -414,6 +471,9 @@ def test_restriction_needs_comparable_classes(p22):
 def test_homomorphism_mapping_is_range_checked(chain2, b2):
     with pytest.raises(StructureError):
         Homomorphism(chain2, b2, (0, 9))
+    with pytest.raises(StructureError, match=r"^mapping image of 1 is 0\.5, not an integer$"):
+        Homomorphism(chain2, b2, (0, 0.5))
+    assert Homomorphism(chain2, b2, np.array([0, 3])).mapping == (0, 3)
 
 
 def test_broken_map_is_rejected(chain2):
