@@ -43,6 +43,7 @@ from .core import (
     PreconditionError,
     Table,
     _effective_cap,
+    _zero_of,
     check_identity,
     check_lemma_reg,
     check_symmetric,
@@ -433,8 +434,7 @@ def enumerate_skew_lattices(
     if order > cap:
         raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
     for cf in sorted(_census_forms(order, filt)):
-        bare = FiniteSkewLattice(order, cf.meet_table, cf.join_table)
-        yield FiniteSkewLattice(order, cf.meet_table, cf.join_table, zero=detect_zero(bare))
+        yield FiniteSkewLattice(order, cf.meet_table, cf.join_table, zero=_zero_of(cf.meet_table, cf.join_table))
 
 
 # --- independent cross-check construction --------------------------------

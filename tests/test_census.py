@@ -253,6 +253,20 @@ def test_zero_is_attached_when_present(census_all):
         assert S.zero == detect_zero(S)
 
 
+def test_the_census_builds_each_class_once_with_its_zero(monkeypatch):
+    # the zero is read off the canonical tables, so yielding a class builds one structure
+    built = []
+    init = FiniteSkewLattice.__post_init__
+    monkeypatch.setattr(FiniteSkewLattice, "__post_init__", lambda self: built.append(self) or init(self))
+    stream = enumerate_skew_lattices(5, order_cap=5)
+    classes = [next(stream)]  # the whole search runs before the first class is yielded
+    built.clear()
+    classes += list(stream)
+    assert built == classes[1:]
+    assert all(S.zero == detect_zero(S) for S in classes)
+    assert sum(S.zero is not None for S in classes) > 5
+
+
 def test_census_is_closed_under_mirroring(census_to_order_five):
     for n, block in census_to_order_five.items():
         forms = {canonicalize(S) for S in block}

@@ -1,4 +1,4 @@
-"""Lemmas E to H against the law scans they skip.
+"""Lemmas E to J against the law scans they skip.
 
 Each law of ``core._IDENTITY_LAWS`` may carry a lemma; ``check_identity``
 skips a law when its lemma proves that it holds, and scans the rest in
@@ -10,15 +10,32 @@ the caches a lemma could read are corrupted: the natural order, which
 no lemma reads, and the D-partition, whose representatives Lemma G
 checks on the tables.  Each verdict must then equal a fresh
 structure's or raise ``InternalConsistencyError``.
+
+Lemma J scans a law with one variable drawn from a generating set.  The
+generating set is checked on its own, on valid and on non-associative
+tables; the closure the lemma's proof claims is brute-forced on the
+whole cube; and the restricted scan, called directly, must agree with
+the full one on every structure of the set.  At order 81 and above,
+where ``check_identity`` and the axiom scan use it, their certificates
+must be the plain scans'.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from skewlat import core
 from skewlat.census import enumerate_skew_lattices
-from skewlat.core import FiniteSkewLattice, IDENTITY_NAMES, InternalConsistencyError, check_identity, green_d
+from skewlat.core import (
+    Certificate,
+    FiniteSkewLattice,
+    IDENTITY_NAMES,
+    InternalConsistencyError,
+    check_identity,
+    green_d,
+    validate_skew_axioms,
+)
 from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
 
 from test_bitset_order import _perturbed
@@ -72,6 +89,7 @@ def test_each_lemma_is_carried_by_its_law():
         "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)": "Lemma G",
         "(x∨y)∧z = (x∧z)∨(y∧z)": "Lemma H right_handed",
         "x∧(y∨z) = (x∧y)∨(x∧z)": "Lemma H left_handed",
+        "x∨y∨x∨z∨x = x∨y∨z∨x": "Lemma I",
     }
     assert all(law.lemma is None for law in core._AXIOM_LAWS + (core._FRAME_LAW,))
 
@@ -94,7 +112,8 @@ def test_lemma_verdicts_match_the_scans(oracle_set):
 
 
 def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monkeypatch):
-    # P(3,2) is normal, left-handed, distributive and strongly distributive
+    # P(3,2) is normal, left-handed, distributive and strongly distributive; at
+    # order 27 Lemma J does not run, so the two laws it covers here are scanned
     S = build_pfn_algebra(3, 2)
     assert S.validity.ok
     cube = []
@@ -108,12 +127,11 @@ def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monk
     monkeypatch.setattr(core, "_scan", traced)
     assert all(check_identity(S, name).ok for name in ("regular", "normal", "distributive", "strongly_distributive"))
     assert cube == [
-        "x∨y∨x∨z∨x = x∨y∨z∨x",
+        "x∧y∧x = x∧y",  # left_handed, asked by Lemma I for the join law of regular
+        "x∨y∨x = y∨x",
         "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)",
         "x∧y∧x = y∧x",  # right_handed, asked by Lemma H for the first strong law
         "(x∨y)∧z = (x∧z)∨(y∧z)",
-        "x∧y∧x = x∧y",
-        "x∨y∨x = y∨x",
     ]
 
 
@@ -164,3 +182,189 @@ def test_the_representative_check_names_the_element():
     T = _with_partition(diamond_m3(), [tuple(range(5))])
     with pytest.raises(InternalConsistencyError, match=r"^element 1 is not D-related to its class representative 0$"):
         check_identity(T, "distributive")
+
+
+# --- Lemma J: one variable over a generating set -----------------------------------
+
+GEN_LAWS = [law for law in core._AXIOM_LAWS + tuple(law for laws in core._IDENTITY_LAWS.values() for law in laws)
+            if law.gen is not None]
+
+
+def _gen_text(law):
+    var, op = law.gen
+    return "xyz"[var] + "∧∨"[op]
+
+
+def _closure(T, gens):
+    # the least set holding ``gens`` and closed under the table ``T``
+    inside = set(gens)
+    while True:
+        new = {T[a][b] for a in inside for b in inside} - inside
+        if not new:
+            return inside
+        inside |= new
+
+
+def _restricted(S, law):
+    ids = [None] * law.arity
+    ids[law.gen[0]] = core._generators(S, law.gen[1])
+    return tuple(ids)
+
+
+def _cube(S, law):
+    # the violation mask of ``law`` over the whole n³ cube, from the slab evaluator
+    return law.slab(S._tables, np.arange(S.order).reshape(-1, 1, 1), None)
+
+
+def _with_cells_changed(S, rng, cells):
+    tables = [[list(row) for row in S.meet_table], [list(row) for row in S.join_table]]
+    for _ in range(cells):
+        w, a, b = rng.randrange(2), rng.randrange(S.order), rng.randrange(S.order)
+        tables[w][a][b] = rng.randrange(S.order)
+    return FiniteSkewLattice(S.order, *tables)
+
+
+@pytest.fixture(scope="module")
+def perturbed_set(oracle_set):
+    # tables with a few cells changed: mostly neither associative nor a skew lattice
+    rng = random.Random(19)
+    return tuple(_with_cells_changed(S, rng, k) for S in oracle_set if 1 < S.order <= 27 for k in (1, 3))
+
+
+def test_the_laws_that_name_a_variable_and_an_operation():
+    assert {law.text: _gen_text(law) for law in GEN_LAWS} == {
+        "(x∧y)∧z = x∧(y∧z)": "y∧",
+        "(x∨y)∨z = x∨(y∨z)": "y∨",
+        "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)": "z∨",
+        "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)": "z∧",
+        "(x∨y)∧z = (x∧z)∨(y∧z)": "x∨",
+        "x∧(y∨z) = (x∧y)∨(x∧z)": "z∨",
+    }
+    assert core._FRAME_LAW.gen is None
+
+
+def test_the_generating_set_generates_and_holds_every_irreducible(oracle_set, perturbed_set):
+    sizes = []
+    for S in oracle_set + perturbed_set:
+        for op, T in enumerate((S._m, S._j)):
+            G = core._generators(S, op)
+            assert G.tolist() == sorted(set(G.tolist())) and G.dtype == np.intp
+            rows = T.tolist()
+            assert _closure(rows, G.tolist()) == set(range(S.order)), (S.meet_table, S.join_table, op)
+            # an element that is no product a∘b with a, b ≠ it cannot be generated
+            for c in range(S.order):
+                others = np.delete(np.delete(T, c, axis=0), c, axis=1)
+                assert (others == c).any() or c in G, (S.meet_table, S.join_table, op, c)
+            sizes.append(len(G) / S.order)
+    assert min(sizes) < 0.2  # the greedy order finds small sets on the large structures
+
+
+def test_the_generating_set_is_memoised_per_operation(p22):
+    S = FiniteSkewLattice(p22.order, p22.meet_table, p22.join_table)
+    meet, join = core._generators(S, 0), core._generators(S, 1)
+    assert core._generators(S, 0) is meet and core._generators(S, 1) is join
+    assert meet.tolist() != join.tolist()
+
+
+def test_where_each_law_holds_is_closed_under_its_operation(oracle_set, perturbed_set):
+    # the closure step of each proof: the values of the law's variable at which
+    # it holds for all values of the others are closed under its operation; on
+    # valid structures for every law, on any table for the two associativity laws
+    proper = {law.text: 0 for law in GEN_LAWS}
+    for S in oracle_set + perturbed_set:
+        valid = S.validity.ok
+        for law in GEN_LAWS:
+            if not valid and law not in core._AXIOM_LAWS:
+                continue
+            var, op = law.gen
+            bad = _cube(S, law).any(axis=tuple(a for a in range(3) if a != var))
+            holds = np.flatnonzero(~bad)
+            T = (S._m, S._j)[op]
+            assert not bad[T[np.ix_(holds, holds)]].any(), (law.text, S.meet_table, S.join_table)
+            proper[law.text] += 0 < holds.size < S.order
+    # each law holds on a proper, nonempty subset of the carrier often enough
+    assert all(count > 5 for count in proper.values()), proper
+
+
+def test_the_restricted_scan_agrees_with_the_full_scan(oracle_set, perturbed_set):
+    failed = {law.text: 0 for law in GEN_LAWS}
+    for S in oracle_set + perturbed_set:
+        valid = S.validity.ok
+        for law in GEN_LAWS:
+            if not valid and law not in core._AXIOM_LAWS:
+                continue
+            full = core._scan(S, law)
+            w = core._scan(S, law, _restricted(S, law))
+            assert (w is None) == (full is None), (law.text, S.meet_table, S.join_table)
+            if w is not None:
+                assert _cube(S, law)[w], (law.text, w)  # the restricted witness is a violation
+                failed[law.text] += 1
+    assert all(count > 5 for count in failed.values()), failed
+
+
+def _product(A, B):
+    # the direct product, (a, b) numbered a·|B| + b: a skew lattice when A and B are,
+    # and an identity holds on it iff it holds on both factors
+    k = B.order
+
+    def table(t, u):
+        return (t[:, None, :, None] * k + u[None, :, None, :]).reshape(A.order * k, A.order * k)
+
+    return FiniteSkewLattice(A.order * k, table(A._m, B._m), table(A._j, B._j))
+
+
+def _plain_axioms(S):
+    for law in core._AXIOM_LAWS:
+        w = core._scan(S, law)
+        if w is not None:
+            return Certificate(False, "skew lattice axioms", (law.name, w))
+    return Certificate(True, "skew lattice axioms")
+
+
+@pytest.fixture(scope="module")
+def row_regime_set(census_by_order):
+    # P(4,2) (order 81), twelve copies with one cell changed, and P(3,2) times
+    # each skew lattice of order 3 and M3 (orders 81 and 135), some of which
+    # fail the laws of Lemma J
+    P = build_pfn_algebra(4, 2)
+    rng = random.Random(81)
+    mutants = [_with_cells_changed(P, rng, 1) for _ in range(12)]
+    P32 = build_pfn_algebra(3, 2)
+    products = [_product(P32, X) for X in census_by_order[3] + (diamond_m3(),)]
+    products += [_product(X, P32) for X in census_by_order[3]]
+    return (P, *mutants, *products)
+
+
+def test_row_regime_certificates_are_the_plain_scans(row_regime_set, monkeypatch):
+    decided = []
+    lemma_j = core._holds_on_generators
+
+    def traced(S, law):
+        verdict = lemma_j(S, law)
+        if law.gen is not None:
+            decided.append((law.text, verdict))
+        return verdict
+
+    monkeypatch.setattr(core, "_holds_on_generators", traced)
+    failing = set()
+    for S in row_regime_set:
+        assert core._SLAB_CELLS // S.order ** 2 <= 1  # the row regime, where Lemma J runs
+        T = _fresh(S)
+        assert validate_skew_axioms(T) == _plain_axioms(_fresh(S))
+        if not T.validity.ok:
+            failing.add(T.validity.witness[0])
+            continue
+        got = [check_identity(T, name) for name in IDENTITY_NAMES]
+        assert got == [core._identity_scan(_fresh(S), name) for name in IDENTITY_NAMES]
+        failing |= {cert.witness[0] for cert in got if not cert.ok}
+        # called directly, the lemma proves exactly the laws that hold
+        for law in GEN_LAWS:
+            assert lemma_j(T, law) == (core._scan(T, law) is None), law.text
+    assert {"meet associativity", "join associativity"} <= failing
+    assert {"x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", "(x∨y)∧z = (x∧z)∨(y∧z)", "x∧(y∨z) = (x∧y)∨(x∧z)"} <= failing
+    # inside the axiom scan and check_identity, every law of Lemma J was both proved
+    # and left to its full scan, apart from the distributive join law, which only
+    # runs once the meet law holds and then holds too
+    assert {text for text, proved in decided if proved} == {law.text for law in GEN_LAWS}
+    assert {text for text, proved in decided if not proved} == {law.text for law in GEN_LAWS} - {
+        "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)"}

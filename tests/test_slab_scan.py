@@ -347,7 +347,8 @@ def test_compiled_laws_match_the_plain_evaluator(slab, monkeypatch):
 
 @pytest.mark.parametrize("slab", SLAB_SIZES)
 def test_a_scan_over_an_index_subset_matches_a_loop_over_it(slab, monkeypatch):
-    # the first violation with every variable drawn from a sorted subset of the carrier
+    # the first violation with each variable drawn from its own sorted subset of the
+    # carrier, or from the carrier (None)
     if slab is not None:
         monkeypatch.setattr(core, "_SLAB_CELLS", slab)
     laws = [core._law(text) for text in LAW_TEXTS]
@@ -358,10 +359,12 @@ def test_a_scan_over_an_index_subset_matches_a_loop_over_it(slab, monkeypatch):
             tables = [[[rng.randrange(n) if rng.random() < 0.2 else max(a, b) for b in range(n)] for a in range(n)]
                       for _ in range(2)]
             S = FiniteSkewLattice(n, *tables)
-            ids = sorted(rng.sample(range(n), rng.randint(1, n)))
+            ids = [sorted(rng.sample(range(n), rng.randint(1, n))) if rng.random() < 0.8 else None for _ in range(3)]
             for law in laws:
-                want = next((p for p in itertools.product(ids, repeat=law.arity) if _violated(S, law.text, p)), None)
-                assert core._scan(S, law, np.array(ids, dtype=np.intp)) == want, (law.text, ids)
+                drawn = [range(n) if v is None else v for v in ids[:law.arity]]
+                want = next((p for p in itertools.product(*drawn) if _violated(S, law.text, p)), None)
+                vectors = tuple(None if v is None else np.array(v, dtype=np.intp) for v in ids[:law.arity])
+                assert core._scan(S, law, vectors) == want, (law.text, ids)
                 violated += want is not None
     assert violated > 100
 
