@@ -35,6 +35,8 @@ import re
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     FiniteSkewLattice,
     IDENTITY_NAMES,
@@ -102,27 +104,40 @@ def _scan_line(raw: str, lineno: int) -> list[tuple[int, str, bool]]:
 class _Tokens:
     """The token texts of a structure file and a read position.
 
-    Tokens are plain strings, with the indices of the quoted ones in a
-    set; a token's line and column are worked out only when an error
-    names it, by rescanning its line.
+    Lines are split into tokens only when the read position reaches them,
+    and a table laid out as whole lines of digits is decoded from the
+    text without being split (``take_table``).  Tokens are plain strings,
+    with the indices of the quoted ones in a set; a token's line and
+    column are worked out only when an error names it, by rescanning its
+    line.
     """
 
     def __init__(self, text: str):
         self.lines = text.splitlines()
+        # only a line holding a quote can fail to split; each is scanned now, so
+        # the first such fault in the file is raised before any other
+        self.scanned = {i: _scan_line(raw, i + 1) for i, raw in enumerate(self.lines) if '"' in raw}
         self.words: list[str] = []
         self.quoted: set[int] = set()
-        self.line_first: list[int] = []  # index of each line's first token
+        self.line_first: list[int] = []  # index of each line's first token, for the lines passed so far
         self.pos = 0
+
+    def more(self) -> bool:
+        """Whether a token is left at the read position, splitting lines up to it."""
         words = self.words
-        for lineno, raw in enumerate(self.lines, start=1):
+        while self.pos == len(words):
+            i = len(self.line_first)
+            if i == len(self.lines):
+                return False
             self.line_first.append(len(words))
-            if '"' not in raw:
-                words += _WORD.findall(raw.partition("#")[0])
+            if i not in self.scanned:
+                words += _WORD.findall(self.lines[i].partition("#")[0])
                 continue
-            for _, word, quoted in _scan_line(raw, lineno):
+            for _, word, quoted in self.scanned[i]:
                 if quoted:
                     self.quoted.add(len(words))
                 words.append(word)
+        return True
 
     def error(self, message: str, k: int) -> ParseError:
         line = bisect.bisect_right(self.line_first, k)
@@ -130,17 +145,18 @@ class _Tokens:
         return ParseError(message, line, col)
 
     def at_word(self, word: str) -> bool:
-        k = self.pos
-        return k < len(self.words) and self.words[k] == word and k not in self.quoted
+        return self.more() and self.words[self.pos] == word and self.pos not in self.quoted
 
     def take(self, what: str) -> int:
-        k = self.pos
-        if k >= len(self.words):
-            if not self.words:
-                raise ParseError(f"expected {what}, got end of file", 1, 1)
-            raise self.error(f"expected {what}, got end of file", len(self.words) - 1)
+        if not self.more():
+            # at the file's last token, which may sit in a table decoded unsplit
+            for line in range(len(self.lines), 0, -1):
+                found = _scan_line(self.lines[line - 1], line)
+                if found:
+                    raise ParseError(f"expected {what}, got end of file", line, found[-1][0])
+            raise ParseError(f"expected {what}, got end of file", 1, 1)
         self.pos += 1
-        return k
+        return self.pos - 1
 
     def expect_word(self, word: str) -> None:
         k = self.take(f"'{word}'")
@@ -160,19 +176,25 @@ class _Tokens:
         return value
 
     def take_table(self, what: str, order: int) -> Table:
-        """The next order² tokens as a table, decoded in one step; on any
-        fault the entries are retaken one by one, which raises at the first."""
-        lo, hi = self.pos, self.pos + order * order
-        try:
-            values = list(map(int, self.words[lo:hi]))
-        except ValueError:
-            values = []
-        if len(values) < order * order or min(values) < 0 or max(values) >= order or any(
-            lo <= k < hi for k in self.quoted
-        ):
-            return tuple(tuple(self.take_int(what, 0, order - 1) for _ in range(order)) for _ in range(order))
-        self.pos = hi
-        return tuple(tuple(values[i:i + order]) for i in range(0, hi - lo, order))
+        """The next order² entries as a table.
+
+        When the read position ends its line and the next ``order`` lines
+        hold only digits and blanks, they are decoded in one numpy call,
+        and taken if they hold exactly order² entries, each below
+        ``order``.  An entry too large for an intp saturates, so it fails
+        that test too.  Anything else is taken entry by entry, which
+        raises at the first fault.
+        """
+        first = len(self.line_first)
+        if self.pos == len(self.words) and first + order <= len(self.lines):
+            block = "\n".join(self.lines[first : first + order])
+            # digits and blanks only, and at least one digit: np.fromstring reads a blank block as [0]
+            if block.encode().translate(None, b" \t\n").isdigit():
+                values = np.fromstring(block, dtype=np.intp, sep=" ")
+                if values.size == order * order and values.max() < order:
+                    self.line_first += [len(self.words)] * order  # lines passed, no tokens split
+                    return tuple(map(tuple, values.reshape(order, order).tolist()))
+        return tuple(tuple(self.take_int(what, 0, order - 1) for _ in range(order)) for _ in range(order))
 
 
 @dataclass(frozen=True)
@@ -222,7 +244,7 @@ def parse(text: str) -> StructureFile:
                 raise toks.error(f"labels must be quoted, got {toks.words[k]!r}", k)
             got.append(toks.words[k])
         labels = tuple(got)
-    if toks.pos < len(toks.words):
+    if toks.more():
         raise toks.error(f"unexpected token {toks.words[toks.pos]!r}", toks.pos)
     return StructureFile(order, tables[0], tables[1], zero=zero, labels=labels)
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import skewlat
 from skewlat.census import canonicalize, enumerate_skew_lattices
+from skewlat import cli
 from skewlat.cli import FORMAT_TAG, FORMAT_VERSION, ParseError, StructureFile, emit, entry, main, parse
 from skewlat.core import FiniteSkewLattice, Table, check_symmetric
 from skewlat.models import build_pfn_algebra, diamond_m3, om_window
@@ -334,6 +335,69 @@ def test_bulk_parse_matches_the_reference_on_valid_layouts(case):
 def test_bulk_parse_matches_the_reference_on_corrupted_tokens(case):
     _, text = case
     assert _outcome(parse, text) == _outcome(_parse_oracle, text)
+
+
+# --- the layout emit writes, where each table is decoded from its lines unsplit ------
+
+_P22_TEXT = emit(build_pfn_algebra(2, 2))
+# 2**64 + 3: as a uint64 it would wrap to 3, a valid entry; it must be out of range
+_HUGE = "18446744073709551619"
+
+
+def _cell_edited(text: str, section: str, bad: str | None) -> str:
+    """``text`` with one cell of the table ``section`` (row 4, column 3) corrupted as in ``_CORRUPTIONS``."""
+    lines = text.split("\n")
+    at = lines.index(section) + 5
+    cells = lines[at].split(" ")
+    if bad is None:
+        del cells[3]
+    elif bad == "extra":
+        cells.insert(3, "0")
+    else:
+        cells[3] = str(len(cells)) if bad == "~n" else bad
+    lines[at] = " ".join(cells)
+    return "\n".join(lines)
+
+
+def _rows_edited(text: str, edit) -> str:
+    """``text`` with ``edit`` applied to every table row, the lines of digits and spaces."""
+    return "\n".join(edit(line) if line[:1].isdigit() and " " in line else line for line in text.split("\n"))
+
+
+_EMITTED_CASES = {
+    **{f"{section} {bad!r}": _cell_edited(_P22_TEXT, section, bad)
+       for bad in (*_CORRUPTIONS, _HUGE) for section in ("meet", "join")},
+    "valid": _P22_TEXT,
+    "tab-separated rows": _rows_edited(_P22_TEXT, lambda line: line.replace(" ", "\t")),
+    "blanks around rows": _rows_edited(_P22_TEXT, lambda line: f" \t{line}  "),
+    "a comment after each table": _P22_TEXT.replace("\njoin\n", "\n# the join table\njoin\n").replace(
+        "\nlabels\n", "\n# labels follow\nlabels\n"),
+    "a comment after the section word": _P22_TEXT.replace("\nmeet\n", "\nmeet # rows are x\n"),
+    "ends after the meet table": _P22_TEXT.split("join\n")[0],
+    "ends after the meet table, no newline": _P22_TEXT.split("\njoin\n")[0],
+    "ends after the join table": _P22_TEXT.split("labels\n")[0],
+    "ends after the join table and a comment": _P22_TEXT.split("labels\n")[0] + "# end\n",
+    "a blank line inside a table": _P22_TEXT.replace("\n0 1 1 3 4 4 3 4 4\n", "\n\n0 1 1 3 4 4 3 4 4\n"),
+    "a row split in two": _P22_TEXT.replace("\n0 1 1 3 4 4 3 4 4\n", "\n0 1 1 3\n4 4 3 4 4\n"),
+    "a table one row short": _P22_TEXT.replace("\n0 1 1 3 4 4 3 4 4\n", "\n"),
+    "a blank line for a one-element table": "skewlat 1\nn 1\nmeet\n \n0\njoin\n0\n",
+    "a one-element table": "skewlat 1\nn 1\nmeet\n0\njoin\n0\n",
+    "leading zeros": _rows_edited(_P22_TEXT, lambda line: line.replace("1", "001")),
+}
+
+
+@pytest.mark.parametrize("text", _EMITTED_CASES.values(), ids=_EMITTED_CASES.keys())
+def test_emitted_layout_matches_the_reference(text):
+    assert _outcome(parse, text) == _outcome(_parse_oracle, text)
+
+
+def test_emitted_tables_are_decoded_without_splitting(monkeypatch):
+    # in the layout emit writes, the one-by-one path reads only the order and the zero
+    took = []
+    take_int = cli._Tokens.take_int
+    monkeypatch.setattr(cli._Tokens, "take_int", lambda self, what, lo, hi: took.append(what) or take_int(self, what, lo, hi))
+    assert parse(_P22_TEXT) == StructureFile.from_structure(build_pfn_algebra(2, 2))
+    assert took == ["order", "zero id"]
 
 
 @pytest.fixture(scope="module")

@@ -404,6 +404,26 @@ def test_lemma_matches_the_quadruple_loop_on_valid_structures(census_all):
         assert check_lemma_reg(_fresh(S)) == Certificate(
             want is None, "sandwich collapse over comparable classes", want
         )
+        # every one is regular, so Lemma K gave that verdict; the kernel agrees
+        assert core._lemma_violation(*_lemma_inputs(S)) == want
+
+
+def test_lemma_k_spares_a_regular_structure_the_kernel(monkeypatch):
+    monkeypatch.setattr(core, "_lemma_violation", lambda *tables: pytest.fail("the kernel ran"))
+    for S in _zoo():
+        assert check_identity(S, "regular").ok
+        assert check_lemma_reg(_fresh(S)) == Certificate(True, "sandwich collapse over comparable classes", None)
+
+
+def test_a_structure_not_known_regular_runs_the_kernel(monkeypatch):
+    # no valid skew lattice of order 7 or less is non-regular, so the fall-through is
+    # driven by withholding the regular verdict
+    identity, kernel, ran = core.check_identity, core._lemma_violation, []
+    monkeypatch.setattr(core, "check_identity", lambda S, name: Certificate(False, name) if name == "regular" else identity(S, name))
+    monkeypatch.setattr(core, "_lemma_violation", lambda *tables: ran.append(len(tables[0])) or kernel(*tables))
+    for S in _zoo():
+        assert check_lemma_reg(_fresh(S)) == Certificate(True, "sandwich collapse over comparable classes", None)
+    assert ran == [S.order for S in _zoo()]
 
 
 def test_lemma_kernel_matches_on_raw_tables():
