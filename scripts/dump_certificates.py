@@ -1,0 +1,143 @@
+"""Print every certificate skewlat gives on a fixed set of structures, one line each.
+
+    PYTHONPATH=src python3 scripts/dump_certificates.py > certificates.txt
+
+Run it on two trees and compare the outputs byte for byte (``cmp``): a
+change that keeps every verdict, law and witness prints the same lines.
+The structures are
+
+- the 281 of the oracle set of ``tests/test_identity_lemmas.py``: the
+  census to order 6, the four non-symmetric classes of order 7, P(m,b)
+  for m ≤ 4, b ≤ 2 and P(3,3), the windows ``om_window(1..7)``, M3, the
+  Boolean lattice on 3 atoms and the chain of 5;
+- P(4,2) (order 81, scanned one x at a time) and a sample of its one-cell
+  mutants;
+- the direct products of P(3,2) with each skew lattice of order 3 and
+  with M3, in both orders (orders 81 and 135): valid structures that fail
+  some of the laws Lemma J scans over a generating set;
+- P(5,2) (order 243) under a random relabeling at a few seeds, like the
+  input of the benchmark's ``pfn_verify``, each with a copy that breaks an
+  absorption law, as that workload's mutated copy does, and a copy with
+  one random cell changed.
+
+For each structure it prints the axiom certificate, the six identities,
+``check_symmetric``, ``check_lemma_reg`` and the D-classes; a check that
+refuses an invalid structure prints its error.  The whole dump takes a
+few seconds.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from skewlat import (  # noqa: E402
+    FiniteSkewLattice,
+    IDENTITY_NAMES,
+    SkewLatticeError,
+    check_identity,
+    check_lemma_reg,
+    check_symmetric,
+    green_d,
+    validate_skew_axioms,
+)
+from skewlat.census import enumerate_skew_lattices  # noqa: E402
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window  # noqa: E402
+from test_cli import NON_SYMMETRIC_ORDER_SEVEN  # noqa: E402
+
+SEEDS = (1, 11, 53)
+P42_MUTANTS = 150
+
+
+def oracle_set():
+    out = [(f"census {n}.{i}", S) for n in range(1, 7) for i, S in enumerate(enumerate_skew_lattices(n, order_cap=6))]
+    out += [(f"non-symmetric 7.{i}", FiniteSkewLattice(7, m, j)) for i, (m, j) in enumerate(NON_SYMMETRIC_ORDER_SEVEN)]
+    out += [(f"P({m},{b})", build_pfn_algebra(m, b)) for m, b in [(m, b) for m in range(1, 5) for b in (1, 2)] + [(3, 3)]]
+    out += [(f"om_window({k})", om_window(k)) for k in range(1, 8)]
+    out += [("M3", diamond_m3()), ("B3", boolean_lattice(3)), ("chain 5", chain_lattice(5))]
+    return out
+
+
+def with_cell(S, which, a, b, value):
+    tables = [np.array(S._m), np.array(S._j)]
+    tables[which][a, b] = value
+    return FiniteSkewLattice(S.order, *tables, zero=S.zero)
+
+
+def relabeled(S, rng):
+    """S with element i renamed perm[i], perm a shuffle drawn from ``rng``."""
+    perm = list(range(S.order))
+    rng.shuffle(perm)
+    p, inverse = np.array(perm), np.argsort(perm)
+    return FiniteSkewLattice(S.order, p[S._m[np.ix_(inverse, inverse)]], p[S._j[np.ix_(inverse, inverse)]], zero=perm[S.zero])
+
+
+def broken_absorption(S, rng):
+    """S with m[x][x∨y] set to something other than x, so x∧(x∨y)=x fails at (x, y)."""
+    x, y = rng.choice(np.argwhere(S._j != np.arange(S.order)[:, None]).tolist())
+    return with_cell(S, 0, x, int(S._j[x, y]), rng.choice([v for v in range(S.order) if v != x]))
+
+
+def one_cell(S, rng):
+    which, a, b = rng.randrange(2), rng.randrange(S.order), rng.randrange(S.order)
+    old = int((S._m, S._j)[which][a, b])
+    return with_cell(S, which, a, b, rng.choice([v for v in range(S.order) if v != old]))
+
+
+def product(A, B):
+    """A × B, the pair (a, b) numbered a·|B| + b."""
+    k = B.order
+
+    def table(t, u):
+        return (t[:, None, :, None] * k + u[None, :, None, :]).reshape(A.order * k, A.order * k)
+
+    return FiniteSkewLattice(A.order * k, table(A._m, B._m), table(A._j, B._j))
+
+
+def structures():
+    yield from oracle_set()
+    P = build_pfn_algebra(4, 2)
+    rng = random.Random(42)
+    yield "P(4,2)", P
+    for i in range(P42_MUTANTS):
+        yield f"P(4,2) mutant {i}", one_cell(P, rng)
+    P = build_pfn_algebra(3, 2)
+    factors = [(f"order 3.{i}", X) for i, X in enumerate(enumerate_skew_lattices(3))] + [("M3", diamond_m3())]
+    for name, X in factors:
+        yield f"P(3,2) x {name}", product(P, X)
+        yield f"{name} x P(3,2)", product(X, P)
+    P = build_pfn_algebra(5, 2)
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        S = relabeled(P, rng)
+        yield f"P(5,2) seed {seed}", S
+        yield f"P(5,2) seed {seed} broken absorption", broken_absorption(S, rng)
+        yield f"P(5,2) seed {seed} one cell", one_cell(S, rng)
+
+
+def certificates(S):
+    yield "axioms", lambda: validate_skew_axioms(S)
+    for name in IDENTITY_NAMES:
+        yield name, lambda name=name: check_identity(S, name)
+    yield "symmetric", lambda: check_symmetric(S)
+    yield "lemma_reg", lambda: check_lemma_reg(S)
+    yield "D-classes", lambda: green_d(S).classes
+
+
+def main() -> None:
+    for label, S in structures():
+        for check, run in certificates(S):
+            try:
+                result = run()
+            except SkewLatticeError as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            print(f"{label}\t{check}\t{result!r}")
+
+
+if __name__ == "__main__":
+    main()

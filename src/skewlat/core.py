@@ -24,15 +24,15 @@ Each axiom and identity, and the frame law that ``frames.is_frame``
 scans, is written once, as equation text such as
 ``"x∧y∧z∧x = x∧z∧y∧x"``, and compiled at import into a scan that fixes
 x and sweeps y and z: a table row or column serves each subterm that
-depends on x alone, so most gathers are 1-D takes.  Small tables are
-scanned a slab of x values at a time, in one pass for the census and
-frame sizes.  The text is the law a false verdict's witness cites.
+depends on x alone, so most gathers are 1-D takes, and a subterm that
+does not read x is evaluated once per scan.  Small tables are scanned a
+slab of x values at a time, in one pass for the census and frame sizes.
+The text is the law a false verdict's witness cites.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -333,10 +333,10 @@ class Homomorphism:
         return f"Homomorphism({self.source.order} -> {self.target.order})"
 
 
-# Cells per x-slab of a law scan.  The scan's working set is a few
-# slab-sized arrays, O(n²) rather than the whole n³ cube.  Once a slab
-# would hold a single x (from order 65 for a law in x, y, z), the scan
-# runs one x at a time over the y, z plane.
+# Cells per x-slab of an unrestricted law scan.  The scan's working set is
+# a few slab-sized arrays, O(n²) rather than the whole n³ cube.  Once a
+# slab would hold a single x (from order 65 for a law in x, y, z), the
+# scan runs one x at a time over the y, z plane.
 _SLAB_CELLS = 1 << 13
 
 
@@ -354,18 +354,24 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 # A law is an equation over x, y, z, ∧ and ∨ (equally tight, associating
 # to the left) and parentheses, parsed once into a term: a variable index
 # or ``(op, left, right)``, op 0 for ∧ and 1 for ∨.  Each side compiles
-# to two evaluators ``f(c, x, out)`` over the tables ``c`` of a structure:
+# to evaluators over the tables ``c`` of a structure:
 #
-#   row   x is one element and y, z sweep the plane.  A subterm that reads
-#         neither y nor z is a scalar lookup; a scalar operand picks a row
-#         (left) or a contiguous column (right) and the other operand is a
-#         1-D take from it; a y-only operand against a z-only one is a row
-#         gather plus a column take, each skipped for the bare variable;
-#         anything else is a flat take.  A subterm spanning the plane is
-#         written into its own buffer ``out[k]``, which saves an
-#         allocation, and its page faults, per x.
-#   slab  x is an open-grid slab of elements, and every operation is a
-#         flat take ``T.ravel().take(a*n + b)``.
+#   row   ``f(c, x, p)``: x is one element, and y and z sweep the plane of
+#         their index vectors ``p.y`` and ``p.z`` (all of the carrier, or a
+#         sorted subset).  A subterm that reads neither y nor z is a scalar
+#         lookup; a scalar operand picks a row (left) or a contiguous column
+#         (right) and the other operand is a 1-D take from it; a y-only
+#         operand against a z-only one is a row gather and a column take,
+#         the one along a variable that sweeps the carrier second, and
+#         skipped when that operand is the bare variable, or one flat take
+#         when y and z are both restricted; anything else is a flat take.
+#         A subterm that does not read x is evaluated once per scan, by the
+#         law's ``fixed``, and read from ``p.fixed`` for every x.  A subterm
+#         spanning the plane is written into its own buffer ``p.out[k]``,
+#         which saves an allocation, and its page faults, per x.
+#   slab  ``f(c, xs, None)``: x is an open-grid slab of elements, y and z
+#         the carrier, and every operation is a flat take
+#         ``T.ravel().take(a*n + b)``.
 
 _VARS = "xyz"
 _OPS = "∧∨"
@@ -379,8 +385,23 @@ class _Tables(NamedTuple):
     n: int
     tables: tuple[np.ndarray, np.ndarray]
     columns: tuple[np.ndarray, np.ndarray]  # contiguous transposes
-    ids: np.ndarray  # y of a plane, z of a cube
-    col: np.ndarray  # y of a cube
+    ids: np.ndarray  # the carrier: z of a slab, y of a slab in a law of x and y
+    col: np.ndarray  # the carrier as a column: y of a slab
+
+
+class _Plane(NamedTuple):
+    """What the row evaluators of one scan read besides the tables."""
+
+    y: np.ndarray  # y's sorted index vector, as a column in a law of x, y, z
+    z: np.ndarray  # z's sorted index vector
+    full: int  # the bits of the variables whose vector is the carrier
+    out: list  # plane buffers, each |y| × |z|, allocated on first use
+    fixed: list  # the values of the subterms that do not read x
+
+    def buffer(self, k: int) -> np.ndarray:
+        if self.out[k] is None:
+            self.out[k] = np.empty((len(self.y), len(self.z)), dtype=np.intp)
+        return self.out[k]
 
 
 def _parse_equation(text: str):
@@ -437,60 +458,78 @@ def _slab_eval(term, arity: int):
     return lambda c, x, out: c.tables[t].ravel().take(fl(c, x, out) * c.n + fr(c, x, out))
 
 
-def _row_eval(term, arity: int, planes: list):
+def _row_eval(term, planes: list, fixed: list | None):
     """``(deps, f, unary)`` for ``term`` at one x.
 
     ``deps`` holds the variables the term reads, as bits, and ``f`` is its
     evaluator.  When the term is a lookup ``g[w]`` of a scalar operand's
     row or column, ``unary`` is ``(g, w)``, so that an enclosing lookup
-    composes the two rows first and takes over the plane once.  Each
-    plane buffer an evaluator writes into is appended to ``planes``.
+    composes the two rows first and takes over the plane once.  Each plane
+    buffer an evaluator writes into is appended to ``planes``.  A compound
+    term that does not read x is compiled whole and appended to ``fixed``,
+    and ``f`` reads its value from ``p.fixed``; inside it, ``fixed`` is None.
     """
     if isinstance(term, int):
-        return 1 << term, _leaf(term, arity), None
-    t, (dl, fl, ul), (dr, fr, ur) = term[0], _row_eval(term[1], arity, planes), _row_eval(term[2], arity, planes)
+        return 1 << term, (lambda c, x, p: x, lambda c, x, p: p.y, lambda c, x, p: p.z)[term], None
+    if fixed is not None and 0 not in _variables(term):
+        deps, f, _ = _row_eval(term, planes, None)
+        k = len(fixed)
+        fixed.append(f)
+        return deps, lambda c, x, p: p.fixed[k], None
+    t, (dl, fl, ul), (dr, fr, ur) = term[0], _row_eval(term[1], planes, fixed), _row_eval(term[2], planes, fixed)
     yl, yr = dl & _YZ, dr & _YZ
 
     def buffer():
         if yl | yr != _YZ:
-            return lambda out: None  # a scalar or a vector: cheap to allocate
+            return lambda p: None  # a scalar or a vector: cheap to allocate
+        k = len(planes)
         planes.append(None)
-        return operator.itemgetter(len(planes) - 1)
+        return lambda p: p.buffer(k)
 
     if not yl and not yr:
-        return dl | dr, lambda c, x, out: c.tables[t][fl(c, x, out), fr(c, x, out)], None
+        return dl | dr, lambda c, x, p: c.tables[t][fl(c, x, p), fr(c, x, p)], None
     if not yl or not yr:
         # a scalar operand picks a row (left) or a contiguous column (right)
         if not yl:
-            line, fw, inner = (lambda c, x, out: c.tables[t][fl(c, x, out)]), fr, ur
+            line, fw, inner = (lambda c, x, p: c.tables[t][fl(c, x, p)]), fr, ur
         else:
-            line, fw, inner = (lambda c, x, out: c.columns[t][fr(c, x, out)]), fl, ul
+            line, fw, inner = (lambda c, x, p: c.columns[t][fr(c, x, p)]), fl, ul
         g = line
         if inner is not None:
             g_in, fw = inner
-            g = lambda c, x, out: line(c, x, out).take(g_in(c, x, out))
+            g = lambda c, x, p: line(c, x, p).take(g_in(c, x, p))
         into = buffer()
-        return dl | dr, lambda c, x, out: np.take(g(c, x, out), fw(c, x, out), out=into(out), mode="clip"), (g, fw)
+        return dl | dr, lambda c, x, p: g(c, x, p).take(fw(c, x, p), out=into(p), mode="clip"), (g, fw)
     if {yl, yr} != {_Y, _Z}:
         index, into = buffer(), buffer()
 
-        def flat(c, x, out):
-            i = np.multiply(fl(c, x, out), c.n, out=index(out))
-            return np.take(c.tables[t].ravel(), np.add(i, fr(c, x, out), out=i), out=into(out), mode="clip")
+        def flat(c, x, p):
+            i = np.multiply(fl(c, x, p), c.n, out=index(p))
+            return c.tables[t].ravel().take(np.add(i, fr(c, x, p), out=i), out=into(p), mode="clip")
 
         return dl | dr, flat, None
     # result[y, z] is T[l(y), r(z)], or T'[r(y), l(z)] when l reads z
     sides = ((fl, term[1]), (fr, term[2]))
     (fy, ty), (fz, tz) = sides if yl == _Y else sides[::-1]
     pick = "tables" if yl == _Y else "columns"
-    f = lambda c, x, out: getattr(c, pick)[t]
-    if ty != 1:  # not the bare y: gather rows
-        table, into_rows = f, buffer()
-        f = lambda c, x, out: np.take(table(c, x, out), fy(c, x, out).ravel(), axis=0, out=into_rows(out), mode="clip")
-    if tz != 2:  # not the bare z: take columns
-        rows, into = f, buffer()
-        f = lambda c, x, out: np.take(rows(c, x, out), fz(c, x, out), axis=1, out=into(out), mode="clip")
-    return dl | dr, f, None
+    bare = (_Y if ty == 1 else 0) | (_Z if tz == 2 else 0)
+    first, into = buffer(), buffer()
+
+    def cross(c, x, p):
+        T, skip = getattr(c, pick)[t], bare & p.full  # a bare variable over the carrier indexes T as it is
+        if skip & _Y:
+            return T if skip & _Z else T.take(fz(c, x, p), axis=1, out=into(p), mode="clip")
+        # two gathers, the one along the carrier's axis second, so that each result is the plane
+        if p.full & _Z:
+            rows = T.take(fy(c, x, p).ravel(), axis=0, out=first(p), mode="clip")
+            return rows if skip else rows.take(fz(c, x, p), axis=1, out=into(p), mode="clip")
+        if p.full & _Y:
+            columns = T.take(fz(c, x, p), axis=1, out=first(p), mode="clip")
+            return columns.take(fy(c, x, p).ravel(), axis=0, out=into(p), mode="clip")
+        index = np.add(fy(c, x, p) * c.n, fz(c, x, p), out=first(p))  # or one flat take
+        return T.ravel().take(index, out=into(p), mode="clip")
+
+    return dl | dr, cross, None
 
 
 class _Law(NamedTuple):
@@ -500,9 +539,10 @@ class _Law(NamedTuple):
     name: str
     text: str
     arity: int
-    row: Callable  # row(c, a, out): mask of violations over the y, z plane at x = a
-    slab: Callable  # slab(c, xs, out): mask of violations over an x-slab
-    planes: int  # plane buffers that ``row`` writes into
+    row: Callable  # row(c, a, p): mask of violations over the y, z plane at x = a
+    fixed: Callable  # fixed(c, p): the subterms that do not read x, into p.fixed, once per scan
+    slab: Callable  # slab(c, xs, None): mask of violations over an x-slab of the carrier
+    planes: int  # plane buffers that ``row`` and ``fixed`` may write into
     lemma: Callable | None = None  # lemma(S, law): True only once proved; see ``_proved``
     gen: tuple[int, int] | None = None  # (variable, op) of Lemma J; see ``_holds_on_generators``
 
@@ -518,13 +558,15 @@ def _law(text: str, name: str | None = None, lemma: Callable | None = None, gen:
     if used != set(range(len(used))):
         raise ValueError(f"law {text!r} must use the variables {_VARS[:len(used)]}")
     planes: list = []
-    (_, rl, _), (_, rr, _) = _row_eval(lhs, len(used), planes), _row_eval(rhs, len(used), planes)
+    fixed: list = []
+    (_, rl, _), (_, rr, _) = _row_eval(lhs, planes, fixed), _row_eval(rhs, planes, fixed)
     sl, sr = _slab_eval(lhs, len(used)), _slab_eval(rhs, len(used))
     return _Law(
         text if name is None else name,
         text,
         len(used),
-        lambda c, x, out: np.not_equal(rl(c, x, out), rr(c, x, out)),
+        lambda c, x, p: np.not_equal(rl(c, x, p), rr(c, x, p)),
+        lambda c, p: p.fixed.extend(f(c, None, p) for f in fixed),
         lambda c, x, out: np.not_equal(sl(c, x, out), sr(c, x, out)),
         len(planes),
         lemma,
@@ -535,33 +577,32 @@ def _law(text: str, name: str | None = None, lemma: Callable | None = None, gen:
 def _scan(S: FiniteSkewLattice, law: _Law, ids: tuple[np.ndarray | None, ...] | None = None) -> tuple[int, ...] | None:
     """First violation of ``law`` in lexicographic order, or None.
 
-    Only one slab of x values is evaluated at a time, or one x once a
-    slab would hold no more, and the scan stops at the first slab that
-    holds a violation.  ``ids``, one sorted index vector per variable
-    (None for the carrier), restricts each variable to those elements;
-    a scan that restricts y or z runs the slab evaluator, whose takes
-    read any index vectors in place of the carrier.
+    ``ids``, one sorted index vector per variable (None for the carrier),
+    restricts each variable to those elements.  An unrestricted scan of a
+    small table evaluates one slab of x values at a time.  Any other scan
+    runs one x at a time over the plane of y's and z's vectors, after the
+    subterms that do not read x are evaluated once, and a witness is mapped
+    back through the vectors.  Either way the scan stops at the first slab,
+    or the first x, that holds a violation.
     """
     c, n = S._tables, S.order
     step = _SLAB_CELLS // n ** (law.arity - 1)
-    if step <= 1 and (ids is None or all(v is None for v in ids[1:])):
-        out = [np.empty((n, n), dtype=np.intp) for _ in range(law.planes)]
-        for a in range(n) if ids is None or ids[0] is None else ids[0].tolist():
-            w = _first_true(law.row(c, a, out))
+    if ids is None and step > 1:
+        shape = (-1,) + (1,) * (law.arity - 1)
+        for x0 in range(0, n, step):
+            w = _first_true(law.slab(c, c.ids[x0 : x0 + step].reshape(shape), None))
             if w is not None:
-                return (a, *w)
+                return (x0 + w[0], *w[1:])
         return None
-    if ids is None:
-        ids = (c.ids,) * law.arity
-    else:
-        ids = tuple(c.ids if v is None else v for v in ids)
-        c = c._replace(ids=ids[-1], col=ids[1][:, None]) if law.arity > 1 else c
-        step = max(1, _SLAB_CELLS // math.prod(len(v) for v in ids[1:]))
-    xs, shape = ids[0], (-1,) + (1,) * (law.arity - 1)
-    for x0 in range(0, len(xs), step):
-        w = _first_true(law.slab(c, xs[x0 : x0 + step].reshape(shape), None))
+    xs, vy, vz = (tuple(ids or ()) + (None,) * 3)[:3]
+    full = (_Y if vy is None else 0) | (_Z if vz is None else 0)
+    vy, vz = (c.ids if v is None else v for v in (vy, vz))
+    p = _Plane(vy[:, None] if law.arity == 3 else vy, vz, full, [None] * law.planes, [])
+    law.fixed(c, p)
+    for a in range(n) if xs is None else xs.tolist():
+        w = _first_true(law.row(c, a, p))
         if w is not None:
-            return tuple(int(v[i]) for v, i in zip(ids, (x0 + w[0], *w[1:])))
+            return (a, *(int(v[i]) for v, i in zip((vy, vz), w)))
     return None
 
 
@@ -728,9 +769,11 @@ def _holds_on_generators(S: FiniteSkewLattice, law: _Law) -> bool:
       ``x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)``, z over ∨.
 
     Regular's join law has no such variable; Lemma I proves it instead.
-    The restricted scan reads n²·|G| cells instead of n³, and the generating
-    set costs O(n²) once per operation, so it runs only where a full scan
-    is a row scan, one x at a time (from order 65 for a law in x, y, z).
+    The restricted scan runs one x at a time, as a full row scan does, over
+    a plane of |G|·n cells, and evaluates each subterm that does not read
+    x, such as the plane y∧z, once per scan: n²·|G| cells instead of n³.
+    The generating set costs O(n²) once per operation, so Lemma J runs only
+    where a full scan is a row scan (from order 65 for a law in x, y, z).
     """
     if law.gen is None or not _row_regime(S, law):
         return False

@@ -292,23 +292,45 @@ def test_first_true_is_the_lexicographic_first(shape):
         assert core._first_true(mask) == _argwhere_first(mask)
 
 
+def _first_violation_over(S, text, ids):
+    # the plain evaluator's first violation with each variable drawn from its index
+    # vector, or from the carrier (None)
+    drawn = [range(S.order) if v is None else v.tolist() for v in ids]
+    return next((p for p in itertools.product(*drawn) if _violated(S, text, p)), None)
+
+
 @pytest.mark.parametrize("width", [1, 4])
 def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
-    # a left-zero band, x∧y = x, with 3∧2 set to 5: x∧y∧z = x first fails at
-    # x = 3, so no x past 3 may be evaluated, one x at a time or in slabs of 4
+    # a left-zero band, x∧y = x, with 3∧2 set to 5: each law below first fails at x = 3,
+    # so no x past 3 may be evaluated, one x at a time or in slabs of 4.  A scan that
+    # restricts a variable runs one x at a time at either width, never the slab
+    # evaluator, and evaluates the subterm y∧z, which does not read x, once
     n = 10
     meet = [[x] * n for x in range(n)]
     meet[3][2] = 5
     S = FiniteSkewLattice(n, meet, [list(range(n))] * n)
     monkeypatch.setattr(core, "_SLAB_CELLS", width * n * n)
-    law = core._law("x∧y∧z = x")
-    seen = []
-    traced = law._replace(
-        row=lambda c, x, out: seen.append(x) or law.row(c, x, out),
-        slab=lambda c, x, out: seen.extend(x.ravel().tolist()) or law.slab(c, x, out),
-    )
-    assert core._scan(S, traced) == (3, 0, 2) == _first_violation(S, law.text)
-    assert seen == [0, 1, 2, 3]
+    ys, zs, xs = np.array([0, 2, 7]), np.array([1, 4, 9]), np.array([1, 3, 8])
+    for text, ids, want, rows in (
+        ("x∧y∧z = x", None, (3, 0, 2), [0, 1, 2, 3]),
+        ("x∧(y∧z) = x", None, (3, 2, 0), [0, 1, 2, 3]),
+        ("x∧y∧z = x", (None, ys, None), (3, 0, 2), [0, 1, 2, 3]),
+        ("x∧(y∧z) = x", (None, ys, zs), (3, 2, 1), [0, 1, 2, 3]),
+        ("x∧(y∧z) = x", (xs, None, zs), (3, 2, 1), [1, 3]),
+        ("x∧(y∧z) = x", (xs, ys, zs), (3, 2, 1), [1, 3]),
+    ):
+        law = core._law(text)
+        seen, slabs, fixed = [], [], []
+        traced = law._replace(
+            row=lambda c, x, p: seen.append(x) or law.row(c, x, p),
+            slab=lambda c, x, out: slabs.extend(x.ravel().tolist()) or law.slab(c, x, out),
+            fixed=lambda c, p: fixed.append(p) or law.fixed(c, p),
+        )
+        assert core._scan(S, traced, ids) == want == _first_violation_over(S, text, ids or (None,) * 3)
+        if ids is None and width > 1:
+            assert (seen, slabs, fixed) == ([], rows, []), text
+        else:
+            assert (seen, slabs, len(fixed)) == (rows, [], 1), (text, ids)
 
 
 LAW_TEXTS = (
@@ -361,12 +383,67 @@ def test_a_scan_over_an_index_subset_matches_a_loop_over_it(slab, monkeypatch):
             S = FiniteSkewLattice(n, *tables)
             ids = [sorted(rng.sample(range(n), rng.randint(1, n))) if rng.random() < 0.8 else None for _ in range(3)]
             for law in laws:
-                drawn = [range(n) if v is None else v for v in ids[:law.arity]]
-                want = next((p for p in itertools.product(*drawn) if _violated(S, law.text, p)), None)
                 vectors = tuple(None if v is None else np.array(v, dtype=np.intp) for v in ids[:law.arity])
+                want = _first_violation_over(S, law.text, vectors)
                 assert core._scan(S, law, vectors) == want, (law.text, ids)
                 violated += want is not None
     assert violated > 100
+
+
+def _relabeled(S, rng):
+    perm = np.array(rng.sample(range(S.order), S.order))
+    inverse = np.argsort(perm)
+
+    def table(t):
+        return perm[t[np.ix_(inverse, inverse)]]
+
+    return FiniteSkewLattice(S.order, table(S._m), table(S._j), zero=int(perm[S.zero]))
+
+
+def _cube_first(S, law, cube, ids):
+    # the first violation over the index vectors, cut with np.ix_ from the law's mask on
+    # the whole cube
+    vectors = [np.arange(S.order) if v is None else v for v in ids]
+    w = core._first_true(cube[np.ix_(*vectors)])
+    return None if w is None else tuple(int(v[i]) for v, i in zip(vectors, w))
+
+
+def test_restricted_scans_at_order_81_match_the_cube():
+    # a relabeled P(4,2) and one-cell mutants of it, at the default slab size, where
+    # every scan runs one x at a time: each law of Lemma J with its variable over a
+    # generating set and over random sorted subsets, random subsets of two or three
+    # variables, and Lemma G's scan over the D-class representatives in all three
+    rng = random.Random(22)
+    P = _relabeled(build_pfn_algebra(4, 2), rng)
+    n = P.order
+    assert core._SLAB_CELLS // n**2 <= 1
+    reps = np.array([members[0] for members in P._dpart.classes], dtype=np.intp)
+    laws = [law for law in core._AXIOM_LAWS if law.gen is not None]
+    laws += [law for group in core._IDENTITY_LAWS.values() for law in group if law.gen is not None]
+    g_law = core._IDENTITY_LAWS["distributive"][0]
+
+    def subset():
+        return np.array(sorted(rng.sample(range(n), rng.randint(1, n - 1))), dtype=np.intp)
+
+    checked = violated = 0
+    for S in (P, *_mutants(P, rng, per_table=3)):
+        for law in laws:
+            var, op = law.gen
+            cube = law.slab(S._tables, np.arange(n).reshape(-1, 1, 1), None)
+            draws = []
+            for vector in (core._generators(S, op), subset(), subset()):
+                ids = [None] * 3
+                ids[var] = vector
+                draws.append(tuple(ids))
+            draws += [tuple(subset() if k != skip else None for k in range(3)) for skip in (0, 1, 2, None)]
+            if law is g_law:
+                draws.append((reps,) * 3)
+            for ids in draws:
+                want = _cube_first(S, law, cube, ids)
+                assert core._scan(S, law, ids) == want, (law.text, [None if v is None else v.tolist() for v in ids])
+                checked += 1
+                violated += want is not None
+    assert violated > 100 and checked - violated > 100
 
 
 def test_a_malformed_law_is_rejected():
