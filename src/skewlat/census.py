@@ -161,10 +161,6 @@ def _relabelings(n: int) -> tuple[Callable[[bytes], bytes], ...]:
     return tuple(moves)
 
 
-def _flat(table: Table) -> bytes:
-    return bytes(itertools.chain.from_iterable(table))
-
-
 def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
     """Least (meet, join) table pair over all carrier relabelings.
 
@@ -174,7 +170,7 @@ def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
     table.  Flat row-major bytes compare as the tables do.
     """
     n, moves = S.order, _relabelings(S.order)
-    meet, join = _flat(S.meet_table), _flat(S.join_table)
+    meet, join = S._m.astype("uint8").tobytes(), S._j.astype("uint8").tobytes()
     meets = [move(meet) for move in moves]
     least = min(meets)
     best = min(move(join) for move, m in zip(moves, meets) if m == least)

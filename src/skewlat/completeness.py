@@ -179,7 +179,7 @@ def join_fold(S: FiniteSkewLattice, C) -> int:
     if not check_symmetric(S).ok:
         raise PreconditionError("join_fold is defined for symmetric structures only")
     members = commuting_subset(S, C)
-    return functools.reduce(lambda a, b: S.join_table[a][b], members)
+    return functools.reduce(lambda a, b: S._j.item(a, b), members)
 
 
 def meet_fold(S: FiniteSkewLattice, C) -> int:
@@ -188,7 +188,7 @@ def meet_fold(S: FiniteSkewLattice, C) -> int:
     if not check_symmetric(S).ok:
         raise PreconditionError("meet_fold is defined for symmetric structures only")
     members = commuting_subset(S, C)
-    return functools.reduce(lambda a, b: S.meet_table[a][b], members)
+    return functools.reduce(lambda a, b: S._m.item(a, b), members)
 
 
 def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
@@ -239,12 +239,12 @@ def _joins_are_suprema(S: FiniteSkewLattice) -> None:
     """
     if "joins_are_suprema" in S._memo:
         return
-    up, down, jt = S._up, S._down, S.join_table
+    up, down, jt = S._up, S._down, S._j
     for a, row in enumerate(commutation_graph(S)):
         if up[a] & down[a] != 1 << a or any(up[s] & ~up[a] for s in _ids(up[a])):
             raise InternalConsistencyError(f"natural order is not a partial order at {a}")
         for b in _ids(row >> a << a):
-            bounds, s = up[a] & up[b], jt[a][b]
+            bounds, s = up[a] & up[b], jt.item(a, b)
             if not bounds >> s & 1 or up[s] & bounds != bounds:
                 raise InternalConsistencyError(f"join {s} of the commuting pair {a}, {b} is not their supremum")
     S._memo["joins_are_suprema"] = True

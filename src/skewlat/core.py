@@ -13,11 +13,11 @@ restrictions and homomorphisms.
 Elements are the positions ``0 .. order-1``; optional labels are for
 display only and never affect computation.  Every function of the
 package that takes element ids checks them with ``_element_ids``, so
-each id error reads the same way.  Construction only checks, in
-one vectorised pass, that the raw tables are well formed, and keeps
-them as the arrays every scan reads.  Whether the tables actually
-satisfy the skew lattice axioms is a separate, explicit question
-answered by :func:`validate_skew_axioms`; operations that need a valid
+each id error reads the same way.  Construction only checks, in one
+vectorised pass, that the raw tables are well formed, and keeps each
+as the one array every scan reads (tuples on demand).  Whether the
+tables satisfy the skew lattice axioms is a separate question answered
+by :func:`validate_skew_axioms`; operations that need a valid
 structure check that verdict (cached on the instance) before working.
 
 Each axiom and identity, and the frame law that ``frames.is_frame``
@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -138,7 +138,7 @@ def _as_int(v: Any, what: str) -> int:
 
 
 def _table_array(rows: Any, order: int, which: str) -> np.ndarray:
-    """``rows`` as a read-only order×order intp array; errors name the first bad row or entry."""
+    """``rows`` as a read-only view of a new order×order intp array; errors name the first bad row or entry."""
     try:
         arr = np.array(rows)
     except ValueError:  # ragged rows, or a nested entry
@@ -146,8 +146,9 @@ def _table_array(rows: Any, order: int, which: str) -> np.ndarray:
     if arr.shape == (order, order) and arr.dtype.kind in "biu":
         table = arr.astype(np.intp, copy=False)
         if table.view(np.uintp).max() < order:  # a negative entry wraps to a huge one
-            table.flags.writeable = False
-            return table
+            view = table.view()
+            view.flags.writeable = False
+            return view
     # anything else is read cell by cell, to name the first fault
     table = [[_as_int(v, f"{which} table entry at row {i}") for v in row] for i, row in enumerate(rows)]
     if len(table) != order:
@@ -166,7 +167,6 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
-@dataclass(frozen=True)
 class FiniteSkewLattice:
     """Two total operation tables over the carrier ``0 .. order-1``.
 
@@ -174,8 +174,9 @@ class FiniteSkewLattice:
     ndarray; an entry counts as an integer when ``operator.index``
     accepts it, so a float or a string is an error, not truncated.  The
     constructor converts and checks each table once, into the read-only
-    intp array ``_m`` or ``_j`` that every scan reads, and renders
-    ``meet_table``/``join_table`` from it as tuples of ``int``.
+    intp array ``_m`` or ``_j`` that every scan reads and the only copy
+    kept; ``meet_table``/``join_table`` render it as tuples of ``int``
+    on first read.  Equality is on order, tables, zero and labels.
 
     ``zero`` optionally names an element expected to absorb meets and be
     neutral for joins; the claim is verified during validation, not at
@@ -184,52 +185,65 @@ class FiniteSkewLattice:
     cached.
     """
 
-    order: int
-    meet_table: Table
-    join_table: Table
-    zero: int | None = None
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, order: int, meet_table: Any, join_table: Any, zero: int | None = None, labels: Iterable[str] | None = None
+    ) -> None:
         try:
-            order = operator.index(self.order)
+            n = operator.index(order)
         except TypeError:
-            order = 0
-        if order < 1 or isinstance(self.order, bool):
-            raise StructureError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "order", order)
-        for which in ("meet", "join"):
-            arr = _table_array(getattr(self, f"{which}_table"), order, which)
-            object.__setattr__(self, f"_{which[0]}", arr)
-            object.__setattr__(self, f"{which}_table", tuple(map(tuple, arr.tolist())))
-        if self.zero is not None:
-            z = _as_int(self.zero, "zero id")
-            if not 0 <= z < self.order:
-                raise StructureError(f"zero id {z} is out of range 0..{self.order - 1}")
-            object.__setattr__(self, "zero", z)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.order:
-                raise StructureError(f"{len(labels)} labels for order {self.order}")
-            object.__setattr__(self, "labels", labels)
+            n = 0
+        if n < 1 or isinstance(order, bool):
+            raise StructureError(f"order must be a positive integer, got {order!r}")
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "_m", _table_array(meet_table, n, "meet"))
+        object.__setattr__(self, "_j", _table_array(join_table, n, "join"))
+        if zero is not None:
+            zero = _as_int(zero, "zero id")
+            if not 0 <= zero < n:
+                raise StructureError(f"zero id {zero} is out of range 0..{n - 1}")
+        object.__setattr__(self, "zero", zero)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n:
+                raise StructureError(f"{len(labels)} labels for order {n}")
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.order, self._m.tobytes(), self._j.tobytes(), self.zero, self.labels
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FiniteSkewLattice(order={self.order}, zero={self.zero})"
 
+    meet_table = cached_property(lambda self: tuple(map(tuple, self._m.tolist())))
+    join_table = cached_property(lambda self: tuple(map(tuple, self._j.tolist())))
+
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        _element_ids(self, (a, b), "meet")
+        return int(self._m[a, b])
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        _element_ids(self, (a, b), "join")
+        return int(self._j[a, b])
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
     @cached_property
     def _tables(self) -> "_Tables":
-        # writeable copies: numpy's take is several times slower when its
-        # index array is read-only, and a table is an index of the next take
-        m, j = np.array(self._m), np.array(self._j)
+        # the writeable bases of _m and _j: numpy's take is several times slower
+        # when its index array is read-only, and a table is an index of the next take
+        m, j = self._m.base, self._j.base
         ids = np.arange(self.order)
         return _Tables(self.order, (m, j), (np.ascontiguousarray(m.T), np.ascontiguousarray(j.T)), ids, ids[:, None])
 

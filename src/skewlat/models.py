@@ -26,6 +26,11 @@ A fourth variant (partial maps on an uncountable domain with finite
 fibers) has no lattice section at all, but the argument is a
 counting/uncountability one with no finite content to compute, so it is
 documented here and in the README rather than modelled.
+
+Every table builder here (``build_pfn_algebra``, ``om_window``,
+``chain_lattice``, ``boolean_lattice``) refuses an order above the
+build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise, before it
+allocates a table.
 """
 
 from __future__ import annotations
@@ -76,6 +81,13 @@ __all__ = [
 
 BUILD_CAP_ENV = "SKEWLAT_BUILD_CAP"
 DEFAULT_BUILD_CAP = 4096
+
+
+def _check_build_order(order: int, what: str, order_cap: int | None = None) -> None:
+    """Refuse, before any table is allocated, a build of more elements than the build cap."""
+    cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
+    if order > cap:
+        raise CapExceededError(f"{what} would have order {order} > cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +148,7 @@ def build_pfn_algebra(
     if domain_size < 1 or codomain_size < 1:
         raise PreconditionError("domain and codomain sizes must be at least 1")
     order = (codomain_size + 1) ** domain_size
-    cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
-    if order > cap:
-        raise CapExceededError(f"partial-function algebra would have order {order} > cap {cap}")
+    _check_build_order(order, "partial-function algebra", order_cap)
     # element i in pfn_carrier's order is its base-(b+1) digits, one per
     # point, the first point most significant; digit 0 is "undefined" and
     # digit y+1 is the value y
@@ -224,6 +234,7 @@ def om_window(k: int) -> FiniteSkewLattice:
     """
     if k < 1:
         raise PreconditionError(f"window needs k >= 1, got {k}")
+    _check_build_order(k + 3, f"om_window({k})")
     elements: list[OmegaElement] = list(range(k + 1)) + [INF_A, INF_B]
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
@@ -464,6 +475,7 @@ def chain_lattice(length: int) -> FiniteSkewLattice:
     """
     if length < 1:
         raise PreconditionError(f"chain needs length >= 1, got {length}")
+    _check_build_order(length, f"chain of length {length}")
     rng = range(length)
     return FiniteSkewLattice(
         order=length,
@@ -478,6 +490,7 @@ def boolean_lattice(m: int) -> FiniteSkewLattice:
     if m < 0:
         raise PreconditionError(f"boolean lattice needs m >= 0, got {m}")
     n = 1 << m
+    _check_build_order(n, f"boolean lattice on {m} atoms")
     rng = range(n)
     labels = tuple("{" + ",".join(str(i) for i in range(m) if s >> i & 1) + "}" for s in rng)
     return FiniteSkewLattice(

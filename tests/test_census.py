@@ -256,8 +256,8 @@ def test_zero_is_attached_when_present(census_all):
 def test_the_census_builds_each_class_once_with_its_zero(monkeypatch):
     # the zero is read off the canonical tables, so yielding a class builds one structure
     built = []
-    init = FiniteSkewLattice.__post_init__
-    monkeypatch.setattr(FiniteSkewLattice, "__post_init__", lambda self: built.append(self) or init(self))
+    init = FiniteSkewLattice.__init__
+    monkeypatch.setattr(FiniteSkewLattice, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
     stream = enumerate_skew_lattices(5, order_cap=5)
     classes = [next(stream)]  # the whole search runs before the first class is yielded
     built.clear()

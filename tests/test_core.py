@@ -29,7 +29,9 @@ from skewlat.core import (
     subalgebra,
     validate_skew_axioms,
 )
-from skewlat.census import enumerate_skew_lattices
+from skewlat.census import canonicalize, enumerate_skew_lattices
+from skewlat.completeness import check_implication_chain, join_fold, meet_fold
+from skewlat.frames import check_theorem_ncframes
 from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
 
 # the least non-normal structure: a two-element class under a top element
@@ -128,6 +130,46 @@ def test_tables_are_frozen_tuples(chain2):
         assert not S._m.flags.writeable and not S._j.flags.writeable and S._m.dtype == np.intp, kind
         if isinstance(meet, np.ndarray):  # the caller's array is copied, not frozen or shared
             assert meet.flags.writeable and not np.shares_memory(meet, S._m), kind
+        for k, table in enumerate((S._m, S._j)):  # the scans' index arrays are the tables' writeable bases
+            base = S._tables.tables[k]
+            assert np.shares_memory(base, table) and base.flags.writeable and not table.flags.writeable, kind
+    for name in ("order", "zero", "labels", "meet_table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain2, name, getattr(chain2, name))
+    for other in (
+        FiniteSkewLattice(chain2.order, M, J),
+        FiniteSkewLattice(chain2.order, M, J, zero=chain2.zero, labels=("0", "1")),
+        FiniteSkewLattice(chain2.order, M, J, zero=chain2.zero, labels=("a", "b")),
+    ):
+        assert other != chain2 and other == FiniteSkewLattice(other.order, M, J, zero=other.zero, labels=other.labels)
+    assert (chain2 == object()) is False and chain2 != object()
+
+
+def test_meet_and_join_check_their_ids():
+    S = chain_lattice(3)
+    assert S.meet(2, 1) == 1 and S.join(2, 1) == 2
+    for a, b in ((-1, 0), (0, -1), (S.order, 0), (0, S.order)):
+        bad = b if 0 <= a < S.order else a
+        for op in ("meet", "join"):
+            with pytest.raises(PreconditionError, match=rf"^{op}: id {bad} out of range 0\.\.2$"):
+                getattr(S, op)(a, b)
+
+
+def test_no_scan_reads_the_tuple_tables(monkeypatch):
+    # every scan reads the arrays; the tuple tables are rendered only for a caller that reads them
+    def unread(S):
+        raise AssertionError("a tuple table was read")
+
+    monkeypatch.setattr(FiniteSkewLattice, "meet_table", property(unread))
+    monkeypatch.setattr(FiniteSkewLattice, "join_table", property(unread))
+    for S in (build_pfn_algebra(3, 2), om_window(6)):
+        assert validate_skew_axioms(S).ok
+        assert [check_identity(S, name).ok for name in IDENTITY_NAMES] == [True] * 5 + [False]  # left-handed
+        assert quotient(S).lattice.order < S.order
+        assert down_set(S, S.order - 1).order > 1 and subalgebra(S, (0, 1)).order == 2
+        assert check_theorem_ncframes(S).ok and check_implication_chain(S).ok
+        assert (S.meet(0, 1), S.join(0, 1), meet_fold(S, (0, 1)), join_fold(S, (0, 1))) == (0, 1, 0, 1)
+    assert canonicalize(chain_lattice(3)).meet_table == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
 
 
 # --- axiom scan ------------------------------------------------------------

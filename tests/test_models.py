@@ -13,6 +13,7 @@ from skewlat.core import (
     is_commutative,
     quotient,
 )
+from skewlat import models
 from skewlat.models import (
     FinCofinSet,
     FiniteImageFunction,
@@ -80,12 +81,23 @@ def test_algebra_tables_are_the_carrier_operations(m, b):
 
 
 def test_algebra_cap_and_override(monkeypatch):
+    def unevaluated(*_):
+        raise AssertionError("a table cell was evaluated")
+
     with pytest.raises(CapExceededError):
         build_pfn_algebra(7, 3)  # 4^7 > 4096
+    with monkeypatch.context() as patch:  # every builder refuses before it evaluates a cell
+        patch.setattr(models, "om_meet", unevaluated)
+        with pytest.raises(CapExceededError, match=r"^om_window\(5000\) would have order 5003 > cap 4096$"):
+            om_window(5000)
     monkeypatch.setenv("SKEWLAT_BUILD_CAP", "10")
     assert build_pfn_algebra(2, 2).order == 9
     with pytest.raises(CapExceededError):
         build_pfn_algebra(2, 3)  # 16 > the tightened cap
+    assert om_window(7).order == chain_lattice(10).order == 10 and boolean_lattice(3).order == 8
+    for build, order in ((lambda: om_window(8), 11), (lambda: chain_lattice(11), 11), (lambda: boolean_lattice(4), 16)):
+        with pytest.raises(CapExceededError, match=f" would have order {order} > cap 10$"):
+            build()
 
 
 def test_single_valued_functions_commute():

@@ -1,0 +1,20 @@
+"""Smoke tests of the measurement scripts under ``scripts/``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_large_orders_runs_every_step_at_m_two():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "large_orders.py"), "2"], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("\t") for line in out.stdout.splitlines()]
+    assert [fields[:2] for fields in lines] == [["P(2,2)", step] for step in ("build", "validate", "emit", "theorem")]
+    for _, _, seconds, mb, code in lines:
+        assert seconds.endswith(" s") and float(seconds[:-2]) >= 0
+        assert mb.endswith(" MB") and float(mb[:-3]) > 0
+        assert code == "exit 0"
