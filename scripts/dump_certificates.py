@@ -21,9 +21,10 @@ The structures are
   one random cell changed.
 
 For each structure it prints the axiom certificate, the six identities,
-``check_symmetric``, ``check_lemma_reg`` and the D-classes; a check that
-refuses an invalid structure prints its error.  The whole dump takes a
-few seconds.
+``check_symmetric``, ``check_lemma_reg``, the D-classes, the quotient's
+tables and projection, and whether ``parse(emit(S))`` gives back the
+tables, zero and labels; a check that refuses an invalid structure
+prints its error.  The whole dump takes a few seconds.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ from skewlat import (  # noqa: E402
     check_identity,
     check_lemma_reg,
     check_symmetric,
+    emit,
     green_d,
+    parse,
+    quotient,
     validate_skew_axioms,
 )
 from skewlat.census import enumerate_skew_lattices  # noqa: E402
@@ -127,6 +131,18 @@ def certificates(S):
     yield "symmetric", lambda: check_symmetric(S)
     yield "lemma_reg", lambda: check_lemma_reg(S)
     yield "D-classes", lambda: green_d(S).classes
+    yield "quotient", lambda: quotient_tables(S)
+    yield "round trip", lambda: round_trip(S)
+
+
+def quotient_tables(S):
+    q = quotient(S)
+    return q.lattice.meet_table, q.lattice.join_table, q.projection
+
+
+def round_trip(S):
+    sf = parse(emit(S))
+    return (sf.meet_table, sf.join_table, sf.zero, sf.labels) == (S.meet_table, S.join_table, S.zero, S.labels)
 
 
 def main() -> None:

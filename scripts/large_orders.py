@@ -2,13 +2,14 @@
 
     python3 scripts/large_orders.py 6 7
 
-For each m on the command line it runs four steps on the partial-function
+For each m on the command line it runs five steps on the partial-function
 algebra P(m,2) (order 3**m), each in a fresh Python process that imports
 the package from this checkout's ``src``:
 
 - ``build``: ``build_pfn_algebra(m, 2)``;
 - ``validate``: the build, then the axiom scan (``S.validity``);
 - ``emit``: ``skewlat paper pfn --sizes m,2``, written to a temporary file;
+- ``parse``: reading that file, ``parse`` and ``to_structure``;
 - ``theorem``: ``skewlat theorem`` on that file (parse, validation and the
   frame theorem).
 
@@ -32,7 +33,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 STEP = """
 import contextlib, os, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from skewlat.cli import main
+from skewlat.cli import main, parse
 from skewlat.models import build_pfn_algebra
 
 step, m, path = sys.argv[2], int(sys.argv[3]), sys.argv[4]
@@ -44,6 +45,9 @@ if step == "build":
     build_pfn_algebra(m, 2)
 elif step == "validate":
     code = 0 if S.validity.ok else 1
+elif step == "parse":
+    with open(path, encoding="utf-8") as fh:
+        parse(fh.read()).to_structure()
 else:
     args = ["paper", "pfn", "--sizes", f"{m},2"] if step == "emit" else ["theorem", path]
     with open(path if step == "emit" else os.devnull, "w") as out, contextlib.redirect_stdout(out):
@@ -52,7 +56,7 @@ seconds = time.perf_counter() - start
 print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, code)
 """
 
-STEPS = ("build", "validate", "emit", "theorem")
+STEPS = ("build", "validate", "emit", "parse", "theorem")
 
 
 def run_step(step: str, m: int, path: str) -> tuple[float, float, int]:

@@ -20,7 +20,11 @@ A structure file is whitespace-separated tokens with ``#`` comments:
 
 Sections appear in exactly that order; rows of a table are the left
 operand.  The format is plain enough to diff and emitting is bit-exact,
-so ``parse(emit(S))`` reproduces the structure.
+so ``parse(emit(S))`` reproduces the structure.  ``parse`` decodes each
+table into a read-only intp array, which :class:`StructureFile` keeps
+and ``to_structure`` hands to the :class:`FiniteSkewLattice`
+constructor; ``emit`` writes a structure's rows from its arrays.  No
+table is rendered as tuples on either path.
 
 Exit codes: 0 for a true verdict or successful emission, 1 for a false
 verdict (the certificate is printed), 2 for usage, parse and
@@ -33,7 +37,8 @@ import argparse
 import bisect
 import re
 import sys
-from dataclasses import dataclass
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -44,6 +49,7 @@ from .core import (
     SkewLatticeError,
     StructureError,
     Table,
+    _Frozen,
     check_identity,
     detect_zero,
     natural_leq,
@@ -175,8 +181,8 @@ class _Tokens:
             raise self.error(f"{what} {value} out of range [{lo}, {hi}]", k)
         return value
 
-    def take_table(self, what: str, order: int) -> Table:
-        """The next order² entries as a table.
+    def take_table(self, what: str, order: int) -> np.ndarray:
+        """The next order² entries as a read-only order×order intp array.
 
         When the read position ends its line and the next ``order`` lines
         hold only digits and blanks, they are decoded in one numpy call,
@@ -193,28 +199,59 @@ class _Tokens:
                 values = np.fromstring(block, dtype=np.intp, sep=" ")
                 if values.size == order * order and values.max() < order:
                     self.line_first += [len(self.words)] * order  # lines passed, no tokens split
-                    return tuple(map(tuple, values.reshape(order, order).tolist()))
-        return tuple(tuple(self.take_int(what, 0, order - 1) for _ in range(order)) for _ in range(order))
+                    return _read_only(values.reshape(order, order))
+        values = np.array([self.take_int(what, 0, order - 1) for _ in range(order * order)], dtype=np.intp)
+        return _read_only(values.reshape(order, order))
 
 
-@dataclass(frozen=True)
-class StructureFile:
-    """Parsed structure file: order, tables, optional zero and labels."""
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
-    order: int
-    meet_table: Table
-    join_table: Table
-    zero: int | None = None
-    labels: tuple[str, ...] | None = None
+
+def _rows(table: Any) -> Table:
+    # an array's rows as tuples of ints; a hand-built table is already tuple rows
+    return tuple(map(tuple, table.tolist())) if isinstance(table, np.ndarray) else table
+
+
+class StructureFile(_Frozen):
+    """Parsed structure file: order, tables, optional zero and labels.
+
+    ``parse`` and ``from_structure`` keep each table as the read-only
+    intp array they hold, and ``to_structure`` hands those arrays
+    straight to the :class:`FiniteSkewLattice` constructor, which checks
+    them.  A hand-built file takes any rows, negative, out-of-range or
+    ragged, and keeps them as tuples; it is not validated.
+    ``meet_table``/``join_table`` read either kind as tuple rows, an
+    array rendered on first read.  Equality and hashing are on order,
+    table contents, zero and labels, so a parsed file equals one built
+    from the same tuples.
+    """
+
+    def __init__(
+        self, order: int, meet_table: Any, join_table: Any, zero: int | None = None, labels: tuple[str, ...] | None = None
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        for name, table in (("_m", meet_table), ("_j", join_table)):
+            object.__setattr__(self, name, table if isinstance(table, np.ndarray) else tuple(map(tuple, table)))
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "labels", labels)
+
+    meet_table = cached_property(lambda self: _rows(self._m))
+    join_table = cached_property(lambda self: _rows(self._j))
+
+    def _key(self) -> tuple:
+        return self.order, self.meet_table, self.join_table, self.zero, self.labels
+
+    def __repr__(self) -> str:
+        return f"StructureFile(order={self.order}, zero={self.zero}, labels={self.labels!r})"
 
     def to_structure(self) -> FiniteSkewLattice:
-        return FiniteSkewLattice(
-            self.order, self.meet_table, self.join_table, zero=self.zero, labels=self.labels
-        )
+        return FiniteSkewLattice(self.order, self._m, self._j, zero=self.zero, labels=self.labels)
 
     @classmethod
     def from_structure(cls, S: FiniteSkewLattice) -> "StructureFile":
-        return cls(S.order, S.meet_table, S.join_table, zero=S.zero, labels=S.labels)
+        return cls(S.order, S._m, S._j, zero=S.zero, labels=S.labels)
 
 
 def parse(text: str) -> StructureFile:
@@ -230,7 +267,7 @@ def parse(text: str) -> StructureFile:
     if toks.at_word("zero"):
         toks.take("'zero'")
         zero = toks.take_int("zero id", 0, order - 1)
-    tables: list[Table] = []
+    tables = []
     for section in ("meet", "join"):
         toks.expect_word(section)
         tables.append(toks.take_table(f"{section} entry", order))
@@ -262,15 +299,21 @@ def emit(source: FiniteSkewLattice | StructureFile) -> str:
         lines.append(f"zero {sf.zero}")
     names = [str(v) for v in range(sf.order)]
 
+    def ids_text(row) -> str:
+        return " ".join([names[v] for v in row])
+
     def row_text(row) -> str:
         # a row of ids joins their names; StructureFile does not validate, so any other row goes cell by cell
-        if len(row) and 0 <= min(row) and max(row) < sf.order:
-            return " ".join([names[v] for v in row])
-        return " ".join(map(str, row))
+        return ids_text(row) if len(row) and 0 <= min(row) and max(row) < sf.order else " ".join(map(str, row))
 
-    for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
+    for section, table in (("meet", sf._m), ("join", sf._j)):
         lines.append(section)
-        lines.extend(map(row_text, table))
+        if isinstance(table, np.ndarray):
+            # read a row at a time, so the cells are never all Python ints at once; the ids are checked once
+            write = ids_text if table.size and 0 <= table.min() and table.max() < sf.order else row_text
+            lines.extend(map(write, map(np.ndarray.tolist, table)))
+        else:
+            lines.extend(map(row_text, table))
     if sf.labels is not None:
         lines.append("labels")
         lines.extend(_quote(lab) for lab in sf.labels)

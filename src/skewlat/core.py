@@ -167,7 +167,22 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
-class FiniteSkewLattice:
+class _Frozen:
+    """Set up by ``__init__`` through ``object.__setattr__`` and immutable after; equal and hashed by ``_key()``."""
+
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class FiniteSkewLattice(_Frozen):
     """Two total operation tables over the carrier ``0 .. order-1``.
 
     A table is an iterable of rows of integers, or an integer or bool
@@ -208,19 +223,8 @@ class FiniteSkewLattice:
                 raise StructureError(f"{len(labels)} labels for order {n}")
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name: str, *_: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
     def _key(self) -> tuple:
         return self.order, self._m.tobytes(), self._j.tobytes(), self.zero, self.labels
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FiniteSkewLattice(order={self.order}, zero={self.zero})"
@@ -237,6 +241,8 @@ class FiniteSkewLattice:
         return int(self._j[a, b])
 
     def label(self, i: int) -> str:
+        if not 0 <= i < self.order:
+            raise PreconditionError(f"label: id {i} out of range 0..{self.order - 1}")
         return self.labels[i] if self.labels is not None else str(i)
 
     @cached_property
@@ -1008,34 +1014,25 @@ def detect_zero(S: FiniteSkewLattice) -> int | None:
 
 
 def _compute_d_partition(S: FiniteSkewLattice) -> DPartition:
-    n, m = S.order, S._m
-    X, Y = np.indices((n, n))
-    aba = m[m, X]  # (a^b)^a
-    rel = (aba == X) & (aba.T == Y)
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for a in range(n):
-        if class_of[a] >= 0:
-            continue
-        members = tuple(int(b) for b in np.flatnonzero(rel[a]))
-        for b in members:
-            if not np.array_equal(rel[b], rel[a]):
-                raise InternalConsistencyError("D-relation is not an equivalence; structure is not a valid skew lattice")
-            class_of[b] = len(classes)
-        classes.append(members)
-    reps = [c[0] for c in classes]
-    q = len(classes)
-    leq = tuple(
-        tuple(class_of[int(m[reps[a], reps[b]])] == a for b in range(q)) for a in range(q)
-    )
-    top = [a for a in range(q) if all(leq[b][a] for b in range(q))]
-    bottom = [a for a in range(q) if all(leq[a][b] for b in range(q))]
+    t, m = S._tables, S._m
+    # (a^b)^a = m[m[a, b], a], read from row a of the transposed meet table at flat index a*n + m[a, b]
+    aba = t.columns[0].take(t.tables[0] + t.col * t.n)
+    rel = (aba == t.col) & (aba.T == t.ids)
+    least = rel.argmax(axis=1)  # each element's least D-related element, 0 for an empty row
+    # rel is an equivalence exactly when it relates two elements iff their least related elements agree
+    if not (rel == (least[:, None] == least)).all():
+        raise InternalConsistencyError("D-relation is not an equivalence; structure is not a valid skew lattice")
+    reps, class_of = np.unique(least, return_inverse=True)  # classes numbered by least member
+    q = len(reps)
+    leq = class_of[m[np.ix_(reps, reps)]] == np.arange(q)[:, None]
+    top = np.flatnonzero(leq.all(axis=0))
+    bottom = np.flatnonzero(leq.all(axis=1))
     return DPartition(
-        class_of=tuple(class_of),
-        classes=tuple(classes),
-        class_leq=leq,
-        top_class=top[0] if top else None,
-        bottom_class=bottom[0] if bottom else None,
+        class_of=tuple(class_of.tolist()),
+        classes=tuple(tuple(np.flatnonzero(rel[r]).tolist()) for r in reps),
+        class_leq=tuple(map(tuple, leq.tolist())),
+        top_class=int(top[0]) if top.size else None,
+        bottom_class=int(bottom[0]) if bottom.size else None,
     )
 
 

@@ -1,5 +1,6 @@
 """File format round-trips and the command line surface, exit codes included."""
 
+import dataclasses
 import os
 import re
 import string
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -262,6 +264,30 @@ def test_emit_writes_every_cell_as_its_number(case):
     assert emit(sf) == _emit_per_cell(sf)
 
 
+def test_emit_writes_ragged_rows_cell_by_cell():
+    sf = StructureFile(2, [[0], [0, 1, 5]], ((-1, 1), ()))
+    assert sf.meet_table == ((0,), (0, 1, 5)) and sf == StructureFile(2, ((0,), (0, 1, 5)), ((-1, 1), ()))
+    assert emit(sf) == _emit_per_cell(sf) == "skewlat 1\nn 2\nmeet\n0\n0 1 5\njoin\n-1 1\n\n"
+
+
+# the bulk layout, and one whose meet table goes through the token-by-token path
+_TABLE_PATHS = {"bulk": CHAIN2_TEXT, "token by token": CHAIN2_TEXT.replace("\n0 1\njoin", " 0 1 # a comment\njoin")}
+
+
+@pytest.mark.parametrize("text", _TABLE_PATHS.values(), ids=_TABLE_PATHS.keys())
+def test_a_parsed_file_holds_read_only_arrays_and_equals_a_tuple_built_one(text):
+    sf = parse(text)
+    for table in (sf._m, sf._j):
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp and not table.flags.writeable
+    built = StructureFile(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), zero=0)
+    assert sf == built and hash(sf) == hash(built)
+    assert sf != StructureFile(2, ((0, 0), (0, 1)), ((0, 1), (1, 1))) and sf != StructureFile(2, built.meet_table, built.meet_table, zero=0)
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in sf.meet_table + sf.join_table)
+    assert (sf.meet_table, sf.join_table) == (built.meet_table, built.join_table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sf.zero = 1
+
+
 _LABEL_ALPHABET = sorted(set(string.ascii_letters + string.digits + string.punctuation + " \n"))
 
 
@@ -398,6 +424,23 @@ def test_emitted_tables_are_decoded_without_splitting(monkeypatch):
     monkeypatch.setattr(cli._Tokens, "take_int", lambda self, what, lo, hi: took.append(what) or take_int(self, what, lo, hi))
     assert parse(_P22_TEXT) == StructureFile.from_structure(build_pfn_algebra(2, 2))
     assert took == ["order", "zero id"]
+
+
+def test_parse_and_emit_render_no_tuple_table(monkeypatch):
+    # parse hands its arrays to the constructor, and emit writes a structure's rows from its arrays
+    def unread(S):
+        raise AssertionError("a tuple table was read")
+
+    for cls in (StructureFile, FiniteSkewLattice):
+        monkeypatch.setattr(cls, "meet_table", property(unread))
+        monkeypatch.setattr(cls, "join_table", property(unread))
+    S = build_pfn_algebra(2, 2)
+    for text in (_P22_TEXT, _P22_TEXT.replace("\njoin\n", " # a comment\njoin\n")):
+        T = parse(text).to_structure()
+        assert T == S and T.labels == S.labels
+        assert emit(T) == emit(parse(text)) == _P22_TEXT
+    monkeypatch.undo()
+    assert "meet_table" not in S.__dict__ and "join_table" not in S.__dict__
 
 
 @pytest.fixture(scope="module")

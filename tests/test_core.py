@@ -100,6 +100,14 @@ def test_rejects_wrong_label_count():
         FiniteSkewLattice(2, ((0, 0), (0, 1)), ((0, 1), (1, 1)), labels=("only one",))
 
 
+def test_label_checks_its_id():
+    for S, names in ((chain_lattice(3), ["0", "1", "2"]), (boolean_lattice(2), ["{}", "{0}", "{1}", "{0,1}"])):
+        assert [S.label(i) for i in range(S.order)] == names
+        for bad in (-1, S.order):
+            with pytest.raises(PreconditionError, match=rf"^label: id {bad} out of range 0\.\.{S.order - 1}$"):
+                S.label(bad)
+
+
 def test_order_is_a_positive_integer_and_not_a_bool():
     for order in (0, -1, 2.0, "2", True, None):
         M = ((0,),) if order is True else ((0, 0), (0, 1))
@@ -360,6 +368,18 @@ def test_class_meets_are_well_defined_proof_by_running():
     for S in _all_census(4):
         green_d(S)
         quotient(S)
+
+
+@pytest.mark.parametrize("meet", [
+    ((0, 0, 0), (0, 1, 1), (2, 2, 2)),  # 0 D 2 and 2 D 1, but not 0 D 1
+    ((1, 1, 1), (1, 1, 1), (1, 1, 1)),  # 0 is not D-related to itself
+], ids=["not transitive", "not reflexive"])
+def test_a_d_relation_that_is_not_an_equivalence_is_an_internal_error(meet):
+    # no skew lattice has such a relation, so green_d refuses these tables first; the partition itself still checks
+    S = FiniteSkewLattice(3, meet, ((0, 1, 2), (1, 1, 2), (2, 2, 2)))
+    assert not S.validity.ok
+    with pytest.raises(InternalConsistencyError, match=r"^D-relation is not an equivalence; structure is not a valid skew lattice$"):
+        S._dpart
 
 
 def _set_partitions(items):

@@ -18,6 +18,10 @@ whole cube; and the restricted scan, called directly, must agree with
 the full one on every structure of the set.  At order 81 and above,
 where ``check_identity`` and the axiom scan use it, their certificates
 must be the plain scans'.
+
+The D-partition, computed in one vectorised pass, must equal the
+class-by-class loop it replaced on the whole set, and on the perturbed
+tables wherever that loop can tell an equivalence from the rest.
 """
 
 import random
@@ -411,3 +415,55 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
         law = cert.witness[0]
         assert [step for name, step in calls if name == law] == steps, calls
         assert cert == _plain_axioms(_fresh(S)) and cert.witness[1][0] == x, cert
+
+
+# --- the D-partition against the loop it replaced ---------------------------------------
+
+def _d_partition_loop(S):
+    """The D-partition built one class at a time, as ``core._compute_d_partition`` once did."""
+    n, m = S.order, S._m
+    X, Y = np.indices((n, n))
+    aba = m[m, X]
+    rel = (aba == X) & (aba.T == Y)
+    class_of = [-1] * n
+    classes = []
+    for a in range(n):
+        if class_of[a] >= 0:
+            continue
+        members = tuple(int(b) for b in np.flatnonzero(rel[a]))
+        for b in members:
+            if not np.array_equal(rel[b], rel[a]):
+                raise InternalConsistencyError("D-relation is not an equivalence; structure is not a valid skew lattice")
+            class_of[b] = len(classes)
+        classes.append(members)
+    reps = [c[0] for c in classes]
+    q = len(classes)
+    leq = tuple(tuple(class_of[int(m[reps[a], reps[b]])] == a for b in range(q)) for a in range(q))
+    top = [a for a in range(q) if all(leq[b][a] for b in range(q))]
+    bottom = [a for a in range(q) if all(leq[a][b] for b in range(q))]
+    return core.DPartition(tuple(class_of), tuple(classes), leq, top[0] if top else None, bottom[0] if bottom else None)
+
+
+def _partition_or_error(fn, S):
+    try:
+        return fn(S)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+def test_the_d_partition_matches_its_loop(oracle_set, perturbed_set):
+    for S in oracle_set:
+        assert core._compute_d_partition(S) == _d_partition_loop(S)
+    # on a reflexive relation the loop raises exactly when it is not an equivalence; on any
+    # other it returns a partition with an empty class or an unclassed element, and the
+    # vectorised check raises
+    seen = set()
+    for S in perturbed_set:
+        got = _partition_or_error(core._compute_d_partition, S)
+        reflexive = all(S._m[S._m[a, a], a] == a for a in range(S.order))
+        if reflexive:
+            assert got == _partition_or_error(_d_partition_loop, S)
+        else:
+            assert got == "D-relation is not an equivalence; structure is not a valid skew lattice"
+        seen.add((reflexive, isinstance(got, str)))
+    assert seen == {(True, False), (True, True), (False, True)}

@@ -13,7 +13,7 @@ def test_large_orders_runs_every_step_at_m_two():
     )
     assert out.returncode == 0, out.stderr
     lines = [line.split("\t") for line in out.stdout.splitlines()]
-    assert [fields[:2] for fields in lines] == [["P(2,2)", step] for step in ("build", "validate", "emit", "theorem")]
+    assert [fields[:2] for fields in lines] == [["P(2,2)", step] for step in ("build", "validate", "emit", "parse", "theorem")]
     for _, _, seconds, mb, code in lines:
         assert seconds.endswith(" s") and float(seconds[:-2]) >= 0
         assert mb.endswith(" MB") and float(mb[:-3]) > 0
