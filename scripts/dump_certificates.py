@@ -23,8 +23,12 @@ The structures are
 For each structure it prints the axiom certificate, the six identities,
 ``check_symmetric``, ``check_lemma_reg``, the D-classes, the quotient's
 tables and projection, and whether ``parse(emit(S))`` gives back the
-tables, zero and labels; a check that refuses an invalid structure
-prints its error.  The whole dump takes a few seconds.
+tables, zero and labels.  Then, on the same structure, so that the facts
+remembered by the first checks are read back, it prints ``detect_zero``,
+``commutation_graph``, ``is_ncframe``, ``check_theorem_ncframes``,
+``check_implication_chain``, ``check_prop_joins`` and
+``check_section_exists``.  A check that refuses its input prints its
+error.  The whole dump takes a few seconds.
 """
 
 from __future__ import annotations
@@ -42,10 +46,17 @@ from skewlat import (  # noqa: E402
     IDENTITY_NAMES,
     SkewLatticeError,
     check_identity,
+    check_implication_chain,
     check_lemma_reg,
+    check_prop_joins,
+    check_section_exists,
     check_symmetric,
+    check_theorem_ncframes,
+    commutation_graph,
+    detect_zero,
     emit,
     green_d,
+    is_ncframe,
     parse,
     quotient,
     validate_skew_axioms,
@@ -133,6 +144,9 @@ def certificates(S):
     yield "D-classes", lambda: green_d(S).classes
     yield "quotient", lambda: quotient_tables(S)
     yield "round trip", lambda: round_trip(S)
+    for check in (detect_zero, commutation_graph, is_ncframe, check_theorem_ncframes, check_implication_chain,
+                  check_prop_joins, check_section_exists):
+        yield check.__name__, lambda check=check: check(S)
 
 
 def quotient_tables(S):

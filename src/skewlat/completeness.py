@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Iterable, Iterator
 
@@ -36,6 +37,7 @@ from .core import (
     InternalConsistencyError,
     PreconditionError,
     _element_ids,
+    _once,
     _require_valid,
     _row_masks,
     check_identity,
@@ -78,11 +80,10 @@ def commutation_graph(S: FiniteSkewLattice) -> tuple[int, ...]:
     """The pairs commuting under meet and join, as one bitmask row per element.
 
     Bit b of row a is set iff a and b commute; the relation is symmetric,
-    and every element commutes with itself (idempotency).
+    and every element commutes with itself (idempotency).  Remembered on S.
     """
     _require_valid(S, "commutation_graph")
-    m, j = S._m, S._j
-    return _row_masks((m == m.T) & (j == j.T))
+    return _once(S, "commutation_graph", lambda: _row_masks((S._m == S._m.T) & (S._j == S._j.T)))
 
 
 def commuting_subset(S: FiniteSkewLattice, members: Iterable[int]) -> tuple[int, ...]:
@@ -237,17 +238,18 @@ def _joins_are_suprema(S: FiniteSkewLattice) -> None:
     ``InternalConsistencyError`` naming the element or the pair.  A
     passing check is remembered on the structure, like an identity.
     """
-    if "joins_are_suprema" in S._memo:
-        return
-    up, down, jt = S._up, S._down, S._j
-    for a, row in enumerate(commutation_graph(S)):
-        if up[a] & down[a] != 1 << a or any(up[s] & ~up[a] for s in _ids(up[a])):
-            raise InternalConsistencyError(f"natural order is not a partial order at {a}")
-        for b in _ids(row >> a << a):
-            bounds, s = up[a] & up[b], jt.item(a, b)
-            if not bounds >> s & 1 or up[s] & bounds != bounds:
-                raise InternalConsistencyError(f"join {s} of the commuting pair {a}, {b} is not their supremum")
-    S._memo["joins_are_suprema"] = True
+    def check() -> bool:
+        up, down, jt = S._up, S._down, S._j
+        for a, row in enumerate(commutation_graph(S)):
+            if up[a] & down[a] != 1 << a or any(up[s] & ~up[a] for s in _ids(up[a])):
+                raise InternalConsistencyError(f"natural order is not a partial order at {a}")
+            for b in _ids(row >> a << a):
+                bounds, s = up[a] & up[b], jt.item(a, b)
+                if not bounds >> s & 1 or up[s] & bounds != bounds:
+                    raise InternalConsistencyError(f"join {s} of the commuting pair {a}, {b} is not their supremum")
+        return True
+
+    _once(S, "joins_are_suprema", check)
 
 
 def check_join_complete(S: FiniteSkewLattice) -> Certificate:
@@ -309,34 +311,28 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
 
     For a normal structure the sections are exactly the down-sets of the
     top class's elements, so those are collected and verified; without
-    normality the search falls back to checking every class transversal.
-    Tests hold the fast path against the brute-force one.  The answer is
-    remembered on the structure, which the ladder and ``classify`` ask
-    more than once.
+    normality the search falls back to checking every class transversal,
+    and raises ``CapExceededError`` first when there are more than
+    2**SUBSET_ORDER_CAP of them.  Tests hold the fast path against the
+    brute-force one.  The answer is remembered on the structure, which
+    the ladder and ``classify`` ask more than once.
     """
     _require_valid(S, "lattice_sections")
     if not check_symmetric(S).ok:
         raise PreconditionError("lattice_sections is defined for symmetric structures only")
-    if "lattice_sections" not in S._memo:
-        S._memo["lattice_sections"] = _find_sections(S)
-    return S._memo["lattice_sections"]
+    return _once(S, "lattice_sections", lambda: _find_sections(S))
 
 
 def _find_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
     dp = green_d(S)
-    leq = S._leq
-    found: list[tuple[int, ...]] = []
     if check_identity(S, "normal").ok and dp.top_class is not None:
-        for t in dp.classes[dp.top_class]:
-            members = tuple(int(u) for u in np.flatnonzero(leq[:, t]))
-            if _is_section(S, members):
-                found.append(members)
+        candidates = (tuple(np.flatnonzero(S._leq[:, t]).tolist()) for t in dp.classes[dp.top_class])
     else:
-        for combo in itertools.product(*dp.classes):
-            members = tuple(sorted(combo))
-            if _is_section(S, members):
-                found.append(members)
-    return tuple(sorted(found))
+        count = math.prod(map(len, dp.classes))
+        if count > 2**SUBSET_ORDER_CAP:
+            raise CapExceededError(f"lattice_sections: {count} class transversals > 2**{SUBSET_ORDER_CAP} (not normal)")
+        candidates = (tuple(sorted(combo)) for combo in itertools.product(*dp.classes))
+    return tuple(sorted(c for c in candidates if _is_section(S, c)))
 
 
 def check_implication_chain(S: FiniteSkewLattice) -> Certificate:

@@ -195,9 +195,11 @@ class FiniteSkewLattice(_Frozen):
 
     ``zero`` optionally names an element expected to absorb meets and be
     neutral for joins; the claim is verified during validation, not at
-    construction.  The rest of the derived data (the validation verdict,
-    the D-partition, the natural order) is computed on first use and
-    cached.
+    construction.  The rest of the derived data is computed on first use
+    and cached: the validation verdict, the D-partition, the natural
+    order, and through ``_once`` the identity and symmetry certificates,
+    lemma verdicts, generating sets, zero, quotient, commutation graph,
+    Lemma A's checked premise and the lattice sections.
     """
 
     def __init__(
@@ -282,8 +284,8 @@ class FiniteSkewLattice(_Frozen):
 
     @cached_property
     def _memo(self) -> dict:
-        # verdicts kept per structure: identity certificates by name, lemma verdicts and
-        # checked lemma premises, the generating sets of each operation, the lattice sections
+        # _once's keys: an identity's name, ("lemma", law text), ("generators", op), "symmetric", "zero",
+        # "quotient", "commutation_graph", "joins_are_suprema" (Lemma A's premise), "lattice_sections"
         return {}
 
 
@@ -705,6 +707,13 @@ def _element_ids(S: FiniteSkewLattice, members: Iterable[int], op: str) -> tuple
     return ids
 
 
+def _once(S: FiniteSkewLattice, key: Any, compute: Callable[[], Any]) -> Any:
+    """``compute()``, remembered in ``S._memo`` under ``key``; a raise is not remembered."""
+    if key not in S._memo:
+        S._memo[key] = compute()
+    return S._memo[key]
+
+
 # --- lemmas that prove a law holds without its n³ scan --------------------------------
 #
 # Each lemma takes a structure S and a law, and returns True only when it
@@ -730,8 +739,7 @@ def _generators(S: FiniteSkewLattice, op: int) -> np.ndarray:
     associative or not, so G generates S whatever the order; the order
     only keeps G small.  Memoised per op.
     """
-    key = ("generators", op)
-    if key not in S._memo:
+    def greedy() -> np.ndarray:
         n, T = S.order, S._tables.tables[op]
         ids = np.arange(n)
         fixed = np.count_nonzero(T[T, ids[:, None]] == ids[:, None], axis=1)  # b with a∘b∘a = a
@@ -752,8 +760,9 @@ def _generators(S: FiniteSkewLattice, op: int) -> np.ndarray:
                 hit[T[new[:, None], have]] = True
                 hit[T[have[:, None], new]] = True
                 new = np.flatnonzero(hit & ~inside)
-        S._memo[key] = np.array(sorted(gens), dtype=np.intp)
-    return S._memo[key]
+        return np.array(sorted(gens), dtype=np.intp)
+
+    return _once(S, ("generators", op), greedy)
 
 
 def _row_regime(S: FiniteSkewLattice, law: _Law) -> bool:
@@ -931,10 +940,7 @@ def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
     """Whether ``law.lemma`` proves that ``law`` holds on S; the verdict is memoised."""
     if law.lemma is None:
         return False
-    key = ("lemma", law.text)
-    if key not in S._memo:
-        S._memo[key] = law.lemma(S, law)
-    return S._memo[key]
+    return _once(S, ("lemma", law.text), lambda: law.lemma(S, law))
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str, lemmas: bool = False) -> Certificate:
@@ -975,10 +981,7 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     _require_valid(S, "check_identity")
-    cache = S._memo
-    if name not in cache:
-        cache[name] = _identity_scan(S, name, lemmas=True)
-    return cache[name]
+    return _once(S, name, lambda: _identity_scan(S, name, lemmas=True))
 
 
 def check_symmetric(S: FiniteSkewLattice) -> Certificate:
@@ -988,17 +991,15 @@ def check_symmetric(S: FiniteSkewLattice) -> Certificate:
     the other does not.
     """
     _require_valid(S, "check_symmetric")
-    m, j = S._m, S._j
-    meet_comm = m == m.T
-    join_comm = j == j.T
-    w = _first_true(meet_comm != join_comm)
+    return _once(S, "symmetric", lambda: _symmetry(S))
+
+
+def _symmetry(S: FiniteSkewLattice) -> Certificate:
+    meet_comm = S._m == S._m.T
+    w = _first_true(meet_comm != (S._j == S._j.T))
     if w is None:
         return Certificate(True, "symmetric")
-    a, b = w
-    if meet_comm[a, b]:
-        law = "x∧y=y∧x but x∨y≠y∨x"
-    else:
-        law = "x∨y=y∨x but x∧y≠y∧x"
+    law = "x∧y=y∧x but x∨y≠y∨x" if meet_comm[w] else "x∨y=y∨x but x∧y≠y∧x"
     return Certificate(False, "symmetric", (law, w))
 
 
@@ -1010,7 +1011,7 @@ def is_commutative(S: FiniteSkewLattice) -> bool:
 
 def detect_zero(S: FiniteSkewLattice) -> int | None:
     """Find the element satisfying the zero laws, if any (it is unique)."""
-    return _zero_of(S._m, S._j)
+    return _once(S, "zero", lambda: _zero_of(S._m, S._j))
 
 
 def _compute_d_partition(S: FiniteSkewLattice) -> DPartition:
@@ -1064,9 +1065,13 @@ def quotient(S: FiniteSkewLattice) -> QuotientLattice:
     Well-definedness of the induced tables is verified over every pair
     of representatives, and the result must be commutative and valid;
     any failure is an internal-consistency error, since a valid skew
-    lattice guarantees both.
+    lattice guarantees both.  The quotient is remembered on S.
     """
     _require_valid(S, "quotient")
+    return _once(S, "quotient", lambda: _quotient(S))
+
+
+def _quotient(S: FiniteSkewLattice) -> QuotientLattice:
     dp = S._dpart
     q = dp.class_count
     c = np.asarray(dp.class_of, dtype=np.intp)

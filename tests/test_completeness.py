@@ -1,6 +1,7 @@
 """Commuting subsets, suprema, sections and the completeness checks."""
 
 import itertools
+import time
 
 import pytest
 
@@ -278,6 +279,29 @@ def test_fast_path_matches_transversal_scan(p22, window4):
 def test_sections_without_normality_use_the_fallback():
     assert lattice_sections(NON_NORMAL_3) == ((0, 1), (1, 2))
     assert _brute_sections(NON_NORMAL_3) == [(0, 1), (1, 2)]
+
+
+def _product(A, B):
+    # A × B, the pair (a, b) numbered a·|B| + b
+    def table(t, u):
+        return (t[:, None, :, None] * B.order + u[None, :, None, :]).reshape(A.order * B.order, -1)
+
+    return FiniteSkewLattice(A.order * B.order, table(A._m, B._m), table(A._j, B._j))
+
+
+def test_the_fallback_walk_is_capped_at_two_to_the_subset_cap():
+    # P(3,2) × NON_NORMAL_3 is symmetric and not normal, with 2**32 class transversals
+    S = _product(build_pfn_algebra(3, 2), NON_NORMAL_3)
+    want = r"^lattice_sections: 4294967296 class transversals > 2\*\*12 \(not normal\)$"
+    start = time.perf_counter()
+    for _ in range(2):
+        with pytest.raises(CapExceededError, match=want):
+            lattice_sections(S)
+    assert time.perf_counter() - start < 1
+    assert "lattice_sections" not in S._memo
+    # P(2,2) × NON_NORMAL_3 has 2**12 of them, which the walk still visits
+    T = _product(build_pfn_algebra(2, 2), NON_NORMAL_3)
+    assert len(lattice_sections(T)) == len(lattice_sections(build_pfn_algebra(2, 2))) * 2
 
 
 def test_window_has_one_section_per_top():
