@@ -22,8 +22,9 @@ The structures are
 
 For each structure it prints the axiom certificate, the six identities,
 ``check_symmetric``, ``check_lemma_reg``, the D-classes, the quotient's
-tables and projection, and whether ``parse(emit(S))`` gives back the
-tables, zero and labels.  Then, on the same structure, so that the facts
+tables and projection, whether ``parse(emit(S))`` gives back the
+tables, zero and labels, and the SHA-256 of ``emit(S)``, which pins the
+writer's exact output.  Then, on the same structure, so that the facts
 remembered by the first checks are read back, it prints ``detect_zero``,
 ``commutation_graph``, ``is_ncframe``, ``check_theorem_ncframes``,
 ``check_implication_chain``, ``check_prop_joins`` and
@@ -33,6 +34,7 @@ error.  The whole dump takes a few seconds.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -144,6 +146,7 @@ def certificates(S):
     yield "D-classes", lambda: green_d(S).classes
     yield "quotient", lambda: quotient_tables(S)
     yield "round trip", lambda: round_trip(S)
+    yield "emit sha256", lambda: hashlib.sha256(emit(S).encode()).hexdigest()
     for check in (detect_zero, commutation_graph, is_ncframe, check_theorem_ncframes, check_implication_chain,
                   check_prop_joins, check_section_exists):
         yield check.__name__, lambda check=check: check(S)

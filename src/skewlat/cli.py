@@ -20,11 +20,11 @@ A structure file is whitespace-separated tokens with ``#`` comments:
 
 Sections appear in exactly that order; rows of a table are the left
 operand.  The format is plain enough to diff and emitting is bit-exact,
-so ``parse(emit(S))`` reproduces the structure.  ``parse`` decodes each
-table into a read-only intp array, which :class:`StructureFile` keeps
-and ``to_structure`` hands to the :class:`FiniteSkewLattice`
-constructor; ``emit`` writes a structure's rows from its arrays.  No
-table is rendered as tuples on either path.
+so ``parse(emit(S))`` reproduces the structure.  ``parse`` reads the
+text at an offset, never splitting it into lines, and decodes each
+table into an intp array for the :class:`FiniteSkewLattice`
+constructor, which checks it; ``emit`` writes a structure's rows from
+its arrays.  No table is rendered as tuples on either path.
 
 Exit codes: 0 for a true verdict or successful emission, 1 for a false
 verdict (the certificate is printed), 2 for usage, parse and
@@ -34,11 +34,8 @@ precondition errors.  Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import bisect
 import re
 import sys
-from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -48,8 +45,6 @@ from .core import (
     PreconditionError,
     SkewLatticeError,
     StructureError,
-    Table,
-    _Frozen,
     check_identity,
     detect_zero,
     natural_leq,
@@ -83,168 +78,142 @@ class ParseError(SkewLatticeError):
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
-_WORD = re.compile(r'[^ \t\r#"]+')
-# a word, a quoted string (its closing quote missing if it is cut short) or a comment;
-# only blanks fall between the matches
-_LEXEME = re.compile(r'([^ \t\r#"]+)|"((?:[^"\\]|\\[\\"n])*)("?)|#')
 _ESCAPE_SEQ = re.compile(r"\\(.)")
+# the characters at which str.splitlines ends a line; no token, comment or quoted string runs across one
+_EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+# a quoted string, short of its closing quote; each character matches one way only, so a failing
+# match backs off in linear time (Python 3.10 has no atomic groups)
+_OPEN_QUOTE = rf'"[^"\\{_EOL}]*(?:\\[\\"n][^"\\{_EOL}]*)*'
+# blanks, line ends and up to 64 comments (the engine keeps state for each repeat of a group, so ``_Tokens._next``
+# takes a longer run 64 at a time), then the next token if any: a word (group 1) or a quoted string (group 2)
+_NEXT = re.compile(rf'[ \t{_EOL}]*(?:#[^{_EOL}]*[ \t{_EOL}]*){{0,64}}(?:([^ \t#"{_EOL}]+)|({_OPEN_QUOTE}"))?')
+# up to 64 comments and well-formed quoted strings with anything between them: a match that takes nothing
+# stops at the first faulty quote, or at the end of the text
+_QUOTES_OK = re.compile(rf'[^"#]*(?:(?:#[^{_EOL}]*(?![^{_EOL}])|{_OPEN_QUOTE}")[^"#]*){{0,64}}')
+_QUOTE_BODY = re.compile(_OPEN_QUOTE)
 
 
-def _scan_line(raw: str, lineno: int) -> list[tuple[int, str, bool]]:
-    """``(col, text, quoted)`` for each token of one line, quoted strings unescaped."""
-    found = []
-    for m in _LEXEME.finditer(raw):
-        if m[0] == "#":
-            break
-        if m[1] is not None:
-            found.append((m.start() + 1, m[1], False))
-        elif m[3]:
-            found.append((m.start() + 1, _ESCAPE_SEQ.sub(lambda e: _ESCAPES[e[1]], m[2]), True))
-        elif m.end() == len(raw):
-            raise ParseError("unterminated quoted string", lineno, m.start() + 1)
-        else:  # stopped at a backslash that starts no escape
-            raise ParseError("unknown escape in quoted string", lineno, m.end() + 1)
-    return found
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of ``offset``, with lines numbered as ``str.splitlines`` splits them."""
+    lines = (text[:offset] + "x").splitlines()  # the "x" opens a line when the text before ends one
+    return len(lines), len(lines[-1])
+
+
+def _check_quotes(text: str) -> None:
+    """Raise the first fault of a quoted string in ``text``, if there is one."""
+    first = text.find('"')
+    if first < 0:
+        return
+    # from the last "\n" before it: a line start, where no comment or quoted string is open
+    end = text.rfind("\n", 0, first) + 1
+    while (stop := _QUOTES_OK.match(text, end).end()) > end:
+        end = stop
+    if end < len(text):  # the string opened at end meets a line end, the end of the text or a bad escape
+        stop = _QUOTE_BODY.match(text, end).end()
+        if text.startswith("\\", stop):
+            raise ParseError("unknown escape in quoted string", *_position(text, stop))
+        raise ParseError("unterminated quoted string", *_position(text, end))
 
 
 class _Tokens:
-    """The token texts of a structure file and a read position.
+    """A structure file's text and a read offset, advanced a token at a time by ``_NEXT``.
 
-    Lines are split into tokens only when the read position reaches them,
-    and a table laid out as whole lines of digits is decoded from the
-    text without being split (``take_table``).  Tokens are plain strings,
-    with the indices of the quoted ones in a set; a token's line and
-    column are worked out only when an error names it, by rescanning its
-    line.
+    Quoted strings are checked up front, so their faults come first.  A
+    token's line and column are worked out from its offset only when an
+    error names it.
     """
 
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        # only a line holding a quote can fail to split; each is scanned now, so
-        # the first such fault in the file is raised before any other
-        self.scanned = {i: _scan_line(raw, i + 1) for i, raw in enumerate(self.lines) if '"' in raw}
-        self.words: list[str] = []
-        self.quoted: set[int] = set()
-        self.line_first: list[int] = []  # index of each line's first token, for the lines passed so far
+        _check_quotes(text)
+        self.text = text
         self.pos = 0
+        self.last = 0  # offset of the last token read: errors, the end-of-file one too, name it
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, *_position(self.text, self.last))
+
+    def _next(self) -> re.Match:
+        """``_NEXT`` matched from the read offset to the next token, or to the end of the text."""
+        m = _NEXT.match(self.text, self.pos)
+        while m.lastindex is None and m.end() < len(self.text):  # stopped after 64 comments
+            m = _NEXT.match(self.text, m.end())
+        return m
 
     def more(self) -> bool:
-        """Whether a token is left at the read position, splitting lines up to it."""
-        words = self.words
-        while self.pos == len(words):
-            i = len(self.line_first)
-            if i == len(self.lines):
-                return False
-            self.line_first.append(len(words))
-            if i not in self.scanned:
-                words += _WORD.findall(self.lines[i].partition("#")[0])
-                continue
-            for _, word, quoted in self.scanned[i]:
-                if quoted:
-                    self.quoted.add(len(words))
-                words.append(word)
-        return True
-
-    def error(self, message: str, k: int) -> ParseError:
-        line = bisect.bisect_right(self.line_first, k)
-        col = _scan_line(self.lines[line - 1], line)[k - self.line_first[line - 1]][0]
-        return ParseError(message, line, col)
+        return self._next().lastindex is not None
 
     def at_word(self, word: str) -> bool:
-        return self.more() and self.words[self.pos] == word and self.pos not in self.quoted
+        return self._next()[1] == word
 
-    def take(self, what: str) -> int:
-        if not self.more():
-            # at the file's last token, which may sit in a table decoded unsplit
-            for line in range(len(self.lines), 0, -1):
-                found = _scan_line(self.lines[line - 1], line)
-                if found:
-                    raise ParseError(f"expected {what}, got end of file", line, found[-1][0])
-            raise ParseError(f"expected {what}, got end of file", 1, 1)
-        self.pos += 1
-        return self.pos - 1
+    def take(self, what: str) -> tuple[str, bool]:
+        """The next token, unescaped if quoted, and whether it was quoted."""
+        m = self._next()
+        if m.lastindex is None:
+            raise self.error(f"expected {what}, got end of file")
+        self.pos, self.last = m.end(), m.start(m.lastindex)
+        if m[1] is not None:
+            return m[1], False
+        return _ESCAPE_SEQ.sub(lambda e: _ESCAPES[e[1]], m[2][1:-1]), True
 
     def expect_word(self, word: str) -> None:
-        k = self.take(f"'{word}'")
-        if k in self.quoted or self.words[k] != word:
-            raise self.error(f"expected '{word}', got {self.words[k]!r}", k)
+        got, quoted = self.take(f"'{word}'")
+        if quoted or got != word:
+            raise self.error(f"expected '{word}', got {got!r}")
 
     def take_int(self, what: str, lo: int, hi: int) -> int:
-        k = self.take(what)
-        if k in self.quoted:
-            raise self.error(f"expected {what}, got quoted string", k)
+        word, quoted = self.take(what)
+        if quoted:
+            raise self.error(f"expected {what}, got quoted string")
         try:
-            value = int(self.words[k])
+            value = int(word)
         except ValueError:
-            raise self.error(f"expected {what}, got {self.words[k]!r}", k) from None
+            raise self.error(f"expected {what}, got {word!r}") from None
         if not lo <= value <= hi:
-            raise self.error(f"{what} {value} out of range [{lo}, {hi}]", k)
+            raise self.error(f"{what} {value} out of range [{lo}, {hi}]")
         return value
 
     def take_table(self, what: str, order: int) -> np.ndarray:
-        """The next order² entries as a read-only order×order intp array.
+        """The next order² entries as an order×order intp array.
 
-        When the read position ends its line and the next ``order`` lines
-        hold only digits and blanks, they are decoded in one numpy call,
-        and taken if they hold exactly order² entries, each below
-        ``order``.  An entry too large for an intp saturates, so it fails
-        that test too.  Anything else is taken entry by entry, which
-        raises at the first fault.
+        The slice of the text that holds the ``order`` lines from the next
+        token on, if only digits and blanks, is decoded in one numpy call
+        and taken if it holds exactly order² entries, each below ``order``
+        (an entry too large for an intp saturates).  Anything else is taken
+        entry by entry, which raises at the first fault.
         """
-        first = len(self.line_first)
-        if self.pos == len(self.words) and first + order <= len(self.lines):
-            block = "\n".join(self.lines[first : first + order])
+        text = self.text
+        m = self._next()
+        if m[1] is not None:
+            start = end = m.start(1)
+            for _ in range(order):
+                end = text.find("\n", end + 1)
+                if end < 0:
+                    end = len(text)
+                    break
+            block = text[start:end]
             # digits and blanks only, and at least one digit: np.fromstring reads a blank block as [0]
-            if block.encode().translate(None, b" \t\n").isdigit():
+            if block.encode().translate(None, b" \t\r\n").isdigit():
                 values = np.fromstring(block, dtype=np.intp, sep=" ")
                 if values.size == order * order and values.max() < order:
-                    self.line_first += [len(self.words)] * order  # lines passed, no tokens split
-                    return _read_only(values.reshape(order, order))
-        values = np.array([self.take_int(what, 0, order - 1) for _ in range(order * order)], dtype=np.intp)
-        return _read_only(values.reshape(order, order))
+                    # the last token read is the block's last entry, the digits after its last blank; in emit's
+                    # layout that is a space or a line end near the end, so the other blanks are sought after it
+                    tail = block.rstrip()
+                    blank = max(tail.rfind(" "), tail.rfind("\n"))
+                    blank = max(blank, tail.rfind("\t", blank + 1), tail.rfind("\r", blank + 1))
+                    self.pos, self.last = end, start + blank + 1
+                    return values.reshape(order, order)
+        values = [self.take_int(what, 0, order - 1) for _ in range(order * order)]
+        return np.array(values, dtype=np.intp).reshape(order, order)
 
 
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
+class StructureFile(FiniteSkewLattice):
+    """A structure read from or written to a structure file.
 
-
-def _rows(table: Any) -> Table:
-    # an array's rows as tuples of ints; a hand-built table is already tuple rows
-    return tuple(map(tuple, table.tolist())) if isinstance(table, np.ndarray) else table
-
-
-class StructureFile(_Frozen):
-    """Parsed structure file: order, tables, optional zero and labels.
-
-    ``parse`` and ``from_structure`` keep each table as the read-only
-    intp array they hold, and ``to_structure`` hands those arrays
-    straight to the :class:`FiniteSkewLattice` constructor, which checks
-    them.  A hand-built file takes any rows, negative, out-of-range or
-    ragged, and keeps them as tuples; it is not validated.
-    ``meet_table``/``join_table`` read either kind as tuple rows, an
-    array rendered on first read.  Equality and hashing are on order,
-    table contents, zero and labels, so a parsed file equals one built
-    from the same tuples.
+    It is a :class:`FiniteSkewLattice`, built and checked by the same
+    constructor; ``parse`` returns one.  ``to_structure`` and
+    ``from_structure`` convert between the two classes, which never
+    compare equal to each other.
     """
-
-    def __init__(
-        self, order: int, meet_table: Any, join_table: Any, zero: int | None = None, labels: tuple[str, ...] | None = None
-    ) -> None:
-        object.__setattr__(self, "order", order)
-        for name, table in (("_m", meet_table), ("_j", join_table)):
-            object.__setattr__(self, name, table if isinstance(table, np.ndarray) else tuple(map(tuple, table)))
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "labels", labels)
-
-    meet_table = cached_property(lambda self: _rows(self._m))
-    join_table = cached_property(lambda self: _rows(self._j))
-
-    def _key(self) -> tuple:
-        return self.order, self.meet_table, self.join_table, self.zero, self.labels
-
-    def __repr__(self) -> str:
-        return f"StructureFile(order={self.order}, zero={self.zero}, labels={self.labels!r})"
 
     def to_structure(self) -> FiniteSkewLattice:
         return FiniteSkewLattice(self.order, self._m, self._j, zero=self.zero, labels=self.labels)
@@ -258,9 +227,9 @@ def parse(text: str) -> StructureFile:
     """Parse structure-file text; raises :class:`ParseError` with position."""
     toks = _Tokens(text)
     toks.expect_word(FORMAT_TAG)
-    k = toks.take("format version")
-    if k in toks.quoted or toks.words[k] != str(FORMAT_VERSION):
-        raise toks.error(f"unsupported format version {toks.words[k]!r}", k)
+    version, quoted = toks.take("format version")
+    if quoted or version != str(FORMAT_VERSION):
+        raise toks.error(f"unsupported format version {version!r}")
     toks.expect_word("n")
     order = toks.take_int("order", 1, 10**6)
     zero = None
@@ -271,19 +240,19 @@ def parse(text: str) -> StructureFile:
     for section in ("meet", "join"):
         toks.expect_word(section)
         tables.append(toks.take_table(f"{section} entry", order))
-    labels: tuple[str, ...] | None = None
+    labels = None
     if toks.at_word("labels"):
         toks.take("'labels'")
-        got = []
+        labels = []
         for _ in range(order):
-            k = toks.take("label string")
-            if k not in toks.quoted:
-                raise toks.error(f"labels must be quoted, got {toks.words[k]!r}", k)
-            got.append(toks.words[k])
-        labels = tuple(got)
+            label, quoted = toks.take("label string")
+            if not quoted:
+                raise toks.error(f"labels must be quoted, got {label!r}")
+            labels.append(label)
     if toks.more():
-        raise toks.error(f"unexpected token {toks.words[toks.pos]!r}", toks.pos)
-    return StructureFile(order, tables[0], tables[1], zero=zero, labels=labels)
+        stray, _ = toks.take("")
+        raise toks.error(f"unexpected token {stray!r}")
+    return StructureFile(order, *tables, zero=zero, labels=labels)
 
 
 def _quote(label: str) -> str:
@@ -291,38 +260,29 @@ def _quote(label: str) -> str:
     return f'"{out}"'
 
 
-def emit(source: FiniteSkewLattice | StructureFile) -> str:
+def emit(S: FiniteSkewLattice) -> str:
     """Render a structure in the file format; inverse of :func:`parse`."""
-    sf = source if isinstance(source, StructureFile) else StructureFile.from_structure(source)
-    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"n {sf.order}"]
-    if sf.zero is not None:
-        lines.append(f"zero {sf.zero}")
-    names = [str(v) for v in range(sf.order)]
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"n {S.order}"]
+    if S.zero is not None:
+        lines.append(f"zero {S.zero}")
+    names = [str(v) for v in range(S.order)]
 
-    def ids_text(row) -> str:
+    def ids_text(row: list[int]) -> str:
         return " ".join([names[v] for v in row])
 
-    def row_text(row) -> str:
-        # a row of ids joins their names; StructureFile does not validate, so any other row goes cell by cell
-        return ids_text(row) if len(row) and 0 <= min(row) and max(row) < sf.order else " ".join(map(str, row))
-
-    for section, table in (("meet", sf._m), ("join", sf._j)):
+    for section, table in (("meet", S._m), ("join", S._j)):
         lines.append(section)
-        if isinstance(table, np.ndarray):
-            # read a row at a time, so the cells are never all Python ints at once; the ids are checked once
-            write = ids_text if table.size and 0 <= table.min() and table.max() < sf.order else row_text
-            lines.extend(map(write, map(np.ndarray.tolist, table)))
-        else:
-            lines.extend(map(row_text, table))
-    if sf.labels is not None:
+        # a row at a time, each freed once written, so the cells are never all Python ints at once
+        lines.extend(map(ids_text, map(np.ndarray.tolist, table)))
+    if S.labels is not None:
         lines.append("labels")
-        lines.extend(_quote(lab) for lab in sf.labels)
+        lines.extend(map(_quote, S.labels))
     return "\n".join(lines) + "\n"
 
 
 def _load(path: str) -> FiniteSkewLattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read()).to_structure()
+        return parse(fh.read())
 
 
 def _yesno(flag: bool) -> str:

@@ -41,7 +41,6 @@ from .core import (
     _require_valid,
     _row_masks,
     check_identity,
-    check_symmetric,
     green_d,
     is_commutative,
     quotient,
@@ -66,14 +65,6 @@ __all__ = [
 ]
 
 SUBSET_ORDER_CAP = 12
-
-
-def _require_normal_symmetric(S: FiniteSkewLattice, op: str) -> None:
-    _require_valid(S, op)
-    if not check_identity(S, "normal").ok:
-        raise PreconditionError(f"{op} is defined for normal structures only")
-    if not check_symmetric(S).ok:
-        raise PreconditionError(f"{op} is defined for symmetric structures only")
 
 
 def commutation_graph(S: FiniteSkewLattice) -> tuple[int, ...]:
@@ -102,14 +93,18 @@ def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = Non
 
     Subsets are the cliques of the commutation graph, in lexicographic
     order; extending a clique by a larger common neighbour costs one
-    ``&`` with that neighbour's row.  Above order 12 an explicit
-    ``max_size`` is required, since the count can explode.
+    ``&`` with that neighbour's row.  Only subsets of at most
+    ``max_size`` elements are yielded, none when it is below 1.  Above
+    order 12 an explicit ``max_size`` is required, since the count can
+    explode.
     """
     _require_valid(S, "enumerate_commuting_subsets")
     if max_size is None and S.order > SUBSET_ORDER_CAP:
         raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
     adj = commutation_graph(S)
-    limit = S.order if max_size is None else max_size
+    limit = S.order if max_size is None else operator.index(max_size)
+    if limit < 1:
+        return
     # a frame: a clique and the ids that may still extend it (never none);
     # the remainder goes back below the child, so children come first
     stack = [((), (1 << S.order) - 1)]
@@ -176,18 +171,14 @@ def join_fold(S: FiniteSkewLattice, C) -> int:
     supremum; agreement with :func:`sup_natural` is a tested fact, not a
     definition.
     """
-    _require_valid(S, "join_fold")
-    if not check_symmetric(S).ok:
-        raise PreconditionError("join_fold is defined for symmetric structures only")
+    _require_valid(S, "join_fold", "symmetric")
     members = commuting_subset(S, C)
     return functools.reduce(lambda a, b: S._j.item(a, b), members)
 
 
 def meet_fold(S: FiniteSkewLattice, C) -> int:
     """Left fold of the meet over a commuting subset in ascending id order."""
-    _require_valid(S, "meet_fold")
-    if not check_symmetric(S).ok:
-        raise PreconditionError("meet_fold is defined for symmetric structures only")
+    _require_valid(S, "meet_fold", "symmetric")
     members = commuting_subset(S, C)
     return functools.reduce(lambda a, b: S._m.item(a, b), members)
 
@@ -210,7 +201,7 @@ def check_prop_joins(S: FiniteSkewLattice) -> Certificate:
     is one mask test per element on the cached order; a miss raises
     ``InternalConsistencyError`` naming the element.
     """
-    _require_normal_symmetric(S, "check_prop_joins")
+    _require_valid(S, "check_prop_joins", "normal", "symmetric")
     _joins_are_suprema(S)
     quotient(S)  # raises unless the class map is a join homomorphism
     dp = green_d(S)
@@ -254,14 +245,14 @@ def _joins_are_suprema(S: FiniteSkewLattice) -> None:
 
 def check_join_complete(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has a supremum in the natural order (Lemma A)."""
-    _require_normal_symmetric(S, "check_join_complete")
+    _require_valid(S, "check_join_complete", "normal", "symmetric")
     _joins_are_suprema(S)
     return Certificate(True, "join complete")
 
 
 def check_bounded_above(S: FiniteSkewLattice) -> Certificate:
     """Every commuting subset has an upper bound, its supremum by Lemma A."""
-    _require_normal_symmetric(S, "check_bounded_above")
+    _require_valid(S, "check_bounded_above", "normal", "symmetric")
     _joins_are_suprema(S)
     return Certificate(True, "bounded from above")
 
@@ -279,7 +270,7 @@ def check_section_extension(S: FiniteSkewLattice) -> Certificate:
     Lemma D's premise is the cover itself; a miss raises
     ``InternalConsistencyError`` naming the element.
     """
-    _require_normal_symmetric(S, "check_section_extension")
+    _require_valid(S, "check_section_extension", "normal", "symmetric")
     _joins_are_suprema(S)
     missing = set(range(S.order)).difference(*lattice_sections(S))
     if missing:
@@ -289,7 +280,7 @@ def check_section_extension(S: FiniteSkewLattice) -> Certificate:
 
 def check_section_exists(S: FiniteSkewLattice) -> Certificate:
     """At least one lattice section exists; the witness is the first one."""
-    _require_normal_symmetric(S, "check_section_exists")
+    _require_valid(S, "check_section_exists", "normal", "symmetric")
     sections = lattice_sections(S)
     if not sections:
         return Certificate(False, "a lattice section exists")
@@ -317,9 +308,7 @@ def lattice_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
     brute-force one.  The answer is remembered on the structure, which
     the ladder and ``classify`` ask more than once.
     """
-    _require_valid(S, "lattice_sections")
-    if not check_symmetric(S).ok:
-        raise PreconditionError("lattice_sections is defined for symmetric structures only")
+    _require_valid(S, "lattice_sections", "symmetric")
     return _once(S, "lattice_sections", lambda: _find_sections(S))
 
 
@@ -341,7 +330,7 @@ def check_implication_chain(S: FiniteSkewLattice) -> Certificate:
     The witness records all four verdicts; a false certificate names the
     first implication whose premise holds while its conclusion fails.
     """
-    _require_normal_symmetric(S, "check_implication_chain")
+    _require_valid(S, "check_implication_chain", "normal", "symmetric")
     results = (
         ("join_complete", check_join_complete(S).ok),
         ("bounded_above", check_bounded_above(S).ok),

@@ -12,7 +12,8 @@ restrictions and homomorphisms.
 
 Elements are the positions ``0 .. order-1``; optional labels are for
 display only and never affect computation.  Every function of the
-package that takes element ids checks them with ``_element_ids``, so
+package that takes element ids reads each with ``_element_id``, so an
+id that is not an integer in range is refused, never truncated, and
 each id error reads the same way.  Construction only checks, in one
 vectorised pass, that the raw tables are well formed, and keeps each
 as the one array every scan reads (tuples on demand).  Whether the
@@ -167,22 +168,7 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
-class _Frozen:
-    """Set up by ``__init__`` through ``object.__setattr__`` and immutable after; equal and hashed by ``_key()``."""
-
-    def __setattr__(self, name: str, *_: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-class FiniteSkewLattice(_Frozen):
+class FiniteSkewLattice:
     """Two total operation tables over the carrier ``0 .. order-1``.
 
     A table is an iterable of rows of integers, or an integer or bool
@@ -191,7 +177,8 @@ class FiniteSkewLattice(_Frozen):
     constructor converts and checks each table once, into the read-only
     intp array ``_m`` or ``_j`` that every scan reads and the only copy
     kept; ``meet_table``/``join_table`` render it as tuples of ``int``
-    on first read.  Equality is on order, tables, zero and labels.
+    on first read.  An instance is immutable; two of one class are equal
+    when order, tables, zero and labels are.
 
     ``zero`` optionally names an element expected to absorb meets and be
     neutral for joins; the claim is verified during validation, not at
@@ -225,26 +212,34 @@ class FiniteSkewLattice(_Frozen):
                 raise StructureError(f"{len(labels)} labels for order {n}")
         object.__setattr__(self, "labels", labels)
 
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
     def _key(self) -> tuple:
         return self.order, self._m.tobytes(), self._j.tobytes(), self.zero, self.labels
 
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
-        return f"FiniteSkewLattice(order={self.order}, zero={self.zero})"
+        return f"{type(self).__name__}(order={self.order}, zero={self.zero})"
 
     meet_table = cached_property(lambda self: tuple(map(tuple, self._m.tolist())))
     join_table = cached_property(lambda self: tuple(map(tuple, self._j.tolist())))
 
     def meet(self, a: int, b: int) -> int:
-        _element_ids(self, (a, b), "meet")
-        return int(self._m[a, b])
+        return int(self._m[_element_id(self, a, "meet"), _element_id(self, b, "meet")])
 
     def join(self, a: int, b: int) -> int:
-        _element_ids(self, (a, b), "join")
-        return int(self._j[a, b])
+        return int(self._j[_element_id(self, a, "join"), _element_id(self, b, "join")])
 
     def label(self, i: int) -> str:
-        if not 0 <= i < self.order:
-            raise PreconditionError(f"label: id {i} out of range 0..{self.order - 1}")
+        i = _element_id(self, i, "label")
         return self.labels[i] if self.labels is not None else str(i)
 
     @cached_property
@@ -689,21 +684,34 @@ def validate_skew_axioms(S: FiniteSkewLattice) -> Certificate:
     return S.validity
 
 
-def _require_valid(S: FiniteSkewLattice, op: str) -> None:
+def _require_valid(S: FiniteSkewLattice, op: str, *properties: str) -> None:
+    """Raise unless S is a valid skew lattice with each of ``properties``, "normal" or "symmetric", in that order."""
     cert = S.validity
     if not cert.ok:
         law, where = cert.witness
         raise PreconditionError(f"{op} needs a valid skew lattice; {law} fails at {where}")
+    for prop in properties:
+        if not (check_symmetric(S) if prop == "symmetric" else check_identity(S, prop)).ok:
+            raise PreconditionError(f"{op} is defined for {prop} structures only")
+
+
+def _element_id(S: FiniteSkewLattice, v: Any, op: str, what: str = "id", count: int | None = None) -> int:
+    """``v`` read with ``operator.index``; raises unless it lies in 0..count-1, the carrier by default."""
+    count = S.order if count is None else count
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise PreconditionError(f"{op}: {what} {v!r} is not an integer") from None
+    if not 0 <= i < count:
+        raise PreconditionError(f"{op}: {what} {i} out of range 0..{count - 1}")
+    return i
 
 
 def _element_ids(S: FiniteSkewLattice, members: Iterable[int], op: str) -> tuple[int, ...]:
-    """``members`` as sorted unique ids; raises unless nonempty and in range."""
-    ids = tuple(sorted({int(v) for v in members}))
+    """``members`` as sorted unique ids; raises unless nonempty and each an id of S (``_element_id``)."""
+    ids = tuple(sorted({_element_id(S, v, op) for v in members}))
     if not ids:
         raise PreconditionError(f"{op} needs a nonempty set of elements")
-    for v in ids:
-        if not 0 <= v < S.order:
-            raise PreconditionError(f"{op}: id {v} out of range 0..{S.order - 1}")
     return ids
 
 
@@ -760,7 +768,9 @@ def _generators(S: FiniteSkewLattice, op: int) -> np.ndarray:
                 hit[T[new[:, None], have]] = True
                 hit[T[have[:, None], new]] = True
                 new = np.flatnonzero(hit & ~inside)
-        return np.array(sorted(gens), dtype=np.intp)
+        found = np.array(sorted(gens), dtype=np.intp)
+        found.flags.writeable = False  # every later Lemma J scan on S reads it
+        return found
 
     return _once(S, ("generators", op), greedy)
 
@@ -1055,8 +1065,7 @@ def natural_leq(S: FiniteSkewLattice, a: int, b: int) -> bool:
     tested invariant rather than an assumption.
     """
     _require_valid(S, "natural_leq")
-    _element_ids(S, (a, b), "natural_leq")
-    return bool(S._leq[a, b])
+    return bool(S._leq[_element_id(S, a, "natural_leq"), _element_id(S, b, "natural_leq")])
 
 
 def quotient(S: FiniteSkewLattice) -> QuotientLattice:
@@ -1210,7 +1219,7 @@ def down_set(S: FiniteSkewLattice, a: int) -> FiniteSkewLattice:
     internal-consistency error rather than returning a verdict.
     """
     _require_valid(S, "down_set")
-    _element_ids(S, (a,), "down_set")
+    a = _element_id(S, a, "down_set")
     ids = [int(u) for u in np.flatnonzero(S._leq[:, a])]
     try:
         return subalgebra(S, ids)
@@ -1225,13 +1234,10 @@ def restriction(S: FiniteSkewLattice, a: int, u: int) -> int:
     uniqueness of the witness is exactly what normality buys, so a miss
     is an internal-consistency error.
     """
-    _require_valid(S, "restriction")
-    _element_ids(S, (a,), "restriction")
-    if not check_identity(S, "normal").ok:
-        raise PreconditionError("restriction is defined for normal structures only")
+    _require_valid(S, "restriction", "normal")
+    a = _element_id(S, a, "restriction")
     dp = S._dpart
-    if not 0 <= u < dp.class_count:
-        raise PreconditionError(f"restriction: class id {u} out of range 0..{dp.class_count - 1}")
+    u = _element_id(S, u, "restriction", "class id", dp.class_count)
     if not dp.leq(u, dp.class_of[a]):
         raise PreconditionError(f"restriction: class {u} is not below the class of {a}")
     found = [d for d in dp.classes[u] if S._leq[d, a]]

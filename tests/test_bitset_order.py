@@ -25,7 +25,6 @@ import pytest
 
 from skewlat.completeness import (
     _joins_are_suprema,
-    _require_normal_symmetric,
     check_bounded_above,
     check_join_complete,
     check_prop_joins,
@@ -97,7 +96,7 @@ def _is_ncframe_oracle(S):
 
 
 def _prop_joins_oracle(S):
-    _require_normal_symmetric(S, "check_prop_joins")
+    _require_valid(S, "check_prop_joins", "normal", "symmetric")
     dp = green_d(S)
     qj = quotient(S).lattice.join_table
     leq = S._leq
@@ -123,7 +122,7 @@ def _prop_joins_oracle(S):
 
 
 def _join_complete_oracle(S):
-    _require_normal_symmetric(S, "check_join_complete")
+    _require_valid(S, "check_join_complete", "normal", "symmetric")
     for C in enumerate_commuting_subsets(S):
         if _sup_oracle(S, C) is None:
             return Certificate(False, "join complete", ("subset with no supremum", C))
@@ -131,7 +130,7 @@ def _join_complete_oracle(S):
 
 
 def _bounded_above_oracle(S):
-    _require_normal_symmetric(S, "check_bounded_above")
+    _require_valid(S, "check_bounded_above", "normal", "symmetric")
     leq = S._leq
     for C in enumerate_commuting_subsets(S):
         if not any(all(leq[c, s] for c in C) for s in range(S.order)):
@@ -140,7 +139,7 @@ def _bounded_above_oracle(S):
 
 
 def _section_extension_oracle(S):
-    _require_normal_symmetric(S, "check_section_extension")
+    _require_valid(S, "check_section_extension", "normal", "symmetric")
     sections = [set(sec) for sec in lattice_sections(S)]
     for C in enumerate_commuting_subsets(S):
         if not any(set(C) <= sec for sec in sections):

@@ -11,13 +11,13 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import skewlat
 from skewlat.census import canonicalize, enumerate_skew_lattices
 from skewlat import cli
 from skewlat.cli import FORMAT_TAG, FORMAT_VERSION, ParseError, StructureFile, emit, entry, main, parse
-from skewlat.core import FiniteSkewLattice, Table, check_symmetric
+from skewlat.core import FiniteSkewLattice, StructureError, Table, check_symmetric
 from skewlat.models import build_pfn_algebra, diamond_m3, om_window
 
 NON_NORMAL_TABLES = (((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2)))
@@ -242,32 +242,18 @@ def test_emit_round_trips_the_census():
             assert emit(back) == emit(S)
 
 
-def _emit_per_cell(sf: StructureFile) -> str:
-    # the file text with every table cell written by str()
-    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"n {sf.order}"] + ([f"zero {sf.zero}"] if sf.zero is not None else [])
-    for section, table in (("meet", sf.meet_table), ("join", sf.join_table)):
-        lines += [section, *(" ".join(str(v) for v in row) for row in table)]
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=100, deadline=None)
-@example((2, [[0, -1], [2, 1]], [[-2, 1], [1, 1]]))
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    *[st.lists(st.lists(st.integers(-n - 2, 2 * n + 2), min_size=n, max_size=n), min_size=n, max_size=n)] * 2,
-)))
-def test_emit_writes_every_cell_as_its_number(case):
-    # hand-built files are not validated: negative and out-of-range entries are
-    # written as they are, never looked up as names
-    n, meet, join = case
-    sf = StructureFile(n, tuple(map(tuple, meet)), tuple(map(tuple, join)))
-    assert emit(sf) == _emit_per_cell(sf)
-
-
-def test_emit_writes_ragged_rows_cell_by_cell():
-    sf = StructureFile(2, [[0], [0, 1, 5]], ((-1, 1), ()))
-    assert sf.meet_table == ((0,), (0, 1, 5)) and sf == StructureFile(2, ((0,), (0, 1, 5)), ((-1, 1), ()))
-    assert emit(sf) == _emit_per_cell(sf) == "skewlat 1\nn 2\nmeet\n0\n0 1 5\njoin\n-1 1\n\n"
+@pytest.mark.parametrize(
+    "meet, fragment",
+    [
+        (((0, -1), (0, 1)), r"^meet table entry -1 at row 0 is out of range 0\.\.1$"),
+        (((0, 0), (2, 1)), r"^meet table entry 2 at row 1 is out of range 0\.\.1$"),
+        (((0,), (0, 1, 5)), r"^meet table row 0 has 1 entries, expected 2$"),
+    ],
+    ids=["negative", "out of range", "ragged"],
+)
+def test_a_structure_file_is_checked_by_the_constructor(meet, fragment):
+    with pytest.raises(StructureError, match=fragment):
+        StructureFile(2, meet, ((0, 1), (1, 1)))
 
 
 # the bulk layout, and one whose meet table goes through the token-by-token path
@@ -322,7 +308,11 @@ def _source_tokens(sf: StructureFile) -> list[str]:
 _PARSE_CORPUS = [S for n in (1, 2, 3) for S in enumerate_skew_lattices(n)] + [build_pfn_algebra(2, 2), build_pfn_algebra(3, 1)]
 # whitespace between tokens: tabs, line breaks anywhere (inside rows too) and
 # comments, some holding a quote or a bad escape that only a comment may hold
-_SEPARATORS = (" ", " ", "  ", "\t", " \t ", "\n", "\r\n", "\n\n", " # note\n", "\t# a \"quote\n", "#\\q\n", "# 1 2 3\n")
+_SEPARATORS = (
+    " ", " ", "  ", "\t", " \t ", "\n", "\r\n", "\n\n", " # note\n", "\t# a \"quote\n", "#\\q\n", "# 1 2 3\n",
+    # the other line ends of str.splitlines
+    "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " # x\r", "\r\r\n",
+)
 _LABEL_TEXT = st.text(sorted(set(string.ascii_letters + string.digits + ' #"\\\n')), max_size=6)
 _CORRUPTIONS = (
     "x", "1.5", "0x1", "-1", "+1", "1_0", "١", "0\x1f1", "1\x1f", "9999", "~n", None, "extra",
@@ -409,6 +399,12 @@ _EMITTED_CASES = {
     "a blank line for a one-element table": "skewlat 1\nn 1\nmeet\n \n0\njoin\n0\n",
     "a one-element table": "skewlat 1\nn 1\nmeet\n0\njoin\n0\n",
     "leading zeros": _rows_edited(_P22_TEXT, lambda line: line.replace("1", "001")),
+    # more comments in a row than one match of the token and quote patterns takes
+    "200 comment lines before a table": _P22_TEXT.replace("\nmeet\n", "\n" + "# c\n" * 200 + "meet\n"),
+    "a quote, then 200 comment lines": _P22_TEXT.replace("\nmeet\n", '\n# "q"\n' + "# c\n" * 200 + "meet\n"),
+    "200 comment lines, then a cut-short label": _P22_TEXT.replace("\nlabels\n", "\n" + "# c\n" * 200 + 'labels\n"a\n'),
+    "crlf line ends": _P22_TEXT.replace("\n", "\r\n"),
+    "crlf line ends, one table cut short": _P22_TEXT.replace("\n", "\r\n").split("\r\njoin\r\n")[0],
 }
 
 
@@ -423,6 +419,15 @@ def test_emitted_tables_are_decoded_without_splitting(monkeypatch):
     take_int = cli._Tokens.take_int
     monkeypatch.setattr(cli._Tokens, "take_int", lambda self, what, lo, hi: took.append(what) or take_int(self, what, lo, hi))
     assert parse(_P22_TEXT) == StructureFile.from_structure(build_pfn_algebra(2, 2))
+    assert took == ["order", "zero id"]
+
+
+def test_tables_with_crlf_line_ends_are_decoded_without_splitting(monkeypatch):
+    expected = parse(_P22_TEXT)
+    took = []
+    take_int = cli._Tokens.take_int
+    monkeypatch.setattr(cli._Tokens, "take_int", lambda self, what, lo, hi: took.append(what) or take_int(self, what, lo, hi))
+    assert parse(_P22_TEXT.replace("\n", "\r\n")) == expected
     assert took == ["order", "zero id"]
 
 

@@ -109,12 +109,17 @@ def test_enumeration_respects_max_size(p22):
 def test_enumeration_is_lexicographic_and_bounded(p22, window4):
     # the first failing subset a scan reports depends on this order
     for S in (p22, window4, om_window(9), boolean_lattice(3)):
-        for max_size in (None, 1, 2, 3):
+        for max_size in (None, -1, 0, 1, 2, 3):
             got = list(enumerate_commuting_subsets(S, max_size=max_size))
             assert all(a < b for a, b in zip(got, got[1:])), (S, max_size)
-            assert all(len(m) <= (max_size or S.order) for m in got)
+            assert all(max_size is None or len(m) <= max_size for m in got)
             brute = _brute_commuting_subsets(S)
             assert set(got) == {m for m in brute if max_size is None or len(m) <= max_size}
+
+
+def test_enumeration_rejects_a_fractional_max_size(p22):
+    with pytest.raises(TypeError):
+        next(enumerate_commuting_subsets(p22, max_size=1.5))
 
 
 def test_enumeration_cap_without_size_bound():

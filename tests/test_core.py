@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from skewlat.core import (
     validate_skew_axioms,
 )
 from skewlat.census import canonicalize, enumerate_skew_lattices
-from skewlat.completeness import check_implication_chain, join_fold, meet_fold
+from skewlat.completeness import check_implication_chain, commuting_subset, join_fold, meet_fold, sup_natural
 from skewlat.frames import check_theorem_ncframes
 from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
 
@@ -161,6 +162,31 @@ def test_meet_and_join_check_their_ids():
         for op in ("meet", "join"):
             with pytest.raises(PreconditionError, match=rf"^{op}: id {bad} out of range 0\.\.2$"):
                 getattr(S, op)(a, b)
+
+
+# each entry point that takes element ids, with the id under test in one place, and the start of its error
+_ID_TAKERS = {
+    "meet": (lambda S, v: S.meet(v, 0), "meet: id"),
+    "join": (lambda S, v: S.join(0, v), "join: id"),
+    "label": (lambda S, v: S.label(v), "label: id"),
+    "natural_leq": (lambda S, v: natural_leq(S, 0, v), "natural_leq: id"),
+    "down_set": (lambda S, v: down_set(S, v), "down_set: id"),
+    "restriction": (lambda S, v: restriction(S, v, 0), "restriction: id"),
+    "restriction class": (lambda S, v: restriction(S, 2, v), "restriction: class id"),
+    "subalgebra": (lambda S, v: subalgebra(S, [0, v]), "subalgebra: id"),
+    "sup_natural": (lambda S, v: sup_natural(S, [v, 1]), "sup_natural: id"),
+    "commuting_subset": (lambda S, v: commuting_subset(S, [v]), "commuting_subset: id"),
+    "join_fold": (lambda S, v: join_fold(S, [0, v]), "commuting_subset: id"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+@pytest.mark.parametrize("call, prefix", _ID_TAKERS.values(), ids=_ID_TAKERS.keys())
+def test_ids_are_integers_never_truncated(call, prefix, bad):
+    S = chain_lattice(3)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(f'{prefix} {bad!r}')} is not an integer$"):
+        call(S, bad)
+    assert call(S, np.int64(1)) == call(S, 1)
 
 
 def test_no_scan_reads_the_tuple_tables(monkeypatch):

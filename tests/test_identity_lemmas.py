@@ -276,6 +276,9 @@ def test_the_generating_set_is_memoised_per_operation(p22):
     meet, join = core._generators(S, 0), core._generators(S, 1)
     assert core._generators(S, 0) is meet and core._generators(S, 1) is join
     assert meet.tolist() != join.tolist()
+    for G in (meet, join):  # every later Lemma J scan on S reads the remembered vector
+        with pytest.raises(ValueError):
+            G[0] = 1
 
 
 def test_where_each_law_holds_is_closed_under_its_operation(oracle_set, perturbed_set):
