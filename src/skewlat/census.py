@@ -16,9 +16,13 @@ is assigned.  The other tables of the class need no search, since
 their joins are the relabeled joins of this one and every filter is
 isomorphism-invariant.  The join table is then searched the same way,
 each cell ``x∨y`` ranging over ``cand(x, y)``, with the absorption
-laws ``x∨(x∧y) = x`` and ``(x∧y)∨y = y`` pinned up front.  Each
-structure found is merged through :func:`canonicalize`, the least
-relabeling of the table pair.
+laws ``x∨(x∧y) = x`` and ``(x∧y)∨y = y`` pinned up front.  The
+canonical form of each structure found comes from the search itself:
+the relabelings whose walks end with no difference at the last cell
+are the automorphisms of the meet table M, and since M is its own
+least relabeling, the form is M with the least image of the join table
+under those automorphisms and the identity, as :func:`canonicalize`
+would give without trying all n! relabelings.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -34,7 +38,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     CapExceededError,
@@ -167,7 +171,11 @@ def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
     The meet table is compared first, so the least pair carries the least
     relabeled meet table; the relabelings reaching it form one coset of
     the meet table's automorphism group, and only those relabel the join
-    table.  Flat row-major bytes compare as the tables do.
+    table.  So when the meet table is already its least relabeling, the
+    coset is that group, and the least join is the least of its images
+    under the automorphisms: the census reads its forms that way, off the
+    lex-leader search, and this function stays for arbitrary input and as
+    the tests' reference.  Flat row-major bytes compare as the tables do.
     """
     n, moves = S.order, _relabelings(S.order)
     meet, join = S._m.astype("uint8").tobytes(), S._j.astype("uint8").tobytes()
@@ -179,31 +187,27 @@ def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
 
 # --- incremental table search -------------------------------------------
 
-def _assoc_ok_after(T: list[list[int]], p: int, q: int, n: int) -> bool:
+def _assoc_ok_after(T: list[list[int]], p: int, q: int, where: list[list[tuple[int, int]]]) -> bool:
     # (x∧y)∧z = x∧(y∧z) on the triples whose evaluation reads the assigned
-    # cell (p, q); a triple with an unassigned (-1) product stays open
+    # cell (p, q); a triple with an unassigned (-1) product stays open.
+    # where[v] lists the assigned cells (a, b) with a∧b = v
     Tp = T[p]
     pq = Tp[q]
     Tpq, Tq = T[pq], T[q]
-    for c in range(n):
-        Tc = T[c]
+    for c, Tc in enumerate(T):
         qc, cp = Tq[c], Tc[p]
         if qc >= 0 and 0 <= Tpq[c] != Tp[qc] >= 0:  # x, y, z = p, q, c
             return False
         if cp >= 0 and 0 <= T[cp][q] != Tc[pq] >= 0:  # x, y, z = c, p, q
             return False
-    for a in range(n):
-        row = T[a]
-        for b in range(n):
-            ab = row[b]
-            if ab == p:  # x, y, z = a, b, q: the left side is p∧q
-                bq = T[b][q]
-                if bq >= 0 and pq != row[bq] >= 0:
-                    return False
-            if ab == q:  # x, y, z = p, a, b: the right side is p∧q
-                pa = Tp[a]
-                if pa >= 0 and 0 <= T[pa][b] != pq:
-                    return False
+    for a, b in where[p]:  # x, y, z = a, b, q: the left side is p∧q
+        bq = T[b][q]
+        if bq >= 0 and pq != T[a][bq] >= 0:
+            return False
+    for a, b in where[q]:  # x, y, z = p, a, b: the right side is p∧q
+        pa = Tp[a]
+        if pa >= 0 and 0 <= T[pa][b] != pq:
+            return False
     return True
 
 
@@ -245,26 +249,28 @@ def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
     )
 
 
+def _candidates_left(T: Sequence[Sequence[int]], p: int) -> bool:
+    # whether each cand(p, j), j ≠ p, keeps a value: some v with T[p][v] and
+    # T[v][j] each the wanted value or unassigned (-1).  Column j of the rows
+    # T[v] with T[p][v] ∈ {p, -1} holds the T[v][j]; with no such row, every
+    # cand(p, j) is empty
+    rows = [Tv for Tv, pv in zip(T, T[p]) if pv == p or pv < 0]
+    if not rows:
+        return False
+    for j, col in enumerate(zip(*rows)):
+        if j != p and j not in col and -1 not in col:
+            return False
+    return True
+
+
 def _join_candidate_hook(T: list[list[int]], p: int, q: int) -> bool:
     # every x∨y (x ≠ y) needs a value in cand(x, y) = {v : x∧v = x, v∧y = y},
     # reading an unassigned cell as a wildcard, so the sets only shrink down
     # the search.  Setting p∧q = w removes q from each cand(p, ·) unless w = p,
-    # and p from each cand(·, q) unless w = q: only those sets can empty
-    n = len(T)
+    # and p from each cand(·, q) unless w = q: only those sets can empty.
+    # cand(i, q) of T is cand(q, i) of the transpose
     w = T[p][q]
-    if w != p:
-        Tp = T[p]
-        row = [v for v in range(n) if Tp[v] == p or Tp[v] < 0]
-        for j in range(n):
-            if j != p and not any(T[v][j] == j or T[v][j] < 0 for v in row):
-                return False
-    if w != q:
-        col = [v for v in range(n) if T[v][q] == q or T[v][q] < 0]
-        for i in range(n):
-            Ti = T[i]
-            if i != q and not any(Ti[v] == i or Ti[v] < 0 for v in col):
-                return False
-    return True
+    return (w == p or _candidates_left(T, p)) and (w == q or _candidates_left(tuple(zip(*T)), q))
 
 
 _MEET_HOOKS: dict[str, Hook] = {"left_handed": _left_handed_hook, "normal": _normal_hook}
@@ -316,6 +322,10 @@ class _LexLeaderHook:
     k is worked out from (p, q).  Each node logs the walks it moved; a
     call at depth k first undoes the logs of depth k and deeper, which
     belong to a sibling or to a subtree the search has left.
+
+    Every walk's last leg waits on the last cell, so the walks that end
+    there with no difference are exactly the automorphisms of the
+    completed table; the call records them in ``automorphisms``.
     """
 
     def __init__(self, n: int) -> None:
@@ -326,6 +336,8 @@ class _LexLeaderHook:
             self._waiting[leg[0]].append(leg)
         # (k, cells): node k appended one leg to _waiting[cell] for each cell
         self._log: list[tuple[int, list[int]]] = []
+        # the π ≠ id with T^π = T for the table completed by the last call
+        self.automorphisms: list[tuple[int, ...]] = []
 
     def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
         k = p * (self._n - 1) + (q if q < p else q - 1)
@@ -335,6 +347,7 @@ class _LexLeaderHook:
                 waiting[cell].pop()
         moved: list[int] = []
         log.append((k, moved))
+        equal: list[tuple[int, ...]] = []
         for _, perm, steps, after in waiting[k]:
             for a, b, ia, ib in steps:
                 t, u = T[a][b], perm[T[ia][ib]]
@@ -343,10 +356,12 @@ class _LexLeaderHook:
                         return False
                     break
             else:
-                # a walk with no leg left compared a complete table: there are no children
-                if after is not None:
+                if after is None:  # the complete table equals its relabeling
+                    equal.append(perm)
+                else:
                     waiting[after[0]].append(after)
                     moved.append(after[0])
+        self.automorphisms = equal
         return True
 
 
@@ -363,10 +378,14 @@ def _table_search(
     range over ``cand(i, j)`` in row-major cell order.
     """
     T = [[i if i == j else -1 for j in range(n)] for i in range(n)]
+    # where[v]: the assigned cells (a, b) with T[a][b] = v, in assignment order,
+    # so an unassignment pops the cell it added
+    where: list[list[tuple[int, int]]] = [[(v, v)] for v in range(n)]
     for i, j, v in preset:
         if T[i][j] < 0:
             T[i][j] = v
-            if not _assoc_ok_after(T, i, j, n) or not all(h(T, i, j) for h in hooks):
+            where[v].append((i, j))
+            if not _assoc_ok_after(T, i, j, where) or not all(h(T, i, j) for h in hooks):
                 return
         elif T[i][j] != v:
             return
@@ -379,14 +398,23 @@ def _table_search(
         i, j = free[k]
         for v in cand(i, j):
             T[i][j] = v
-            if _assoc_ok_after(T, i, j, n) and all(h(T, i, j) for h in hooks):
+            cells = where[v]
+            cells.append((i, j))
+            if _assoc_ok_after(T, i, j, where) and all(h(T, i, j) for h in hooks):
                 yield from rec(k + 1)
+            cells.pop()
         T[i][j] = -1
 
     try:
         yield from rec(0)
     finally:
         del rec  # rec refers to itself through its closure: break the cycle
+
+
+def _relabeled(T: Table, perm: tuple[int, ...]) -> Table:
+    # T^π, where T^π[π(i)][π(j)] = π(T[i][j])
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(tuple(perm[T[a][b]] for b in inv) for a in inv)
 
 
 def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
@@ -397,18 +425,25 @@ def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
     # one meet table per meet class, its least relabeling: the others' joins
     # are relabeled joins of this one, and every filter is isomorphism-invariant;
     # a meet table reaches the join search only when no cand(i, j) is empty
-    meet_hooks = filter_hooks + (_join_candidate_hook, _LexLeaderHook(n))
-    for M in _table_search(n, [], lambda i, j: full_range, meet_hooks):
+    lex = _LexLeaderHook(n)
+    for M in _table_search(n, [], lambda i, j: full_range, filter_hooks + (lex, _join_candidate_hook)):
+        # M is its own least relabeling, so canonicalize's coset is {id} ∪ Aut(M)
+        automorphisms = lex.automorphisms
         cand = [
             [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
             for i in range(n)
         ]
         # absorption pins x∨(x∧y) = x and (x∧y)∨y = y
         pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
+        joins = []
         for J in _table_search(n, pins, lambda i, j: cand[i][j], ()):
             S = FiniteSkewLattice(n, M, J)
             if S.validity.ok and filt.matches(S):  # the search guarantees validity; keep the net
-                forms.add(canonicalize(S))
+                joins.append(J)
+        # Aut(M) permutes the joins found, as the search and the filters are
+        # isomorphism-invariant, so a lone join is its own least image
+        for J in joins:
+            forms.add(CanonicalForm(M, J if len(joins) == 1 else min([J] + [_relabeled(J, p) for p in automorphisms])))
     return forms
 
 

@@ -30,15 +30,18 @@ from skewlat.models import build_pfn_algebra
 FLAT_LEFT_TABLES = (((0, 0), (1, 1)), ((0, 1), (0, 1)))
 
 
-def _relabeled(S, perm):
-    n = S.order
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+def _relabeled_table(T, perm):
+    # T^π as tuples, where T^π[π(i)][π(j)] = π(T[i][j])
+    n = len(T)
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            meet[perm[i]][perm[j]] = perm[S.meet(i, j)]
-            join[perm[i]][perm[j]] = perm[S.join(i, j)]
-    return FiniteSkewLattice(n, meet, join)
+            out[perm[i]][perm[j]] = perm[T[i][j]]
+    return tuple(map(tuple, out))
+
+
+def _relabeled(S, perm):
+    return FiniteSkewLattice(S.order, _relabeled_table(S.meet_table, perm), _relabeled_table(S.join_table, perm))
 
 
 def _mirrored(S):
@@ -66,8 +69,7 @@ def _canonicalize_oracle(S):
     # least relabeling of both tables over all n! carrier permutations
     best = None
     for perm in itertools.permutations(range(S.order)):
-        T = _relabeled(S, perm)
-        cand = (T.meet_table, T.join_table)
+        cand = (_relabeled_table(S.meet_table, perm), _relabeled_table(S.join_table, perm))
         if best is None or cand < best:
             best = cand
     return CanonicalForm(*best)
@@ -297,10 +299,19 @@ def test_handed_counts_balance_under_mirroring(census_to_order_five):
 
 # --- the fast paths against their oracles ----------------------------------------
 
-def test_census_matches_the_labeled_oracle():
+def _refuse(*args):
+    raise AssertionError("the census path relabels a table n! times")
+
+
+def test_census_matches_the_labeled_oracle(monkeypatch):
+    # the census reads its canonical forms off the search, with no n! relabeling
+    monkeypatch.setattr(census, "canonicalize", _refuse)
+    monkeypatch.setattr(census, "_relabelings", _refuse)
     for filt in (CensusFilter(),) + FILTER_CASES:
         for n in (1, 2, 3, 4):
             assert census._census_forms(n, filt) == _census_forms_oracle(n, filt), (filt, n)
+    for filt in (CensusFilter(), CensusFilter(left_handed=True, normal=True)):
+        assert census._census_forms(5, filt) == _census_forms_oracle(5, filt), filt
 
 
 def _least_relabeling(M):
@@ -340,6 +351,29 @@ def test_the_watched_walks_prune_as_the_reference_walks_do():
             watched = census._table_search(n, [], lambda i, j: full, hooks + (census._LexLeaderHook(n),))
             reference = census._table_search(n, [], lambda i, j: full, hooks + (_ReferenceLexLeaderHook(n),))
             assert list(watched) == list(reference), (hooks, n)
+
+
+def test_the_walks_record_exactly_the_automorphisms_of_each_meet_table():
+    # the walks that end with no difference, read when the census meet search yields M
+    seen = 0
+    for hooks in FAST_HOOK_SETS:
+        for n in range(1, 7 if not hooks else 6):
+            full = tuple(range(n))
+            lex = census._LexLeaderHook(n)
+            for M in census._table_search(n, [], lambda i, j: full, hooks + (lex, census._join_candidate_hook)):
+                brute = {perm for perm in itertools.islice(itertools.permutations(full), 1, None)
+                         if _relabeled_table(M, perm) == M}
+                assert sorted(lex.automorphisms) == sorted(brute), (M, lex.automorphisms)
+                seen += bool(brute)
+    assert seen > 100
+
+
+def test_order_six_forms_are_their_own_canonical_forms():
+    # from order 6 a meet table can take two join tables that one of its automorphisms
+    # swaps, so the join must be minimised over Aut(M) for one form per class
+    forms = census._census_forms(6, CensusFilter())
+    assert len(forms) == 173
+    assert all(canonicalize(FiniteSkewLattice(6, cf.meet_table, cf.join_table)) == cf for cf in forms)
 
 
 def test_the_join_candidate_prune_keeps_exactly_the_tables_with_candidates():
@@ -406,11 +440,12 @@ def test_assoc_check_matches_the_triple_oracle():
         for _ in range(60):
             unassigned = rng.random()
             T = [[-1 if rng.random() < unassigned else rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            where = [[(a, b) for a in range(n) for b in range(n) if T[a][b] == v] for v in range(n)]
             for p, q in itertools.product(range(n), repeat=2):
                 if T[p][q] < 0:
                     continue
                 families = _triple_families(T, p, q, n)
-                assert census._assoc_ok_after(T, p, q, n) == all(families), (T, p, q)
+                assert census._assoc_ok_after(T, p, q, where) == all(families), (T, p, q)
                 if families.count(False) == 1:
                     lone_failures[families.index(False)] += 1
     assert all(lone_failures), lone_failures  # each family alone decides some case

@@ -48,6 +48,10 @@ from test_core import _set_partitions, _with_partition
 
 LEMMA_LAWS = [law for laws in core._IDENTITY_LAWS.values() for law in laws if law.lemma is not None]
 G_LAW = core._IDENTITY_LAWS["distributive"][0].text
+# the laws of Lemmas E, G and H, which prove nothing below the row regime (Lemma H
+# rests on Lemma G)
+ROW_REGIME_LAWS = {core._IDENTITY_LAWS["normal"][0].text, G_LAW,
+                   *(law.text for law in core._IDENTITY_LAWS["strongly_distributive"])}
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +104,7 @@ def test_each_lemma_is_carried_by_its_law():
 
 def test_lemma_verdicts_match_the_scans(oracle_set, monkeypatch):
     # at the default slab size, then with one-cell slabs, so that every scan is a
-    # row scan and Lemmas E and J, which run only there, run on every structure
+    # row scan and Lemmas E, G, H and J, which run only there, run on every structure
     for slab in (core._SLAB_CELLS, 1):
         monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         fired = {law.text: 0 for law in LEMMA_LAWS}
@@ -116,15 +120,18 @@ def test_lemma_verdicts_match_the_scans(oracle_set, monkeypatch):
             # the law holds; below it, it proves nothing
             normal = core._IDENTITY_LAWS["normal"][0]
             assert _proved(T, normal.text) == (want[IDENTITY_NAMES.index("normal")].ok and core._row_regime(T, normal))
-        # each lemma proves its law on many structures of the set; Lemma E only on the few
-        # from order 65 at the default slab size
-        assert min(count for text, count in fired.items() if slab == 1 or text != normal.text) > 40, fired
+            if not core._row_regime(T, normal):
+                assert not any(_proved(T, text) for text in ROW_REGIME_LAWS), (S.meet_table, S.join_table)
+        # each lemma proves its law on many structures of the set; Lemmas E, G and H only
+        # on the few from order 65 at the default slab size
+        assert min(count for text, count in fired.items() if slab == 1 or text not in ROW_REGIME_LAWS) > 40, fired
     assert len(oracle_set) > 250
 
 
 def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monkeypatch):
     # P(3,2) is normal, left-handed, distributive and strongly distributive; at
-    # order 27 Lemmas E and J do not run, so the three laws they cover here are scanned
+    # order 27 Lemmas E, G, H and J do not run, so only the laws of regular are
+    # left out of the cube scans: Lemmas F and I prove them
     S = build_pfn_algebra(3, 2)
     assert S.validity.ok
     cube = []
@@ -141,9 +148,10 @@ def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monk
         "x∧y∧z∧x = x∧z∧y∧x",  # normal, asked by Lemma F for the meet law of regular
         "x∧y∧x = x∧y",  # left_handed, asked by Lemma I for the join law of regular
         "x∨y∨x = y∨x",
+        "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)",
         "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)",
-        "x∧y∧x = y∧x",  # right_handed, asked by Lemma H for the first strong law
         "(x∨y)∧z = (x∧z)∨(y∧z)",
+        "x∧(y∨z) = (x∧y)∨(x∧z)",
     ]
 
 
@@ -165,7 +173,9 @@ def test_a_corrupted_order_changes_no_verdict(small_zoo):
             assert _verdicts(_perturbed(S, rng, flip)) == want, S
 
 
-def test_a_corrupted_partition_gives_the_fresh_verdict_or_raises(small_zoo):
+def test_a_corrupted_partition_gives_the_fresh_verdict_or_raises(small_zoo, monkeypatch):
+    # one-cell slabs put every scan in the row regime, where Lemma G reads the partition
+    monkeypatch.setattr(core, "_SLAB_CELLS", 1)
     rng = random.Random(61)
     held = raised = 0
     for S in small_zoo:
@@ -189,8 +199,10 @@ def test_a_corrupted_partition_gives_the_fresh_verdict_or_raises(small_zoo):
     assert held > 20 and raised > 20, (held, raised)
 
 
-def test_the_representative_check_names_the_element():
-    # M3 is normal; one block holding all five elements makes 0 every element's representative
+def test_the_representative_check_names_the_element(monkeypatch):
+    # M3 is normal; one block holding all five elements makes 0 every element's representative.
+    # One-cell slabs put the scans in the row regime, where Lemma G runs
+    monkeypatch.setattr(core, "_SLAB_CELLS", 1)
     T = _with_partition(diamond_m3(), [tuple(range(5))])
     with pytest.raises(InternalConsistencyError, match=r"^element 1 is not D-related to its class representative 0$"):
         check_identity(T, "distributive")
