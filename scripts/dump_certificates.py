@@ -18,10 +18,15 @@ The structures are
 - P(5,2) (order 243) under a random relabeling at a few seeds, like the
   input of the benchmark's ``pfn_verify``, each with a copy that breaks an
   absorption law, as that workload's mutated copy does, and a copy with
-  one random cell changed.
+  one random cell changed;
+- structures at the orders where a check's gather plans change shape
+  (15, 16, 20, 21, 32, 35, 64, 81, 90 and 91), as in
+  ``tests/test_gather_plan.py``: chains, Boolean lattices, and products of
+  small non-commutative classes and M3 with chains, each with two one-cell
+  mutants and one whose meet table changes on the diagonal.
 
 For each structure it prints the axiom certificate, the six identities,
-``check_symmetric``, ``check_lemma_reg``, the D-classes, the quotient's
+``is_frame``, ``check_symmetric``, ``check_lemma_reg``, the D-classes, the quotient's
 tables and projection, whether ``parse(emit(S))`` gives back the
 tables, zero and labels, and the SHA-256 of ``emit(S)``, which pins the
 writer's exact output.  Then, on the same structure, so that the facts
@@ -58,6 +63,7 @@ from skewlat import (  # noqa: E402
     detect_zero,
     emit,
     green_d,
+    is_frame,
     is_ncframe,
     parse,
     quotient,
@@ -135,12 +141,35 @@ def structures():
         yield f"P(5,2) seed {seed}", S
         yield f"P(5,2) seed {seed} broken absorption", broken_absorption(S, rng)
         yield f"P(5,2) seed {seed} one cell", one_cell(S, rng)
+    rng = random.Random(1516)
+    for name, S in bounds():
+        yield name, S
+        yield f"{name} one cell", one_cell(S, rng)
+        yield f"{name} another cell", one_cell(S, rng)
+        a = rng.randrange(S.order)
+        yield f"{name} diagonal cell", with_cell(S, 0, a, a, (a + 1) % S.order)
+
+
+def bounds():
+    """Structures at the orders where a check's gather plans change shape."""
+    X2 = FiniteSkewLattice(2, ((0, 0), (1, 1)), ((0, 1), (0, 1)))  # a left-zero band
+    X3 = next(S for S in enumerate_skew_lattices(3) if not check_symmetric(S).ok or not check_identity(S, "normal").ok)
+    X7 = FiniteSkewLattice(7, *NON_SYMMETRIC_ORDER_SEVEN[0])
+    M3 = diamond_m3()
+    for k in (15, 16, 21):
+        yield f"chain {k}", chain_lattice(k)
+    for m in (5, 6):
+        yield f"B{m}", boolean_lattice(m)
+    for (name, X), k in [(("X2", X2), k) for k in (8, 10, 16, 32)] + [(("X3", X3), k) for k in (5, 7, 27, 30)] + [
+        (("X7", X7), k) for k in (3, 13)] + [(("M3", M3), k) for k in (3, 4, 7)]:
+        yield f"{name} x chain {k}", product(X, chain_lattice(k))
 
 
 def certificates(S):
     yield "axioms", lambda: validate_skew_axioms(S)
     for name in IDENTITY_NAMES:
         yield name, lambda name=name: check_identity(S, name)
+    yield "is_frame", lambda: is_frame(S)
     yield "symmetric", lambda: check_symmetric(S)
     yield "lemma_reg", lambda: check_lemma_reg(S)
     yield "D-classes", lambda: green_d(S).classes

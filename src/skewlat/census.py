@@ -417,11 +417,13 @@ def _relabeled(T: Table, perm: tuple[int, ...]) -> Table:
     return tuple(tuple(perm[T[a][b]] for b in inv) for a in inv)
 
 
-def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
+def _census_forms(order: int, filt: CensusFilter) -> dict[CanonicalForm, FiniteSkewLattice]:
+    """Each class that ``filt`` keeps, as its canonical form and the structure
+    built on the form's tables with its zero, the one the filter checked."""
     n = order
     filter_hooks = tuple(hook for key, hook in _MEET_HOOKS.items() if filt._wants.get(key) is True)
     full_range = tuple(range(n))
-    forms: set[CanonicalForm] = set()
+    forms: dict[CanonicalForm, FiniteSkewLattice] = {}
     # one meet table per meet class, its least relabeling: the others' joins
     # are relabeled joins of this one, and every filter is isomorphism-invariant;
     # a meet table reaches the join search only when no cand(i, j) is empty
@@ -435,15 +437,13 @@ def _census_forms(order: int, filt: CensusFilter) -> set[CanonicalForm]:
         ]
         # absorption pins x∨(x∧y) = x and (x∧y)∨y = y
         pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
-        joins = []
-        for J in _table_search(n, pins, lambda i, j: cand[i][j], ()):
-            S = FiniteSkewLattice(n, M, J)
+        joins = list(_table_search(n, pins, lambda i, j: cand[i][j], ()))
+        # Aut(M) permutes the joins found, as the search is isomorphism-invariant,
+        # so a lone join is its own least image; each class is built once
+        for J in joins if len(joins) == 1 else {min([J] + [_relabeled(J, p) for p in automorphisms]) for J in joins}:
+            S = FiniteSkewLattice(n, M, J, zero=_zero_of(M, J))
             if S.validity.ok and filt.matches(S):  # the search guarantees validity; keep the net
-                joins.append(J)
-        # Aut(M) permutes the joins found, as the search and the filters are
-        # isomorphism-invariant, so a lone join is its own least image
-        for J in joins:
-            forms.add(CanonicalForm(M, J if len(joins) == 1 else min([J] + [_relabeled(J, p) for p in automorphisms])))
+                forms[CanonicalForm(M, J)] = S
     return forms
 
 
@@ -454,9 +454,9 @@ def enumerate_skew_lattices(
 
     Every yielded structure is valid, carries its zero when one exists,
     and is the realization of its own canonical form, so runs are
-    reproducible.  The default order cap is 5; raise it with
-    ``order_cap`` or the SKEWLAT_CENSUS_CAP environment variable if you
-    mean it.
+    reproducible; it is the structure the validity net and the filter
+    checked.  The default order cap is 5; raise it with ``order_cap`` or
+    the SKEWLAT_CENSUS_CAP environment variable if you mean it.
     """
     if order < 1:
         raise PreconditionError(f"census needs order >= 1, got {order}")
@@ -464,8 +464,9 @@ def enumerate_skew_lattices(
     cap = _effective_cap(order_cap, DEFAULT_CAP, CENSUS_CAP_ENV)
     if order > cap:
         raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
-    for cf in sorted(_census_forms(order, filt)):
-        yield FiniteSkewLattice(order, cf.meet_table, cf.join_table, zero=_zero_of(cf.meet_table, cf.join_table))
+    forms = _census_forms(order, filt)
+    for cf in sorted(forms):
+        yield forms[cf]
 
 
 # --- independent cross-check construction --------------------------------

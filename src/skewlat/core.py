@@ -26,14 +26,19 @@ scans, is written once, as equation text such as
 ``"x∧y∧z∧x = x∧z∧y∧x"``, and compiled at import into a scan that fixes
 x and sweeps y and z: a table row or column serves each subterm that
 depends on x alone, so most gathers are 1-D takes, and a subterm that
-does not read x is evaluated once per scan.  Small tables are scanned a
-slab of x values at a time, in one pass for the census and frame sizes.
-The text is the law a false verdict's witness cites.
+does not read x is evaluated once per scan.  Smaller tables are checked
+by gather plans, compiled on first use for the laws of one check at one
+order: each subterm is evaluated once, and the small ones of one depth,
+across every law, together, so a census-sized table costs a few numpy
+calls per depth rather than a few per subterm.  The text is the law a
+false verdict's witness cites.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 import operator
 import os
 from dataclasses import FrozenInstanceError, dataclass
@@ -185,8 +190,9 @@ class FiniteSkewLattice:
     construction.  The rest of the derived data is computed on first use
     and cached: the validation verdict, the D-partition, the natural
     order, and through ``_once`` the identity and symmetry certificates,
-    lemma verdicts, generating sets, zero, quotient, commutation graph,
-    Lemma A's checked premise and the lattice sections.
+    lemma verdicts, generating sets, Lemma J's restricted violations,
+    zero, quotient, commutation graph, Lemma A's checked premise and the
+    lattice sections.
     """
 
     def __init__(
@@ -248,7 +254,8 @@ class FiniteSkewLattice:
         # when its index array is read-only, and a table is an index of the next take
         m, j = self._m.base, self._j.base
         ids = np.arange(self.order)
-        return _Tables(self.order, (m, j), (np.ascontiguousarray(m.T), np.ascontiguousarray(j.T)), ids, ids[:, None])
+        columns = (np.ascontiguousarray(m.T), np.ascontiguousarray(j.T))
+        return _Tables(self.order, (m, j), columns, (m.ravel(), j.ravel()), ids, ids[:, None])
 
     @cached_property
     def validity(self) -> Certificate:
@@ -279,8 +286,9 @@ class FiniteSkewLattice:
 
     @cached_property
     def _memo(self) -> dict:
-        # _once's keys: an identity's name, ("lemma", law text), ("generators", op), "symmetric", "zero",
-        # "quotient", "commutation_graph", "joins_are_suprema" (Lemma A's premise), "lattice_sections"
+        # _once's keys: an identity's name, ("lemma", law text), ("generators", op), ("Lemma J", law text),
+        # "symmetric", "zero", "quotient", "commutation_graph", "joins_are_suprema" (Lemma A's premise),
+        # "lattice_sections"
         return {}
 
 
@@ -350,11 +358,16 @@ class Homomorphism:
         return f"Homomorphism({self.source.order} -> {self.target.order})"
 
 
-# Cells per x-slab of an unrestricted law scan.  The scan's working set is
-# a few slab-sized arrays, O(n²) rather than the whole n³ cube.  Once a
-# slab would hold a single x (from order 65 for a law in x, y, z), the
-# scan runs one x at a time over the y, z plane.
+# Cells per evaluation of an unrestricted law scan.  A check's laws are
+# evaluated together while their cubes fit; a law whose cube does not is
+# evaluated a slab of x values at a time, so the working set stays O(n²)
+# rather than the whole n³ cube.  Once a slab would hold a single x (from
+# order 65 for a law in x, y, z), the scan runs one x at a time over the
+# y, z plane.
 _SLAB_CELLS = 1 << 13
+
+# Compiled gather plans kept at once, least recently used dropped first.
+_PLAN_CACHE = 64
 
 
 def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -371,7 +384,7 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 # A law is an equation over x, y, z, ∧ and ∨ (equally tight, associating
 # to the left) and parentheses, parsed once into a term: a variable index
 # or ``(op, left, right)``, op 0 for ∧ and 1 for ∨.  Each side compiles
-# to evaluators over the tables ``c`` of a structure:
+# to evaluators over the tables ``c`` of a structure, or into a plan:
 #
 #   row   ``f(c, x, p)``: x is one element, and y and z sweep the plane of
 #         their index vectors ``p.y`` and ``p.z`` (all of the carrier, or a
@@ -386,9 +399,18 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 #         law's ``fixed``, and read from ``p.fixed`` for every x.  A subterm
 #         spanning the plane is written into its own buffer ``p.out[k]``,
 #         which saves an allocation, and its page faults, per x.
-#   slab  ``f(c, xs, None)``: x is an open-grid slab of elements, y and z
-#         the carrier, and every operation is a flat take
-#         ``T.ravel().take(a*n + b)``.
+#   plan  the unrestricted scans below the row regime: a check, the laws
+#         that one certificate decides, is compiled on first use into gather
+#         plans (``_plan``), each for the laws whose cubes fit ``_SLAB_CELLS``
+#         together, or for x-slabs of one law whose cube does not.  Every
+#         distinct subterm is a node, stored flat at the size of the
+#         variables it reads (x∧y has n² cells in a law of x, y, z).  The
+#         small nodes of one depth, across every law, are evaluated by one
+#         take per operation, their operands gathered by index vectors of
+#         the plan; at depth 1 the indices are constants.  A large node is
+#         one take over broadcast views of its operands.  One comparison of
+#         the sides, in law order, gives the first failing law and its
+#         first tuple in lexicographic order.
 
 _VARS = "xyz"
 _OPS = "∧∨"
@@ -402,8 +424,9 @@ class _Tables(NamedTuple):
     n: int
     tables: tuple[np.ndarray, np.ndarray]
     columns: tuple[np.ndarray, np.ndarray]  # contiguous transposes
-    ids: np.ndarray  # the carrier: z of a slab, y of a slab in a law of x and y
-    col: np.ndarray  # the carrier as a column: y of a slab
+    flat: tuple[np.ndarray, np.ndarray]  # the tables as vectors: cell a*n + b holds a∘b
+    ids: np.ndarray  # the carrier
+    col: np.ndarray  # the carrier as a column
 
 
 class _Plane(NamedTuple):
@@ -458,21 +481,6 @@ def _parse_equation(text: str):
 
 def _variables(term) -> set[int]:
     return {term} if isinstance(term, int) else _variables(term[1]) | _variables(term[2])
-
-
-def _leaf(var: int, arity: int):
-    if var == 0:
-        return lambda c, x, out: x
-    if var == 1 and arity == 3:
-        return lambda c, x, out: c.col
-    return lambda c, x, out: c.ids
-
-
-def _slab_eval(term, arity: int):
-    if isinstance(term, int):
-        return _leaf(term, arity)
-    t, fl, fr = term[0], _slab_eval(term[1], arity), _slab_eval(term[2], arity)
-    return lambda c, x, out: c.tables[t].ravel().take(fl(c, x, out) * c.n + fr(c, x, out))
 
 
 def _row_eval(term, planes: list, fixed: list | None):
@@ -550,18 +558,22 @@ def _row_eval(term, planes: list, fixed: list | None):
 
 
 class _Law(NamedTuple):
-    """One equation: the label a witness cites, its text, its compiled scans
-    and the lemma, if any, that can prove it holds without a scan."""
+    """One equation: the label a witness cites, its text, its terms, its
+    compiled row scan and the lemma, if any, that can prove it holds
+    without a scan."""
 
     name: str
     text: str
     arity: int
+    sides: tuple  # the terms of lhs and rhs, which ``_plan`` compiles
     row: Callable  # row(c, a, p): mask of violations over the y, z plane at x = a
     fixed: Callable  # fixed(c, p): the subterms that do not read x, into p.fixed, once per scan
-    slab: Callable  # slab(c, xs, None): mask of violations over an x-slab of the carrier
     planes: int  # plane buffers that ``row`` and ``fixed`` may write into
     lemma: Callable | None = None  # lemma(S, law): True only once proved; see ``_proved``
     gen: tuple[int, int] | None = None  # (variable, op) of Lemma J; see ``_holds_on_generators``
+
+    def __hash__(self) -> int:  # the plan cache hashes its laws on every lookup: the text is enough
+        return hash(self.text)
 
 
 def _law(text: str, name: str | None = None, lemma: Callable | None = None, gen: str | None = None) -> _Law:
@@ -577,40 +589,256 @@ def _law(text: str, name: str | None = None, lemma: Callable | None = None, gen:
     planes: list = []
     fixed: list = []
     (_, rl, _), (_, rr, _) = _row_eval(lhs, planes, fixed), _row_eval(rhs, planes, fixed)
-    sl, sr = _slab_eval(lhs, len(used)), _slab_eval(rhs, len(used))
     return _Law(
         text if name is None else name,
         text,
         len(used),
+        (lhs, rhs),
         lambda c, x, p: np.not_equal(rl(c, x, p), rr(c, x, p)),
         lambda c, p: p.fixed.extend(f(c, None, p) for f in fixed),
-        lambda c, x, out: np.not_equal(sl(c, x, out), sr(c, x, out)),
         len(planes),
         lemma,
         None if gen is None else (_VARS.index(gen[0]), _OPS.index(gen[1])),
     )
 
 
+class _Plan(NamedTuple):
+    """Laws compiled at one order for x over slabs of ``width`` elements
+    (``_plan``).  Its arrays are read-only views; a run takes with their
+    writeable bases, as numpy copies a read-only index on every take."""
+
+    laws: tuple[_Law, ...]
+    width: int  # the order, or the width of an x-slab
+    starts: range  # the first x of each slab
+    size: int  # cells of the value buffer
+    views: tuple  # (first, stop, shape): the buffer views that large nodes and laws read
+    depths: tuple  # (gathered, broadcast) per depth of nodes
+    gathered: tuple  # (law indices, left, right, ends): the sides compared in one gather
+    broadcast: tuple  # (law index, left, right) for each law compared from broadcast operands
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    view = np.array(a, dtype=np.intp).view()
+    view.flags.writeable = False
+    return view
+
+
+def _plan(laws: tuple[_Law, ...], n: int, width: int, gather: int) -> _Plan:
+    """Compile ``laws`` at order n, x over slabs of ``width`` elements.
+
+    Every distinct subterm is a node, stored at the size of the variables
+    it reads: one cell per point of them, row-major in x, y, z, with x
+    local to the slab.  The nodes of one depth with at most ``gather``
+    cells each are evaluated together into the value buffer, ∧ nodes into
+    cells [lo, mid) and ∨ nodes into [mid, hi) (``gathered``: (lo, mid,
+    hi, left, right)): one take per operation at the indices
+    v[left]·n + v[right] of the buffer v, or, at depth 1 over the whole
+    carrier, where both operands are variables, at the constant indices
+    ``left`` (``right`` is None).  The buffer starts with the carrier
+    0..n-1 and, on slabs narrower than the carrier, the slab's x values.
+
+    A larger node would copy more cells through those gathers than it
+    saves in calls, so it is one take over broadcast operands of shape
+    (x, y, z), 1 along a variable they do not read (``broadcast``: (op,
+    left, right), slots of a run: the ``views`` of the buffer, then the
+    larger nodes in order).  No gathered node reads one, as a node has at
+    least the cells of its operands.  The sides of the laws are compared
+    the same two ways.
+    """
+    info: dict = {}  # term -> (the variables it reads, its depth)
+
+    def visit(t):
+        if isinstance(t, int):
+            return (t,), 0
+        if t not in info:
+            (vl, dl), (vr, dr) = visit(t[1]), visit(t[2])
+            info[t] = tuple(sorted(set(vl + vr))), 1 + max(dl, dr)
+        return info[t]
+
+    for law in laws:
+        for side in law.sides:
+            visit(side)
+
+    def shape(vs):
+        return tuple((width if v == 0 else n) if v in vs else 1 for v in range(3))
+
+    def gathered(vs):
+        return math.prod(shape(vs)) <= gather
+
+    def points(vs):  # each variable's coordinate at every point of vs, row-major (0 for the others)
+        return np.indices(shape(vs), dtype=np.intp).reshape(3, -1)
+
+    xo = n if width < n else 0  # where x's values start in the buffer
+    nodes = sorted(info, key=lambda t: (info[t][1], t[0]))  # by depth, ∧ before ∨
+    start, size = {}, n + (width if xo else 0)
+    for t in nodes:
+        if gathered(info[t][0]):
+            start[t], size = size, size + math.prod(shape(info[t][0]))
+
+    def cells(t, at):  # the buffer cells holding t's value at the points ``at``
+        if isinstance(t, int):
+            return at[t] + (xo if t == 0 else 0)
+        pos, stride = start[t], 1
+        for v in info[t][0][::-1]:  # x, the only variable over a slab, comes first
+            pos, stride = pos + at[v] * stride, stride * n
+        return pos
+
+    def view(t):  # (first, stop, shape) of t's value in the buffer
+        first, dims = (xo if t == 0 else 0, shape((t,))) if isinstance(t, int) else (start[t], shape(info[t][0]))
+        return first, first + math.prod(dims), dims
+
+    large = [t for t in nodes if t not in start]
+    alone = [k for k, law in enumerate(laws) if not gathered(range(law.arity))]
+    slot: dict = {}  # an operand of a large node or law -> its slot in a run
+    for t in [u for t in large for u in t[1:]] + [side for k in alone for side in laws[k].sides]:
+        if t not in slot and (isinstance(t, int) or t in start):
+            slot[t] = len(slot)
+    views = tuple(map(view, slot))
+    for t in large:
+        slot[t] = len(slot)
+    depths = []
+    for depth in range(1, max((d for _, d in info.values()), default=0) + 1):
+        group = [t for t in nodes if info[t][1] == depth and t in start]
+        together = None
+        if group:
+            ats = [points(info[t][0]) for t in group]
+            lo = start[group[0]]
+            hi = lo + sum(at.shape[1] for at in ats)
+            mid = next((start[t] for t in group if t[0] == 1), hi)
+            if depth == 1 and not xo:
+                left, right = _frozen(np.concatenate([at[t[1]] * n + at[t[2]] for t, at in zip(group, ats)])), None
+            else:
+                left, right = (_frozen(np.concatenate([cells(t[k], at) for t, at in zip(group, ats)])) for k in (1, 2))
+            together = lo, mid, hi, left, right
+        depths.append((together, tuple((t[0], slot[t[1]], slot[t[2]]) for t in large if info[t][1] == depth)))
+    group = [k for k in range(len(laws)) if k not in alone]
+    ats = [points(range(laws[k].arity)) for k in group]
+    sides = (_frozen(np.concatenate([cells(laws[k].sides[i], at) for k, at in zip(group, ats)] or [[]]))
+             for i in (0, 1))
+    return _Plan(
+        laws,
+        width,
+        range(0, n, width),
+        size,
+        views,
+        tuple(depths),
+        (tuple(group), *sides, tuple(np.cumsum([at.shape[1] for at in ats], dtype=int).tolist())),
+        tuple((k, slot[laws[k].sides[0]], slot[laws[k].sides[1]]) for k in alone),
+    )
+
+
+def _run(plan: _Plan, c: _Tables) -> tuple[_Law, tuple[int, ...]] | None:
+    """The first law of ``plan`` that fails on the tables ``c``, with its first
+    violation; the plan runs on each slab of x values in turn."""
+    n, width = c.n, plan.width
+    vals = np.empty(plan.size, dtype=np.intp)
+    vals[:n] = c.ids
+    tables = c.flat
+    views = [vals[a:b].reshape(dims) for a, b, dims in plan.views]  # x along their first axis
+    laws, left, right, ends = plan.gathered
+    for x0 in plan.starts:
+        xs = min(width, n - x0)
+        if xs < width:  # a short last slab: the views keep its x values, and the gathers read earlier ones
+            views = [v[:xs] for v in views]
+        if width < n:
+            vals[n : n + xs] = c.ids[x0 : x0 + xs]
+            vals[n + xs : n + width] = c.ids[: width - xs]  # x values of the first slab hold no violation
+        slots = list(views)
+        for together, alone in plan.depths:
+            if together is not None:
+                lo, mid, hi, ls, rs = together
+                if rs is None:
+                    index = ls.base
+                else:
+                    index = vals.take(ls.base)
+                    index *= n
+                    index += vals.take(rs.base)
+                if lo < mid:
+                    tables[0].take(index[: mid - lo], out=vals[lo:mid], mode="wrap")
+                if mid < hi:
+                    tables[1].take(index[mid - lo :], out=vals[mid:hi], mode="wrap")
+            for op, a, b in alone:
+                slots.append(tables[op].take(slots[a] * n + slots[b]))
+        hit = None
+        if laws:
+            bad = vals.take(left.base) != vals.take(right.base)
+            i = int(bad.argmax())
+            if bad[i]:
+                k = bisect.bisect_right(ends, i)
+                point = i - (ends[k - 1] if k else 0)
+                hit = laws[k], np.unravel_index(point, (width, n, n)[: plan.laws[laws[k]].arity])
+        for k, a, b in plan.broadcast:  # a law compared alone fails first when it comes before the gathered one
+            if hit is not None and hit[0] < k:
+                break
+            w = _first_true(slots[a] != slots[b])
+            if w is not None:
+                hit = k, w
+                break
+        if hit is not None:
+            law = plan.laws[hit[0]]
+            return law, (x0 + int(hit[1][0]), *(int(v) for v in hit[1][1 : law.arity]))
+    return None
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _schedule(laws: tuple[_Law, ...], n: int, budget: int) -> tuple:
+    """How ``_first_failure`` scans ``laws`` at order n, in their order: a plan for
+    each run of laws whose cubes fit ``budget`` cells together, a plan over
+    x-slabs for a law whose cube does not, and the law itself where a slab
+    would hold one x (the row regime).  A plan gathers the nodes of at most
+    an eighth of the budget: larger ones copy more through the gathers than
+    the saved calls are worth (on the benchmark, ``pfn_verify`` passes were
+    fastest at that bound, and ``census`` and ``frames`` moved by under 5%
+    from a thirty-second to the whole budget), and the index vectors stay
+    small."""
+    steps: list = []
+    group: list = []
+    for law in laws:
+        per_x = n ** (law.arity - 1)
+        width = budget // per_x  # x values per slab
+        if group and (width < n or n * per_x + sum(n**g.arity for g in group) > budget):
+            steps.append(_plan(tuple(group), n, n, budget // 8))
+            group = []
+        if width <= 1:
+            steps.append(law)
+        elif width < n:
+            steps.append(_plan((law,), n, width, budget // 8))
+        else:
+            group.append(law)
+    if group:
+        steps.append(_plan(tuple(group), n, n, budget // 8))
+    return tuple(steps)
+
+
+def _first_failure(S: FiniteSkewLattice, laws: tuple[_Law, ...]) -> tuple[_Law, tuple[int, ...]] | None:
+    """The first of ``laws`` that fails on S, with its first violation in
+    lexicographic order, or None; scanned as ``_schedule`` plans it."""
+    for step in _schedule(laws, S.order, _SLAB_CELLS):
+        if isinstance(step, _Plan):
+            hit = _run(step, S._tables)
+        else:
+            w = _scan(S, step)
+            hit = None if w is None else (step, w)
+        if hit is not None:
+            return hit
+    return None
+
+
 def _scan(S: FiniteSkewLattice, law: _Law, ids: tuple[np.ndarray | None, ...] | None = None) -> tuple[int, ...] | None:
     """First violation of ``law`` in lexicographic order, or None.
 
     ``ids``, one sorted index vector per variable (None for the carrier),
-    restricts each variable to those elements.  An unrestricted scan of a
-    small table evaluates one slab of x values at a time.  Any other scan
-    runs one x at a time over the plane of y's and z's vectors, after the
-    subterms that do not read x are evaluated once, and a witness is mapped
-    back through the vectors.  Either way the scan stops at the first slab,
-    or the first x, that holds a violation.
+    restricts each variable to those elements.  An unrestricted scan below
+    the row regime runs the law's gather plan (``_first_failure``).  Any
+    other scan runs one x at a time over the plane of y's and z's vectors,
+    after the subterms that do not read x are evaluated once, stops at the
+    first x that holds a violation, and maps a witness back through the
+    vectors.
     """
+    if ids is None and not _row_regime(S, law):
+        hit = _first_failure(S, (law,))
+        return None if hit is None else hit[1]
     c, n = S._tables, S.order
-    step = _SLAB_CELLS // n ** (law.arity - 1)
-    if ids is None and step > 1:
-        shape = (-1,) + (1,) * (law.arity - 1)
-        for x0 in range(0, n, step):
-            w = _first_true(law.slab(c, c.ids[x0 : x0 + step].reshape(shape), None))
-            if w is not None:
-                return (x0 + w[0], *w[1:])
-        return None
     xs, vy, vz = (tuple(ids or ()) + (None,) * 3)[:3]
     full = (_Y if vy is None else 0) | (_Z if vz is None else 0)
     vy, vz = (c.ids if v is None else v for v in (vy, vz))
@@ -636,38 +864,52 @@ _AXIOM_LAWS = tuple(_law(text, name, gen=gen) for name, text, gen in (
 ))
 
 
-def _zero_laws(m: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``ok[z, x]``: the zero laws x∧z = z = z∧x and x∨z = x = z∨x for z at x, on the tables ``m``, ``j``."""
+def _zero_laws(m: np.ndarray, j: np.ndarray, z: int) -> np.ndarray:
+    """``ok[x]``: the zero laws x∧z = z = z∧x and x∨z = x = z∨x for z at x, on the tables ``m``, ``j``."""
     ids = np.arange(len(m))
-    return (m == ids[:, None]) & (m.T == ids[:, None]) & (j == ids) & (j.T == ids)
+    return (m[z] == z) & (m[:, z] == z) & (j[z] == ids) & (j[:, z] == ids)
 
 
 def _zero_of(m: Any, j: Any) -> int | None:
-    """The element satisfying the zero laws on the tables ``m``, ``j`` (arrays or rows), if any (it is unique)."""
-    zeros = np.flatnonzero(_zero_laws(np.asarray(m), np.asarray(j)).all(axis=1))
-    return int(zeros[0]) if zeros.size else None
+    """The element satisfying the zero laws on the tables ``m``, ``j`` (arrays or rows), if any.
+
+    It is unique, and it is the meet of the carrier taken left to right:
+    once a zero z enters that product it absorbs every later factor, and
+    it enters as the meet of the product so far with z, which is z.  None
+    of this needs associativity, so it holds on any tables.
+    """
+    m, j = np.asarray(m), np.asarray(j)
+    z = int(functools.reduce(lambda a, b: m[a, b], range(len(m))))
+    return z if _zero_laws(m, j, z).all() else None
 
 
 def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
-    for law in _AXIOM_LAWS:
-        if law.gen is None or not _row_regime(S, law):
-            w = _scan(S, law)
-        else:
-            # x = 0 first: a violation there is the full scan's first, found without Lemma J's
-            # set-up; past it, Lemma J proves the law or the rows from x = 1 on give the witness
-            xs = S._tables.ids
-            w = _scan(S, law, (xs[:1], None, None))
-            if w is None and not _holds_on_generators(S, law):
-                w = _scan(S, law, (xs[1:], None, None))
-        if w is not None:
-            return Certificate(False, "skew lattice axioms", (law.name, w))
+    if _row_regime(S, _AXIOM_LAWS[2]):
+        hit = next(((law, w) for law in _AXIOM_LAWS if (w := _axiom_rows(S, law)) is not None), None)
+    else:  # no axiom is in the row regime
+        hit = _first_failure(S, _AXIOM_LAWS)
+    if hit is not None:
+        return Certificate(False, "skew lattice axioms", (hit[0].name, hit[1]))
     if S.zero is not None:
-        bad = np.flatnonzero(~_zero_laws(S._m, S._j)[S.zero])
+        bad = np.flatnonzero(~_zero_laws(S._m, S._j, S.zero))
         if bad.size:
             return Certificate(
                 False, "skew lattice axioms", ("zero laws x∧0=0=0∧x, x∨0=x=0∨x", (int(bad[0]),))
             )
     return Certificate(True, "skew lattice axioms")
+
+
+def _axiom_rows(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
+    """The first violation of an axiom on a structure in the row regime of associativity."""
+    if law.gen is None:
+        return _scan(S, law)
+    # x = 0 first: a violation there is the full scan's first, found without Lemma J's set-up;
+    # past it, Lemma J proves the law, or its violation bounds the rows that hold the witness
+    xs = S._tables.ids
+    w = _scan(S, law, (xs[:1], None, None))
+    if w is None and not _holds_on_generators(S, law):
+        w = _scan(S, law, (xs[1 : _generator_violation(S, law)[0] + 1], None, None))
+    return w
 
 
 def validate_skew_axioms(S: FiniteSkewLattice) -> Certificate:
@@ -676,10 +918,13 @@ def validate_skew_axioms(S: FiniteSkewLattice) -> Certificate:
     Checks, in a fixed order: idempotency and associativity of both
     operations, the four absorption laws, and (when a zero is declared)
     the zero laws.  The witness of a false verdict is ``(law, tuple)``
-    for the first violation in lexicographic scan order.  From order 65
-    each associativity law is first scanned with y over a generating set
-    (Light's test, Lemma J), after a full scan of x = 0 alone, and the
-    rows from x = 1 on are scanned only if both fail to decide it.
+    for the first violation in lexicographic scan order.  Below order 65
+    the eight laws are one check (``_first_failure``), evaluated together
+    while their cubes fit ``_SLAB_CELLS``.  From order 65 each
+    associativity law is first scanned with y over a generating set
+    (Light's test, Lemma J), after a full scan of x = 0 alone; only if
+    both fail to decide it are the rows from x = 1 scanned, up to the x of
+    the generating-set scan's violation, which bounds the witness's.
     """
     return S.validity
 
@@ -813,13 +1058,24 @@ def _holds_on_generators(S: FiniteSkewLattice, law: _Law) -> bool:
     x, such as the plane y∧z, once per scan: n²·|G| cells instead of n³.
     The generating set costs O(n²) once per operation, so Lemma J runs only
     where a full scan is a row scan (from order 65 for a law in x, y, z).
+    When the law fails, the restricted scan's violation is one of the full
+    scan's, so it bounds the x of the full scan's first (``_generator_violation``).
     """
-    if law.gen is None or not _row_regime(S, law):
-        return False
-    var, op = law.gen
-    ids: list = [None] * law.arity
-    ids[var] = _generators(S, op)
-    return _scan(S, law, tuple(ids)) is None
+    return law.gen is not None and _row_regime(S, law) and _generator_violation(S, law) is None
+
+
+def _generator_violation(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
+    """The first violation of ``law`` with its Lemma J variable drawn from the
+    generating set, or None; remembered, so that the scan that follows a
+    failed lemma reads the rows up to its x."""
+
+    def restricted() -> tuple[int, ...] | None:
+        var, op = law.gen
+        ids: list = [None] * law.arity
+        ids[var] = _generators(S, op)
+        return _scan(S, law, tuple(ids))
+
+    return _once(S, ("Lemma J", law.text), restricted)
 
 
 def _down_sets_commute(S: FiniteSkewLattice, law: _Law) -> bool:
@@ -834,7 +1090,7 @@ def _down_sets_commute(S: FiniteSkewLattice, law: _Law) -> bool:
     can make this verdict.
 
     It runs only in the row regime, as Lemma J does.  On smaller tables
-    the slab scan costs less than the down-sets, and on a table that is
+    the scan of the cube costs less than the down-sets, and on a table that is
     not normal it runs anyway for the witness: on the order-5 classes
     ``check_identity(S, "normal")`` took 24–28 µs with the scan alone,
     against 57–86 µs with this lemma first (2-vCPU VM).
@@ -881,7 +1137,7 @@ def _distributive_meet_by_classes(S: FiniteSkewLattice, law: _Law) -> bool:
     naming the element.
 
     It runs only in the row regime, as Lemmas E and J do.  Below it, its
-    one x per representative costs more than the slab scan of the cube:
+    one x per representative costs more than the scan of the cube:
     139 µs against 40 µs on the 10-element chain (2-vCPU VM).
     """
     if not _row_regime(S, law) or not check_identity(S, "normal").ok:
@@ -959,15 +1215,29 @@ def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str, lemmas: bool = False) -> Certificate:
-    """Scan the laws of ``name`` in order; with ``lemmas``, skip each law its lemma
-    or Lemma J proves."""
-    for law in _IDENTITY_LAWS[name]:
-        if lemmas and (_proved(S, law) or _holds_on_generators(S, law)):
-            continue
-        w = _scan(S, law)
-        if w is not None:
-            return Certificate(False, name, (law.name, w))
-    return Certificate(True, name)
+    """The first failing law of ``name`` and its witness; with ``lemmas``, each law
+    that a lemma or Lemma J proves is left out.
+
+    In the row regime the laws are taken one at a time, so a lemma's set-up is
+    paid only once the laws before it hold, and a law that Lemma J refutes is
+    scanned only up to the x of its violation.  Below it, the lemmas that can
+    prove something there are asked first and the other laws are one check.
+    """
+    laws = _IDENTITY_LAWS[name]
+    if lemmas and _row_regime(S, laws[0]):
+        hit = None
+        for law in laws:
+            if _proved(S, law) or _holds_on_generators(S, law):
+                continue
+            rows = None if law.gen is None else (S._tables.ids[: _generator_violation(S, law)[0] + 1], None, None)
+            w = _scan(S, law, rows)
+            if w is not None:
+                hit = law, w
+                break
+    else:
+        unproved = tuple(law for law in laws if not (lemmas and _proved(S, law)))
+        hit = _first_failure(S, unproved) if unproved else None
+    return Certificate(True, name) if hit is None else Certificate(False, name, (hit[0].name, hit[1]))
 
 
 def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:

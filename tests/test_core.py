@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewlat import core
 from skewlat.core import (
     FiniteSkewLattice,
     Homomorphism,
@@ -643,6 +644,25 @@ def _zero_law_failures(S, z):
     return [
         x for x in range(S.order) if not (S.meet(x, z) == z == S.meet(z, x) and S.join(x, z) == x == S.join(z, x))
     ]
+
+
+def test_the_zero_of_raw_tables_is_the_one_a_loop_finds():
+    # _zero_of reads no axiom: on arbitrary tables, with some of the four zero laws
+    # planted for one element, it finds exactly the element where all four hold
+    rng = np.random.default_rng(29)
+    found = 0
+    for n in range(1, 8):
+        for _ in range(60):
+            m, j = rng.integers(0, n, (2, n, n))
+            z, ids = int(rng.integers(n)), np.arange(n)
+            plant = rng.random(4) < 0.8
+            for laws, (table, value) in zip(plant, ((m[z], z), (m[:, z], z), (j[z], ids), (j[:, z], ids))):
+                if laws:
+                    table[:] = value
+            zeros = [u for u in range(n) if all(m[x, u] == u == m[u, x] and j[x, u] == x == j[u, x] for x in range(n))]
+            assert core._zero_of(m, j) == (zeros[0] if zeros else None), (m, j)
+            found += bool(zeros)
+    assert 100 < found < 7 * 60
 
 
 def test_zero_laws_match_the_per_candidate_loop(census_to_order_five):

@@ -45,6 +45,7 @@ from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, di
 from test_bitset_order import _perturbed
 from test_cli import NON_SYMMETRIC_ORDER_SEVEN
 from test_core import _set_partitions, _with_partition
+from test_slab_scan import slab_mask
 
 LEMMA_LAWS = [law for laws in core._IDENTITY_LAWS.values() for law in laws if law.lemma is not None]
 G_LAW = core._IDENTITY_LAWS["distributive"][0].text
@@ -135,14 +136,13 @@ def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monk
     S = build_pfn_algebra(3, 2)
     assert S.validity.ok
     cube = []
-    scan = core._scan
+    first_failure = core._first_failure
 
-    def traced(S, law, ids=None):
-        if ids is None:
-            cube.append(law.text)
-        return scan(S, law, ids)
+    def traced(S, laws):
+        cube.extend(law.text for law in laws)
+        return first_failure(S, laws)
 
-    monkeypatch.setattr(core, "_scan", traced)
+    monkeypatch.setattr(core, "_first_failure", traced)
     assert all(check_identity(S, name).ok for name in ("regular", "normal", "distributive", "strongly_distributive"))
     assert cube == [
         "x∧y∧z∧x = x∧z∧y∧x",  # normal, asked by Lemma F for the meet law of regular
@@ -237,7 +237,7 @@ def _restricted(S, law):
 
 def _cube(S, law):
     # the violation mask of ``law`` over the whole n³ cube, from the slab evaluator
-    return law.slab(S._tables, np.arange(S.order).reshape(-1, 1, 1), None)
+    return slab_mask(S, law)
 
 
 def _with_cells_changed(S, rng, cells):
@@ -400,7 +400,8 @@ def test_row_regime_certificates_are_the_plain_scans(row_regime_set, monkeypatch
 def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
     # P(4,2) with one cell changed: where an associativity law fails at x = 0, the scan
     # of x = 0 alone finds the full scan's witness and Lemma J does not run; where it
-    # fails later, Lemma J runs and then the rows from x = 1 on give the witness
+    # fails later, Lemma J runs and then the rows from x = 1 up to the x of its
+    # violation, x_J, give the witness
     P = build_pfn_algebra(4, 2)
     lemma_j, scan, calls = core._holds_on_generators, core._scan, []
 
@@ -415,12 +416,11 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
 
     monkeypatch.setattr(core, "_holds_on_generators", traced_lemma_j)
     monkeypatch.setattr(core, "_scan", traced_scan)
-    last = P.order - 1
     for (op, a, b), x, steps in (
         ((0, 0, 1), 0, ["x from 0 to 0"]),
         ((0, 0, 40), 0, ["x from 0 to 0"]),
         ((1, 0, 2), 0, ["x from 0 to 0"]),
-        ((1, 2, 1), 2, ["x from 0 to 0", "Lemma J", "G", f"x from 1 to {last}"]),
+        ((1, 2, 1), 2, ["x from 0 to 0", "Lemma J", "G", "x from 1 to 2"]),
     ):
         tables = [[list(row) for row in P.meet_table], [list(row) for row in P.join_table]]
         tables[op][a][b] = (tables[op][a][b] + 1) % P.order
@@ -430,6 +430,58 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
         law = cert.witness[0]
         assert [step for name, step in calls if name == law] == steps, calls
         assert cert == _plain_axioms(_fresh(S)) and cert.witness[1][0] == x, cert
+
+
+def _mutated_pfn_5_2(seed):
+    """P(5,2) relabeled and with one meet cell m[x][x∨y] changed, as the benchmark's
+    ``pfn_verify`` workload draws its invalid copy from ``seed``."""
+    P = build_pfn_algebra(5, 2)
+    rng = random.Random(seed)
+    perm = list(range(P.order))
+    rng.shuffle(perm)
+    rng.shuffle(list(range(81)))  # the workload draws P(4,2)'s relabeling next
+    p, inverse = np.array(perm), np.argsort(perm)
+    meet, join = (p[t[np.ix_(inverse, inverse)]] for t in (P._m, P._j))
+    x, y = rng.choice([(x, y) for x in range(P.order) for y in range(P.order) if join[x][y] != x])
+    meet[x, join[x, y]] = rng.choice([v for v in range(P.order) if v != x])
+    return FiniteSkewLattice(P.order, meet, join, zero=perm[P.zero])
+
+
+def test_a_refuted_lemma_j_bounds_the_rows_of_the_witness_scan(row_regime_set, monkeypatch):
+    # the violation of Lemma J's restricted scan is one of the full scan's, so the
+    # scan for the witness reads the rows only up to its x, x_J: on one-cell mutants
+    # of P(4,2), the products of the row-regime set and the mutated P(5,2) of seed 29,
+    # whose meet associativity first fails at x = 1, the certificates are the plain
+    # scans' and no row past x_J is read
+    rng = random.Random(29)
+    P = build_pfn_algebra(4, 2)
+    structures = [*row_regime_set, *(_with_cells_changed(P, rng, 1) for _ in range(12)), _mutated_pfn_5_2(29)]
+    scan, rows = core._scan, []
+
+    def traced(S, law, ids=None):
+        if ids is not None and ids[0] is not None and ids[0].tolist() == list(range(ids[0][0], ids[0][-1] + 1)):
+            rows.append((S, law.text, int(ids[0][0]), int(ids[0][-1])))  # consecutive rows: x = 0, or to the witness
+        return scan(S, law, ids)
+
+    monkeypatch.setattr(core, "_scan", traced)
+    bounded = []
+    for S in structures:
+        T = _fresh(S)
+        cert = validate_skew_axioms(T)
+        assert cert == _plain_axioms(_fresh(S))
+        if cert.ok:
+            assert [check_identity(T, name) for name in IDENTITY_NAMES] == [
+                core._identity_scan(_fresh(S), name) for name in IDENTITY_NAMES]
+        for U, text, first, last in rows:
+            if U is T and (first, last) != (0, 0):
+                x_j = T._memo[("Lemma J", text)][0]
+                assert last == x_j, (text, first, last)
+                bounded.append((T.order, text, first, last))
+        rows.clear()
+    assert (243, "(x∧y)∧z = x∧(y∧z)", 1, 1) in bounded
+    assert {text for _, text, _, _ in bounded} >= {
+        "(x∧y)∧z = x∧(y∧z)", "(x∨y)∨z = x∨(y∨z)", "(x∨y)∧z = (x∧z)∨(y∧z)", "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)"}
+    assert any(last < order - 1 for order, _, _, last in bounded), bounded
 
 
 # --- the D-partition against the loop it replaced ---------------------------------------

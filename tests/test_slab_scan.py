@@ -1,7 +1,8 @@
 """The compiled law scans against the full-cube masks they replaced.
 
 The oracles here evaluate each law over the whole index cube at once
-and take the first violation from ``np.argwhere``; the lemma oracle is
+and take the first violation from ``np.argwhere``, or, in ``slab_mask``,
+with the per-law slab evaluator that the gather plans replaced; the lemma oracle is
 the O(n⁴) loop over (a, b, u, v).  The fast scans must return identical
 certificates (verdict, law and witness), also when the slab size is
 forced down so that one scan crosses many slabs, or runs one x at a
@@ -69,6 +70,34 @@ def _first_violation(S, text):
 
 
 # --- oracles: the full-cube masks -------------------------------------------------
+
+# the per-law slab evaluator that the gather plans replaced (``test_gather_plan``): x an
+# open-grid slab of elements, y and z the carrier, every operation a flat take
+
+
+def _leaf(var, arity):
+    if var == 0:
+        return lambda c, x: x
+    if var == 1 and arity == 3:
+        return lambda c, x: c.col
+    return lambda c, x: c.ids
+
+
+def _slab_eval(term, arity):
+    if isinstance(term, int):
+        return _leaf(term, arity)
+    t, fl, fr = term[0], _slab_eval(term[1], arity), _slab_eval(term[2], arity)
+    return lambda c, x: c.tables[t].ravel().take(fl(c, x) * c.n + fr(c, x))
+
+
+def slab_mask(S, law, xs=None):
+    """The violation mask of ``law`` over x in the sorted vector ``xs`` (the carrier
+    by default) and the carrier for y and z, row-major in x, y, z."""
+    c = S._tables
+    x = (c.ids if xs is None else xs).reshape((-1,) + (1,) * (law.arity - 1))
+    lhs, rhs = (_slab_eval(side, law.arity) for side in law.sides)
+    return np.not_equal(lhs(c, x), rhs(c, x))
+
 
 def _argwhere_first(mask):
     idx = np.argwhere(mask)
@@ -299,17 +328,33 @@ def _first_violation_over(S, text, ids):
     return next((p for p in itertools.product(*drawn) if _violated(S, text, p)), None)
 
 
+class _Starts:
+    """A plan's slab starts that record each one a run reaches."""
+
+    def __init__(self, starts, seen):
+        self.starts, self.seen = starts, seen
+
+    def __iter__(self):
+        for x0 in self.starts:
+            self.seen.append(x0)
+            yield x0
+
+
 @pytest.mark.parametrize("width", [1, 4])
 def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
     # a left-zero band, x∧y = x, with 3∧2 set to 5: each law below first fails at x = 3,
     # so no x past 3 may be evaluated, one x at a time or in slabs of 4.  A scan that
-    # restricts a variable runs one x at a time at either width, never the slab
-    # evaluator, and evaluates the subterm y∧z, which does not read x, once
+    # restricts a variable runs one x at a time at either width, never a gather plan,
+    # and evaluates the subterm y∧z, which does not read x, once
     n = 10
     meet = [[x] * n for x in range(n)]
     meet[3][2] = 5
     S = FiniteSkewLattice(n, meet, [list(range(n))] * n)
     monkeypatch.setattr(core, "_SLAB_CELLS", width * n * n)
+    starts, schedule = [], core._schedule
+    monkeypatch.setattr(core, "_schedule", lambda *key: tuple(
+        step._replace(starts=_Starts(step.starts, starts)) if isinstance(step, core._Plan) else step
+        for step in schedule(*key)))
     ys, zs, xs = np.array([0, 2, 7]), np.array([1, 4, 9]), np.array([1, 3, 8])
     for text, ids, want, rows in (
         ("x∧y∧z = x", None, (3, 0, 2), [0, 1, 2, 3]),
@@ -320,13 +365,14 @@ def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
         ("x∧(y∧z) = x", (xs, ys, zs), (3, 2, 1), [1, 3]),
     ):
         law = core._law(text)
-        seen, slabs, fixed = [], [], []
+        seen, fixed = [], []
+        starts.clear()
         traced = law._replace(
             row=lambda c, x, p: seen.append(x) or law.row(c, x, p),
-            slab=lambda c, x, out: slabs.extend(x.ravel().tolist()) or law.slab(c, x, out),
             fixed=lambda c, p: fixed.append(p) or law.fixed(c, p),
         )
         assert core._scan(S, traced, ids) == want == _first_violation_over(S, text, ids or (None,) * 3)
+        slabs = [x for x0 in starts for x in range(x0, min(x0 + width, n))]
         if ids is None and width > 1:
             assert (seen, slabs, fixed) == ([], rows, []), text
         else:
@@ -429,7 +475,7 @@ def test_restricted_scans_at_order_81_match_the_cube():
     for S in (P, *_mutants(P, rng, per_table=3)):
         for law in laws:
             var, op = law.gen
-            cube = law.slab(S._tables, np.arange(n).reshape(-1, 1, 1), None)
+            cube = slab_mask(S, law)
             draws = []
             for vector in (core._generators(S, op), subset(), subset()):
                 ids = [None] * 3
