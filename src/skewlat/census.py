@@ -7,22 +7,29 @@ cell assignment is rejected the moment it completes a bad triple.  The
 absorption laws confine each join ``x∨y`` to ``cand(x, y)``, the ``v``
 with ``x∧v = x`` and ``v∧y = y``, so a partial meet table is also
 rejected once some ``cand(x, y)`` is empty with its unassigned cells
-read as wildcards: no completion of it can take a join.  A lex-leader
-rule keeps one meet table per isomorphism class, its least relabeling
-in row-major order: a partial table is rejected as soon as some
-relabeling of it is provably smaller.  Its relabeling walks are
-watched: each waits on one cell and is advanced only when that cell
-is assigned.  The other tables of the class need no search, since
-their joins are the relabeled joins of this one and every filter is
-isomorphism-invariant.  The join table is then searched the same way,
-each cell ``x∨y`` ranging over ``cand(x, y)``, with the absorption
-laws ``x∨(x∧y) = x`` and ``(x∧y)∨y = y`` pinned up front.  The
-canonical form of each structure found comes from the search itself:
-the relabelings whose walks end with no difference at the last cell
-are the automorphisms of the meet table M, and since M is its own
-least relabeling, the form is M with the least image of the join table
-under those automorphisms and the identity, as :func:`canonicalize`
-would give without trying all n! relabelings.
+read as wildcards: no completion of it can take a join.  The sets are
+kept as bitmasks, one per row for ``x∧v = x`` and one per column for
+``v∧y = y``, so an assignment updates two masks and checks n ANDs for
+each.  A lex-leader rule keeps one meet table per isomorphism class,
+its least relabeling in row-major order: a partial table is rejected
+as soon as some relabeling of it is provably smaller.  Its relabeling
+walks are watched: each waits on one cell and is advanced only when
+that cell is assigned.  After associativity, the checks of a cell run
+in this order: a filter's own (handedness, normality), the candidate
+masks, then the walks, the dearest, on the nodes the others keep; the
+masks and the walks key their state by depth and undo it as the
+search backs up (see :func:`_table_search`).  The other tables of the
+class need no search, since their joins are the relabeled joins of
+this one and every filter is isomorphism-invariant.  The join table is
+then searched the same way, each cell ``x∨y`` ranging over
+``cand(x, y)``, read off the masks of the completed meet table, with
+the absorption laws ``x∨(x∧y) = x`` and ``(x∧y)∨y = y`` pinned up
+front.  The canonical form of each structure found comes from the
+search itself: the relabelings whose walks end with no difference at
+the last cell are the automorphisms of the meet table M, and since M
+is its own least relabeling, the form is M with the least image of the
+join table under those automorphisms and the identity, as
+:func:`canonicalize` would give without trying all n! relabelings.
 
 Counts produced this way have no external reference to compare against,
 so a second, deliberately different strategy exists for small orders:
@@ -38,7 +45,9 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .core import (
     CapExceededError,
@@ -249,28 +258,56 @@ def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
     )
 
 
-def _candidates_left(T: Sequence[Sequence[int]], p: int) -> bool:
-    # whether each cand(p, j), j ≠ p, keeps a value: some v with T[p][v] and
-    # T[v][j] each the wanted value or unassigned (-1).  Column j of the rows
-    # T[v] with T[p][v] ∈ {p, -1} holds the T[v][j]; with no such row, every
-    # cand(p, j) is empty
-    rows = [Tv for Tv, pv in zip(T, T[p]) if pv == p or pv < 0]
-    if not rows:
-        return False
-    for j, col in enumerate(zip(*rows)):
-        if j != p and j not in col and -1 not in col:
-            return False
-    return True
+class _JoinCandidateMasks:
+    """Reject a partial meet table once some ``cand(x, y)``, x ≠ y, is empty.
+
+    Every join ``x∨y`` needs a value in ``cand(x, y) = {v : x∧v = x,
+    v∧y = y}``, an unassigned cell read as a wildcard, so the sets only
+    shrink down the search.  They are kept as bitmasks (Python ints):
+    ``left[x]`` has bit v when ``T[x][v]`` is x or unassigned, ``right[y]``
+    bit v when ``T[v][y]`` is y or unassigned, and ``cand(x, y)`` is
+    ``left[x] & right[y]``.  Setting ``T[p][q] = w`` clears bit q of
+    ``left[p]`` unless w = p and bit p of ``right[q]`` unless w = q, so
+    only the sets ``cand(p, ·)`` and ``cand(·, q)`` can empty: n ANDs
+    each.  ``cand(x, x)`` always holds x, the diagonal being idempotent.
+
+    Like :class:`_LexLeaderHook` the hook is for a search without pins,
+    whose k-th assignment is the k-th off-diagonal cell in row-major
+    order; each node logs the two masks it replaced, and a call at depth
+    k first restores the logs of depth k and deeper.  So when the search
+    yields a table, the masks are exact for it and give its candidate
+    sets.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self.left = [(1 << n) - 1] * n
+        self.right = [(1 << n) - 1] * n
+        # (k, p, left[p], q, right[q]) before node k, cell (p, q), was assigned
+        self._log: list[tuple[int, int, int, int, int]] = []
+
+    def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
+        k = p * (self._n - 1) + (q if q < p else q - 1)
+        left, right, log = self.left, self.right, self._log
+        while log and log[-1][0] >= k:
+            _, a, left[a], b, right[b] = log.pop()
+        w, lp, rq = T[p][q], left[p], right[q]
+        log.append((k, p, lp, q, rq))
+        if w != p:
+            lp = left[p] = lp & ~(1 << q)
+            if not all(map(lp.__and__, right)):
+                return False
+        if w != q:
+            rq = right[q] = rq & ~(1 << p)
+            if not all(map(rq.__and__, left)):
+                return False
+        return True
 
 
-def _join_candidate_hook(T: list[list[int]], p: int, q: int) -> bool:
-    # every x∨y (x ≠ y) needs a value in cand(x, y) = {v : x∧v = x, v∧y = y},
-    # reading an unassigned cell as a wildcard, so the sets only shrink down
-    # the search.  Setting p∧q = w removes q from each cand(p, ·) unless w = p,
-    # and p from each cand(·, q) unless w = q: only those sets can empty.
-    # cand(i, q) of T is cand(q, i) of the transpose
-    w = T[p][q]
-    return (w == p or _candidates_left(T, p)) and (w == q or _candidates_left(tuple(zip(*T)), q))
+@functools.cache
+def _mask_members(n: int) -> tuple[tuple[int, ...], ...]:
+    # the set bits of each mask below 2ⁿ, in increasing order
+    return tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n))
 
 
 _MEET_HOOKS: dict[str, Hook] = {"left_handed": _left_handed_hook, "normal": _normal_hook}
@@ -375,7 +412,16 @@ def _table_search(
 
     ``preset`` assignments (pins) are applied first with the same
     incremental checks; conflicting pins abort the search.  Free cells
-    range over ``cand(i, j)`` in row-major cell order.
+    range over ``cand(i, j)`` in row-major cell order.  Each value is
+    checked for associativity, then by the hooks in the order given,
+    stopping at the first that rejects it, so a later hook is not called
+    at every node: a stateful hook cannot rely on seeing each assignment
+    or its undoing.  The census's hooks (:class:`_JoinCandidateMasks`,
+    :class:`_LexLeaderHook`) key their state by depth instead: a call for
+    the k-th cell first undoes what their calls at depth k or deeper
+    did, which belongs to a sibling value or to a subtree the search
+    has left, and when a table is yielded every hook has just been
+    called at the last cell, so its state is that of the table.
     """
     T = [[i if i == j else -1 for j in range(n)] for i in range(n)]
     # where[v]: the assigned cells (a, b) with T[a][b] = v, in assignment order,
@@ -400,8 +446,12 @@ def _table_search(
             T[i][j] = v
             cells = where[v]
             cells.append((i, j))
-            if _assoc_ok_after(T, i, j, where) and all(h(T, i, j) for h in hooks):
-                yield from rec(k + 1)
+            if _assoc_ok_after(T, i, j, where):
+                for hook in hooks:
+                    if not hook(T, i, j):
+                        break
+                else:
+                    yield from rec(k + 1)
             cells.pop()
         T[i][j] = -1
 
@@ -426,22 +476,25 @@ def _census_forms(order: int, filt: CensusFilter) -> dict[CanonicalForm, FiniteS
     forms: dict[CanonicalForm, FiniteSkewLattice] = {}
     # one meet table per meet class, its least relabeling: the others' joins
     # are relabeled joins of this one, and every filter is isomorphism-invariant;
-    # a meet table reaches the join search only when no cand(i, j) is empty
-    lex = _LexLeaderHook(n)
-    for M in _table_search(n, [], lambda i, j: full_range, filter_hooks + (lex, _join_candidate_hook)):
+    # a meet table reaches the join search only when no cand(i, j) is empty;
+    # the masks run before the walks, which then see fewer nodes, and hold the
+    # cand of each table yielded
+    masks, lex = _JoinCandidateMasks(n), _LexLeaderHook(n)
+    members = _mask_members(n)
+    for M in _table_search(n, [], lambda i, j: full_range, filter_hooks + (masks, lex)):
         # M is its own least relabeling, so canonicalize's coset is {id} ∪ Aut(M)
         automorphisms = lex.automorphisms
-        cand = [
-            [tuple(v for v in range(n) if M[i][v] == i and M[v][j] == j) for j in range(n)]
-            for i in range(n)
-        ]
+        cand = [[members[left & right] for right in masks.right] for left in masks.left]
         # absorption pins x∨(x∧y) = x and (x∧y)∨y = y
         pins = [pin for x in range(n) for y in range(n) for pin in ((x, M[x][y], x), (M[x][y], y, y))]
         joins = list(_table_search(n, pins, lambda i, j: cand[i][j], ()))
         # Aut(M) permutes the joins found, as the search is isomorphism-invariant,
-        # so a lone join is its own least image; each class is built once
+        # so a lone join is its own least image; each class is built once, its
+        # tables converted once for the zero and the structure
+        m = np.array(M, np.intp)
         for J in joins if len(joins) == 1 else {min([J] + [_relabeled(J, p) for p in automorphisms]) for J in joins}:
-            S = FiniteSkewLattice(n, M, J, zero=_zero_of(M, J))
+            j = np.array(J, np.intp)
+            S = FiniteSkewLattice(n, m, j, zero=_zero_of(m, j))
             if S.validity.ok and filt.matches(S):  # the search guarantees validity; keep the net
                 forms[CanonicalForm(M, J)] = S
     return forms

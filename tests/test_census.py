@@ -353,17 +353,21 @@ def test_the_watched_walks_prune_as_the_reference_walks_do():
 
 
 def test_the_walks_record_exactly_the_automorphisms_of_each_meet_table():
-    # the walks that end with no difference, read when the census meet search yields M
+    # the walks that end with no difference, and the candidate sets the masks give,
+    # read when the census meet search yields M
     seen = 0
     for hooks in FAST_HOOK_SETS:
         for n in range(1, 7 if not hooks else 6):
             full = tuple(range(n))
-            lex = census._LexLeaderHook(n)
-            for M in census._table_search(n, [], lambda i, j: full, hooks + (lex, census._join_candidate_hook)):
+            masks, lex = census._JoinCandidateMasks(n), census._LexLeaderHook(n)
+            members = census._mask_members(n)
+            for M in census._table_search(n, [], lambda i, j: full, hooks + (masks, lex)):
                 brute = {perm for perm in itertools.islice(itertools.permutations(full), 1, None)
                          if _relabeled_table(M, perm) == M}
                 assert sorted(lex.automorphisms) == sorted(brute), (M, lex.automorphisms)
                 seen += bool(brute)
+                cand = [[members[left & right] for right in masks.right] for left in masks.left]
+                assert cand == _join_candidates(M), M
     assert seen > 100
 
 
@@ -378,7 +382,7 @@ def test_order_six_forms_are_their_own_canonical_forms():
 def test_the_join_candidate_prune_keeps_exactly_the_tables_with_candidates():
     for n in (1, 2, 3, 4):
         full = tuple(range(n))
-        pruned = list(census._table_search(n, [], lambda i, j: full, (census._join_candidate_hook,)))
+        pruned = list(census._table_search(n, [], lambda i, j: full, (census._JoinCandidateMasks(n),)))
         labeled = list(census._table_search(n, [], lambda i, j: full, ()))
         kept = [M for M in labeled if _joins_possible(_join_candidates(M))]
         assert pruned == kept, n
@@ -396,13 +400,45 @@ def _join_candidate_rescan(T, p, q):
     )
 
 
+def test_the_candidate_masks_prune_as_the_rescan_does():
+    for hooks in FAST_HOOK_SETS:
+        for n in (1, 2, 3, 4, 5):
+            full = tuple(range(n))
+            masks = census._table_search(n, [], lambda i, j: full, hooks + (census._JoinCandidateMasks(n),))
+            rescan = census._table_search(n, [], lambda i, j: full, hooks + (_join_candidate_rescan,))
+            assert list(masks) == list(rescan), (hooks, n)
+
+
+def _row_major_fills(rng, n, steps):
+    # (T, p, q, rescan verdict) along row-major fills of an idempotent table, as a
+    # search without pins assigns it: each cell takes random values until the rescan
+    # accepts one, and a complete table or a cell no value fits backs up to a random
+    # cell at or before it, unassigning the cells from there on
+    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+    T = [[a if a == b else -1 for b in range(n)] for a in range(n)]
+    k = 0
+    for _ in range(steps):
+        p, q = cells[k]
+        for v in rng.sample(range(n), n):
+            T[p][q] = v
+            verdict = _join_candidate_rescan(T, p, q)
+            yield T, p, q, verdict
+            if verdict:
+                break
+        if verdict and k + 1 < len(cells):
+            k += 1
+        else:
+            k = rng.randrange(k + 1)
+            for a, b in cells[k:]:
+                T[a][b] = -1
+
+
 def test_the_incremental_hooks_match_the_rescans():
     # on partial tables that passed the rescan before (p, q) was assigned
     rng = random.Random(15)
     pairs = {
         "left_handed": (census._left_handed_hook, _left_handed_rescan),
         "normal": (census._normal_hook, _normal_rescan),
-        "join_candidates": (census._join_candidate_hook, _join_candidate_rescan),
     }
     verdicts = {key: set() for key in pairs}
     for n in range(2, 7):
@@ -419,7 +455,14 @@ def test_the_incremental_hooks_match_the_rescans():
                         verdict = rescan(T, p, q)
                         assert hook(T, p, q) == verdict, (key, T, p, q)
                         verdicts[key].add(verdict)
-    assert verdicts == {key: {False, True} for key in pairs}
+    # the stateful masks, driven along row-major fills
+    verdicts["join_candidates"] = set()
+    for n in range(2, 7):
+        hook = census._JoinCandidateMasks(n)
+        for T, p, q, verdict in _row_major_fills(rng, n, 600):
+            assert hook(T, p, q) == verdict, (T, p, q)
+            verdicts["join_candidates"].add(verdict)
+    assert verdicts == {key: {False, True} for key in verdicts}
 
 
 def test_canonicalize_matches_the_full_relabeling_oracle(census_to_order_five):

@@ -155,6 +155,48 @@ def test_tables_are_frozen_tuples(chain2):
     assert (chain2 == object()) is False and chain2 != object()
 
 
+def test_large_tuple_tables_read_as_numpy_reads_them():
+    # from core._BYTES_FROM_ORDER up, tuple and list rows go through one bytes join;
+    # every other kind of input, and every fault, takes the np.array path as below it
+    for n in (core._BYTES_FROM_ORDER, 97, 256):
+        rng = random.Random(n)
+        T = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        kinds = {
+            "tuple rows": tuple(map(tuple, T)),
+            "list rows": T,
+            "generator of rows": (iter(row) for row in T),
+            "np.int64 entries": [[np.int64(v) for v in row] for row in T],
+            "bool entries": [[bool(v & 1) for v in row] for row in T],
+            "np.bool_ entries": [[np.bool_(v & 1) for v in row] for row in T],
+        }
+        for kind, rows in kinds.items():
+            want = np.array(T) & 1 if "bool" in kind else np.array(T)
+            got = core._table_array(rows, n, "meet")
+            assert got.dtype == np.intp and not got.flags.writeable and np.array_equal(got, want), (n, kind)
+            assert got.base.flags.writeable, (n, kind)
+    n = 256
+    bad = np.zeros((n, n), dtype=np.int8)
+    bad[3, 5] = -1  # its raw byte reads 255, which is in range at order 256
+    for rows in (bad, list(bad), tuple(bad)):
+        with pytest.raises(StructureError, match=r"^meet table entry -1 at row 3 is out of range 0\.\.255$"):
+            core._table_array(rows, n, "meet")
+    T = [[0] * n for _ in range(n)]
+    for cell, message in (
+        (256, r"meet table entry 256 at row 7 is out of range 0\.\.255"),
+        (-1, r"meet table entry -1 at row 7 is out of range 0\.\.255"),
+        (1.0, r"meet table entry at row 7 is 1\.0, not an integer"),
+        ((1,), r"meet table entry at row 7 is \(1,\), not an integer"),
+    ):
+        rows = [row[:] for row in T]
+        rows[7][9] = cell
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            core._table_array(rows, n, "meet")
+    with pytest.raises(StructureError, match=r"^meet table row 8 has 255 entries, expected 256$"):
+        core._table_array([row[:255] if i == 8 else row for i, row in enumerate(T)], n, "meet")
+    with pytest.raises((StructureError, TypeError)):  # bytes(256) would be 256 zero bytes
+        core._table_array([256] * n, n, "meet")
+
+
 def test_meet_and_join_check_their_ids():
     S = chain_lattice(3)
     assert S.meet(2, 1) == 1 and S.join(2, 1) == 2

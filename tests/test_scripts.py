@@ -1,5 +1,6 @@
 """Smoke tests of the measurement scripts under ``scripts/``."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,18 @@ def test_large_orders_runs_every_step_at_m_two():
         assert seconds.endswith(" s") and float(seconds[:-2]) >= 0
         assert mb.endswith(" MB") and float(mb[:-3]) > 0
         assert code == "exit 0"
+
+
+def test_census_digest_prints_one_line_per_order_and_filter():
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "census_digest.py"), "3"], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("\t") for line in out.stdout.splitlines()]
+    assert [fields[:3] for fields in lines] == [
+        [f"order {n}", name, f"{count} classes"]
+        for n, counts in ((1, (1, 1, 1, 1)), (2, (3, 2, 3, 2)), (3, (7, 4, 5, 3)))
+        for name, count in zip(("none", "left_handed", "normal", "left_handed+normal"), counts)
+    ]
+    assert all(len(fields[3]) == len("sha256 ") + 64 for fields in lines)
