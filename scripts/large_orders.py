@@ -9,7 +9,7 @@ the package from this checkout's ``src``:
 - ``build``: ``build_pfn_algebra(m, 2)``;
 - ``validate``: the build, then the axiom scan (``S.validity``);
 - ``emit``: ``skewlat paper pfn --sizes m,2``, written to a temporary file;
-- ``parse``: reading that file, ``parse`` and ``to_structure``;
+- ``parse``: reading that file and ``parse``, as ``skewlat theorem`` does;
 - ``theorem``: ``skewlat theorem`` on that file (parse, validation and the
   frame theorem).
 
@@ -47,7 +47,7 @@ elif step == "validate":
     code = 0 if S.validity.ok else 1
 elif step == "parse":
     with open(path, encoding="utf-8") as fh:
-        parse(fh.read()).to_structure()
+        parse(fh.read())
 else:
     args = ["paper", "pfn", "--sizes", f"{m},2"] if step == "emit" else ["theorem", path]
     with open(path if step == "emit" else os.devnull, "w") as out, contextlib.redirect_stdout(out):

@@ -30,8 +30,10 @@ does not read x is evaluated once per scan.  Smaller tables are checked
 by gather plans, compiled on first use for the laws of one check at one
 order: each subterm is evaluated once, and the small ones of one depth,
 across every law, together, so a census-sized table costs a few numpy
-calls per depth rather than a few per subterm.  The text is the law a
-false verdict's witness cites.
+calls per depth rather than a few per subterm.  One function,
+``_first_failure``, scans the laws of every check in both regimes, and
+applies the lemmas that prove a law without its scan.  The text is the
+law a false verdict's witness cites.
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ def _as_int(v: Any, what: str) -> int:
         raise StructureError(f"{what} is {v!r}, not an integer") from None
 
 
+def _sequence(v: Any, what: str, of: str) -> list:
+    """``v`` as a list; ``what`` names it in the error when it cannot be iterated."""
+    try:
+        return list(v)
+    except TypeError:
+        raise StructureError(f"{what} is {v!r}, not a sequence of {of}") from None
+
+
 # From this order up, tuple or list rows are read through one bytes join.  Timed per
 # call on random tables (2-vCPU VM), the join took 0.8 of np.array's time at order 10
 # and a quarter at order 243, about as long at orders 7-8, and 1.0-1.4 times as long
@@ -177,7 +187,10 @@ def _table_array(rows: Any, order: int, which: str) -> np.ndarray:
             view.flags.writeable = False
             return view
     # anything else is read cell by cell, to name the first fault
-    table = [[_as_int(v, f"{which} table entry at row {i}") for v in row] for i, row in enumerate(rows)]
+    table = [
+        [_as_int(v, f"{which} table entry at row {i}") for v in _sequence(row, f"{which} table row {i}", "entries")]
+        for i, row in enumerate(_sequence(rows, f"{which} table", "rows"))
+    ]
     if len(table) != order:
         raise StructureError(f"{which} table has {len(table)} rows, expected {order}")
     for i, row in enumerate(table):
@@ -591,7 +604,7 @@ class _Law(NamedTuple):
     fixed: Callable  # fixed(c, p): the subterms that do not read x, into p.fixed, once per scan
     planes: int  # plane buffers that ``row`` and ``fixed`` may write into
     lemma: Callable | None = None  # lemma(S, law): True only once proved; see ``_proved``
-    gen: tuple[int, int] | None = None  # (variable, op) of Lemma J; see ``_holds_on_generators``
+    gen: tuple[int, int] | None = None  # (variable, op) of Lemma J; see ``_generator_violation``
 
     def __hash__(self) -> int:  # the plan cache hashes its laws on every lookup: the text is enough
         return hash(self.text)
@@ -831,34 +844,51 @@ def _schedule(laws: tuple[_Law, ...], n: int, budget: int) -> tuple:
     return tuple(steps)
 
 
-def _first_failure(S: FiniteSkewLattice, laws: tuple[_Law, ...]) -> tuple[_Law, tuple[int, ...]] | None:
+def _first_failure(
+    S: FiniteSkewLattice, laws: tuple[_Law, ...], lemmas: bool = False
+) -> tuple[_Law, tuple[int, ...]] | None:
     """The first of ``laws`` that fails on S, with its first violation in
-    lexicographic order, or None; scanned as ``_schedule`` plans it."""
+    lexicographic order, or None: the one scan of every check's laws.
+
+    With ``lemmas``, each law that its lemma proves (``_proved``) is left
+    out first.  The rest run as ``_schedule`` plans them: gather plans
+    below the row regime, one x at a time (``_scan``) in it.  There, with
+    ``lemmas``, a law of Lemma J is scanned at x = 0 first, as a violation
+    there is the full scan's first, found without Lemma J's set-up; past
+    it, Lemma J proves the law, or its violation bounds the rows that hold
+    the witness (``_generator_violation``).
+    """
+    if lemmas:
+        laws = tuple(law for law in laws if not _proved(S, law))
     for step in _schedule(laws, S.order, _SLAB_CELLS):
         if isinstance(step, _Plan):
             hit = _run(step, S._tables)
-        else:
+            if hit is not None:
+                return hit
+            continue
+        if not lemmas or step.gen is None:
             w = _scan(S, step)
-            hit = None if w is None else (step, w)
-        if hit is not None:
-            return hit
+        else:  # x = 0, then Lemma J, then the rows up to the x of its violation
+            xs = S._tables.ids
+            w = _scan(S, step, (xs[:1],))
+            if w is None and (v := _generator_violation(S, step)) is not None:
+                w = _scan(S, step, (xs[1 : v[0] + 1],))
+        if w is not None:
+            return step, w
     return None
 
 
 def _scan(S: FiniteSkewLattice, law: _Law, ids: tuple[np.ndarray | None, ...] | None = None) -> tuple[int, ...] | None:
-    """First violation of ``law`` in lexicographic order, or None.
+    """First violation of ``law`` in lexicographic order, or None, one x at a time.
 
-    ``ids``, one sorted index vector per variable (None for the carrier),
-    restricts each variable to those elements.  An unrestricted scan below
-    the row regime runs the law's gather plan (``_first_failure``).  Any
-    other scan runs one x at a time over the plane of y's and z's vectors,
-    after the subterms that do not read x are evaluated once, stops at the
-    first x that holds a violation, and maps a witness back through the
-    vectors.
+    ``ids``, sorted index vectors for x, y and z in turn (None, or a
+    vector left off, for the carrier), restricts each variable to those
+    elements.  The subterms that do not read x are evaluated once; then
+    each x is scanned over the plane of y's and z's vectors, the scan
+    stops at the first x that holds a violation, and a witness is mapped
+    back through the vectors.  The row steps of ``_first_failure``,
+    Lemma J and Lemma G scan with it.
     """
-    if ids is None and not _row_regime(S, law):
-        hit = _first_failure(S, (law,))
-        return None if hit is None else hit[1]
     c, n = S._tables, S.order
     xs, vy, vz = (tuple(ids or ()) + (None,) * 3)[:3]
     full = (_Y if vy is None else 0) | (_Z if vz is None else 0)
@@ -905,10 +935,7 @@ def _zero_of(m: Any, j: Any) -> int | None:
 
 
 def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
-    if _row_regime(S, _AXIOM_LAWS[2]):
-        hit = next(((law, w) for law in _AXIOM_LAWS if (w := _axiom_rows(S, law)) is not None), None)
-    else:  # no axiom is in the row regime
-        hit = _first_failure(S, _AXIOM_LAWS)
+    hit = _first_failure(S, _AXIOM_LAWS, lemmas=True)
     if hit is not None:
         return Certificate(False, "skew lattice axioms", (hit[0].name, hit[1]))
     if S.zero is not None:
@@ -920,32 +947,18 @@ def _axiom_scan(S: FiniteSkewLattice) -> Certificate:
     return Certificate(True, "skew lattice axioms")
 
 
-def _axiom_rows(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
-    """The first violation of an axiom on a structure in the row regime of associativity."""
-    if law.gen is None:
-        return _scan(S, law)
-    # x = 0 first: a violation there is the full scan's first, found without Lemma J's set-up;
-    # past it, Lemma J proves the law, or its violation bounds the rows that hold the witness
-    xs = S._tables.ids
-    w = _scan(S, law, (xs[:1], None, None))
-    if w is None and not _holds_on_generators(S, law):
-        w = _scan(S, law, (xs[1 : _generator_violation(S, law)[0] + 1], None, None))
-    return w
-
-
 def validate_skew_axioms(S: FiniteSkewLattice) -> Certificate:
     """Decide whether the tables satisfy the skew lattice axioms.
 
     Checks, in a fixed order: idempotency and associativity of both
     operations, the four absorption laws, and (when a zero is declared)
     the zero laws.  The witness of a false verdict is ``(law, tuple)``
-    for the first violation in lexicographic scan order.  Below order 65
-    the eight laws are one check (``_first_failure``), evaluated together
-    while their cubes fit ``_SLAB_CELLS``.  From order 65 each
-    associativity law is first scanned with y over a generating set
-    (Light's test, Lemma J), after a full scan of x = 0 alone; only if
-    both fail to decide it are the rows from x = 1 scanned, up to the x of
-    the generating-set scan's violation, which bounds the witness's.
+    for the first violation in lexicographic scan order.  The eight laws
+    are one check, scanned by ``_first_failure``: together while their
+    cubes fit ``_SLAB_CELLS``, one x at a time from order 65.  There each
+    associativity law is scanned at x = 0, then with y over a generating
+    set (Light's test, Lemma J); only if that finds a violation are the
+    rows from x = 1 scanned, up to its x, which bounds the witness's.
     """
     return S.validity
 
@@ -1043,11 +1056,11 @@ def _generators(S: FiniteSkewLattice, op: int) -> np.ndarray:
 
 def _row_regime(S: FiniteSkewLattice, law: _Law) -> bool:
     """Whether a full scan of ``law`` on S runs one x at a time, as from order 65
-    for a law in x, y, z; Lemmas E, G and J pay for their set-up only there."""
+    for a law in x, y, z; Lemmas E and G pay for their set-up only there."""
     return _SLAB_CELLS // S.order ** (law.arity - 1) <= 1
 
 
-def _holds_on_generators(S: FiniteSkewLattice, law: _Law) -> bool:
+def _generator_violation(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
     """Lemma J: let the values of one variable at which ``law`` holds, for all
     values of the others, be closed under an operation ∘.  Then the law holds
     iff it holds with that variable drawn from a generating set G of (S, ∘).
@@ -1077,18 +1090,12 @@ def _holds_on_generators(S: FiniteSkewLattice, law: _Law) -> bool:
     The restricted scan runs one x at a time, as a full row scan does, over
     a plane of |G|·n cells, and evaluates each subterm that does not read
     x, such as the plane y∧z, once per scan: n²·|G| cells instead of n³.
-    The generating set costs O(n²) once per operation, so Lemma J runs only
-    where a full scan is a row scan (from order 65 for a law in x, y, z).
-    When the law fails, the restricted scan's violation is one of the full
-    scan's, so it bounds the x of the full scan's first (``_generator_violation``).
+    The generating set costs O(n²) once per operation, so only the row
+    steps of ``_first_failure`` ask for Lemma J (from order 65 for a law in
+    x, y, z).  The first violation of the restricted scan, or None, is
+    returned and remembered; when the law fails, it is one of the full
+    scan's, so it bounds the x of the full scan's first.
     """
-    return law.gen is not None and _row_regime(S, law) and _generator_violation(S, law) is None
-
-
-def _generator_violation(S: FiniteSkewLattice, law: _Law) -> tuple[int, ...] | None:
-    """The first violation of ``law`` with its Lemma J variable drawn from the
-    generating set, or None; remembered, so that the scan that follows a
-    failed lemma reads the rows up to its x."""
 
     def restricted() -> tuple[int, ...] | None:
         var, op = law.gen
@@ -1236,28 +1243,9 @@ def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str, lemmas: bool = False) -> Certificate:
-    """The first failing law of ``name`` and its witness; with ``lemmas``, each law
-    that a lemma or Lemma J proves is left out.
-
-    In the row regime the laws are taken one at a time, so a lemma's set-up is
-    paid only once the laws before it hold, and a law that Lemma J refutes is
-    scanned only up to the x of its violation.  Below it, the lemmas that can
-    prove something there are asked first and the other laws are one check.
-    """
-    laws = _IDENTITY_LAWS[name]
-    if lemmas and _row_regime(S, laws[0]):
-        hit = None
-        for law in laws:
-            if _proved(S, law) or _holds_on_generators(S, law):
-                continue
-            rows = None if law.gen is None else (S._tables.ids[: _generator_violation(S, law)[0] + 1], None, None)
-            w = _scan(S, law, rows)
-            if w is not None:
-                hit = law, w
-                break
-    else:
-        unproved = tuple(law for law in laws if not (lemmas and _proved(S, law)))
-        hit = _first_failure(S, unproved) if unproved else None
+    """The certificate of ``name``: its first failing law and the witness, from
+    one ``_first_failure`` over its laws, with the lemmas when ``lemmas``."""
+    hit = _first_failure(S, _IDENTITY_LAWS[name], lemmas)
     return Certificate(True, name) if hit is None else Certificate(False, name, (hit[0].name, hit[1]))
 
 
@@ -1281,8 +1269,11 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
     Lemma I: a left- or right-handed S satisfies the join law of
     ``regular``.  Lemma J, from order 65: each law of ``distributive``
     and ``strongly_distributive`` holds iff it holds with one variable
-    drawn from a generating set, so a law that holds costs n²·|G| cells
-    instead of n³; one that fails is scanned in full for its witness.
+    drawn from a generating set.  Such a law is scanned at x = 0 first;
+    past it, one that holds costs n²·|G| cells instead of n³, and one
+    that fails is scanned from x = 1 up to the x of Lemma J's violation,
+    which bounds the witness's.  Every law is scanned by one
+    ``_first_failure`` over the laws no lemma proves.
     """
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")

@@ -25,8 +25,8 @@ from .core import (
     PreconditionError,
     QuotientLattice,
     _FRAME_LAW,
+    _first_failure,
     _require_valid,
-    _scan,
     check_identity,
     check_symmetric,
     detect_zero,
@@ -64,10 +64,10 @@ def is_frame(L) -> Certificate:
     _require_valid(lat, "is_frame")
     if not is_commutative(lat):
         raise PreconditionError("is_frame is defined for commutative structures (lattices) only")
-    w = _scan(lat, _FRAME_LAW)
-    if w is None:
+    hit = _first_failure(lat, (_FRAME_LAW,))
+    if hit is None:
         return Certificate(True, "frame")
-    a, b, c = w
+    a, b, c = hit[1]
     return Certificate(False, "frame", (c, (a, b)))
 
 

@@ -55,6 +55,11 @@ def test_rejects_nonsquare_table():
         (((0, 0), (1,)), r"meet table row 1 has 1 entries, expected 2"),  # ragged: the row is named
         (((0, 0),), r"meet table has 1 rows, expected 2"),
         (np.zeros((2, 3), dtype=int), r"meet table row 0 has 3 entries, expected 2"),
+        # a table or a row that cannot be iterated is named, not a bare TypeError
+        ([3, 3], r"meet table row 0 is 3, not a sequence of entries"),
+        ([(0, 0), 5], r"meet table row 1 is 5, not a sequence of entries"),
+        (5, r"meet table is 5, not a sequence of rows"),
+        (None, r"meet table is None, not a sequence of rows"),
     ]
     for meet, message in cases:
         with pytest.raises(StructureError, match=f"^{message}$"):

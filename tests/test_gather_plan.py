@@ -11,7 +11,8 @@ set of ``test_identity_lemmas``, on one-cell mutants of it, and at the
 orders where a check's plans change shape: 15/16 (the eight axioms stop
 fitting one plan), 20/21 (one law in x, y, z stops fitting), 32 and 64
 (x-slabs of 8 and 2), 81 and 90/91 (one law in x and y per plan, then
-x-slabs).  The plan cache is bounded and holds read-only arrays.
+x-slabs).  At orders 64 and 65 the checks run with their lemmas on, which
+set up from 65 only.  The plan cache is bounded and holds read-only arrays.
 """
 
 import random
@@ -164,6 +165,45 @@ def test_certificates_match_the_slab_oracle_at_the_plan_bounds():
             identities_failing |= _failing_laws(identities)
     assert axioms_failing == {law.name for law in core._AXIOM_LAWS[:4]}
     assert len(identities_failing) >= 8 and True in frames and False in frames
+
+
+def _lemma_memo(S):
+    """The lemmas whose memo entries the checks leave on a fresh copy of S: "E" and
+    "G" where Lemmas E and G proved their laws, "J" where Lemma J scanned one."""
+    T = _fresh(S)
+    if core.validate_skew_axioms(T).ok:
+        for name in IDENTITY_NAMES:
+            check_identity(T, name)
+    proofs = {core._IDENTITY_LAWS["normal"][0].text: "E", core._IDENTITY_LAWS["distributive"][0].text: "G"}
+    keys = [key for key in T._memo if isinstance(key, tuple)]
+    found = {proofs[key[1]] for key in keys if key[0] == "lemma" and key[1] in proofs and T._memo[key]}
+    return found | {"J" for key in keys if key[0] == "Lemma J"}
+
+
+def test_the_lemmas_start_with_the_row_regime_at_order_65(census_by_order, census_order_five):
+    # at order 64 every check runs gather plans; at 65 a law in x, y, z runs one x at a
+    # time, and there the lemmas apply: E and G, which set up only there, and Lemma J,
+    # which only the row steps ask.  On each side, a chain, a product that fails an
+    # identity of Lemma J's laws and one-cell mutants of both give the oracle's
+    # certificates, and the memo entries of the three lemmas appear at 65 only
+    rng = random.Random(6465)
+    X4 = next(X for X in census_by_order[4] if not check_identity(X, "strongly_distributive").ok)
+    X5 = next(X for X in census_order_five if not check_identity(X, "distributive").ok)
+    for n, product in ((64, _product(X4, chain_lattice(16))), (65, _product(X5, chain_lattice(13)))):
+        assert _shape((core._FRAME_LAW,), n) == (["row"] if n == 65 else [(1, 2)])
+        structures = [chain_lattice(n), product]
+        structures += [_one_cell(S, rng, diagonal) for S in structures for diagonal in (False, False, True)]
+        failing = set()
+        for S in structures:
+            axioms, identities = _check(S)
+            failing |= _failing_laws([axioms, *identities])
+        assert failing >= {"meet associativity", "join associativity", "x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)",
+                           "(x∨y)∧z = (x∧z)∨(y∧z)"}, (n, failing)
+        memo = [_lemma_memo(S) for S in structures]
+        if n == 64:
+            assert memo == [set()] * len(structures)
+        else:
+            assert memo[:2] == [{"E", "G", "J"}, {"E", "J"}] and "J" in set().union(*memo[2:]), memo
 
 
 def _shape(laws, n):

@@ -17,7 +17,8 @@ tables; the closure the lemma's proof claims is brute-forced on the
 whole cube; and the restricted scan, called directly, must agree with
 the full one on every structure of the set.  At order 81 and above,
 where ``check_identity`` and the axiom scan use it, their certificates
-must be the plain scans'.
+must be the plain scans', and a law that fails at x = 0 is decided there,
+before Lemma J is asked.
 
 The D-partition, computed in one vectorised pass, must equal the
 class-by-class loop it replaced on the whole set, and on the perturbed
@@ -132,17 +133,18 @@ def test_lemma_verdicts_match_the_scans(oracle_set, monkeypatch):
 def test_the_lemmas_leave_only_the_join_laws_and_one_strong_law_to_the_cube(monkeypatch):
     # P(3,2) is normal, left-handed, distributive and strongly distributive; at
     # order 27 Lemmas E, G, H and J do not run, so only the laws of regular are
-    # left out of the cube scans: Lemmas F and I prove them
+    # left out of the cube scans: Lemmas F and I prove them.  The laws that reach
+    # a scan are the ones ``_first_failure`` schedules
     S = build_pfn_algebra(3, 2)
     assert S.validity.ok
     cube = []
-    first_failure = core._first_failure
+    schedule = core._schedule
 
-    def traced(S, laws):
+    def traced(laws, n, budget):
         cube.extend(law.text for law in laws)
-        return first_failure(S, laws)
+        return schedule(laws, n, budget)
 
-    monkeypatch.setattr(core, "_first_failure", traced)
+    monkeypatch.setattr(core, "_schedule", traced)
     assert all(check_identity(S, name).ok for name in ("regular", "normal", "distributive", "strongly_distributive"))
     assert cube == [
         "x∧y∧z∧x = x∧z∧y∧x",  # normal, asked by Lemma F for the meet law of regular
@@ -348,31 +350,49 @@ def _plain_axioms(S):
     return Certificate(True, "skew lattice axioms")
 
 
+LEFT_STRONG_LAW = "x∧(y∨z) = (x∧y)∨(x∧z)"
+
+
+def _swapped(X, a, b):
+    # X with the elements a and b exchanged
+    p = np.arange(X.order)
+    p[[a, b]] = p[[b, a]]
+    return FiniteSkewLattice(X.order, p[X._m[np.ix_(p, p)]], p[X._j[np.ix_(p, p)]])
+
+
+def _left_strong_failure(census_by_order):
+    # the order-3 class whose first strongly distributive failure is x∧(y∨z) = (x∧y)∨(x∧z)
+    return next(X for X in census_by_order[3]
+                if check_identity(X, "strongly_distributive").witness == (LEFT_STRONG_LAW, (0, 2, 1)))
+
+
 @pytest.fixture(scope="module")
 def row_regime_set(census_by_order):
     # P(4,2) (order 81), twelve copies with one cell changed, and P(3,2) times
     # each skew lattice of order 3 and M3 (orders 81 and 135), some of which
-    # fail the laws of Lemma J
+    # fail the laws of Lemma J.  Each product fails x∧(y∨z) = (x∧y)∨(x∧z) first
+    # at x = 0, where it is scanned before Lemma J, so one more has 0 and 1 of its
+    # order-3 factor exchanged: it fails first at x = 1, and Lemma J refutes it
     P = build_pfn_algebra(4, 2)
     rng = random.Random(81)
     mutants = [_with_cells_changed(P, rng, 1) for _ in range(12)]
     P32 = build_pfn_algebra(3, 2)
     products = [_product(P32, X) for X in census_by_order[3] + (diamond_m3(),)]
     products += [_product(X, P32) for X in census_by_order[3]]
+    products.append(_product(P32, _swapped(_left_strong_failure(census_by_order), 0, 1)))
     return (P, *mutants, *products)
 
 
 def test_row_regime_certificates_are_the_plain_scans(row_regime_set, monkeypatch):
     decided = []
-    lemma_j = core._holds_on_generators
+    lemma_j = core._generator_violation
 
     def traced(S, law):
-        verdict = lemma_j(S, law)
-        if law.gen is not None:
-            decided.append((law.text, verdict))
-        return verdict
+        violation = lemma_j(S, law)
+        decided.append((law.text, violation is None))
+        return violation
 
-    monkeypatch.setattr(core, "_holds_on_generators", traced)
+    monkeypatch.setattr(core, "_generator_violation", traced)
     failing = set()
     for S in row_regime_set:
         assert core._SLAB_CELLS // S.order ** 2 <= 1  # the row regime, where Lemma J runs
@@ -386,12 +406,12 @@ def test_row_regime_certificates_are_the_plain_scans(row_regime_set, monkeypatch
         failing |= {cert.witness[0] for cert in got if not cert.ok}
         # called directly, the lemma proves exactly the laws that hold
         for law in GEN_LAWS:
-            assert lemma_j(T, law) == (core._scan(T, law) is None), law.text
+            assert (lemma_j(T, law) is None) == (core._scan(T, law) is None), law.text
     assert {"meet associativity", "join associativity"} <= failing
-    assert {"x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", "(x∨y)∧z = (x∧z)∨(y∧z)", "x∧(y∨z) = (x∧y)∨(x∧z)"} <= failing
+    assert {"x∧(y∨z)∧x = (x∧y∧x)∨(x∧z∧x)", "(x∨y)∧z = (x∧z)∨(y∧z)", LEFT_STRONG_LAW} <= failing
     # inside the axiom scan and check_identity, every law of Lemma J was both proved
-    # and left to its full scan, apart from the distributive join law, which only
-    # runs once the meet law holds and then holds too
+    # and refuted by it, apart from the distributive join law, which only runs once
+    # the meet law holds and then holds too
     assert {text for text, proved in decided if proved} == {law.text for law in GEN_LAWS}
     assert {text for text, proved in decided if not proved} == {law.text for law in GEN_LAWS} - {
         "x∨(y∧z)∨x = (x∨y∨x)∧(x∨z∨x)"}
@@ -403,7 +423,7 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
     # fails later, Lemma J runs and then the rows from x = 1 up to the x of its
     # violation, x_J, give the witness
     P = build_pfn_algebra(4, 2)
-    lemma_j, scan, calls = core._holds_on_generators, core._scan, []
+    lemma_j, scan, calls = core._generator_violation, core._scan, []
 
     def traced_lemma_j(S, law):
         calls.append((law.name, "Lemma J"))
@@ -414,7 +434,7 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
         calls.append((law.name, rows))
         return scan(S, law, ids)
 
-    monkeypatch.setattr(core, "_holds_on_generators", traced_lemma_j)
+    monkeypatch.setattr(core, "_generator_violation", traced_lemma_j)
     monkeypatch.setattr(core, "_scan", traced_scan)
     for (op, a, b), x, steps in (
         ((0, 0, 1), 0, ["x from 0 to 0"]),
@@ -430,6 +450,25 @@ def test_an_associativity_failure_is_scanned_once_from_x_zero(monkeypatch):
         law = cert.witness[0]
         assert [step for name, step in calls if name == law] == steps, calls
         assert cert == _plain_axioms(_fresh(S)) and cert.witness[1][0] == x, cert
+
+
+def test_an_identity_law_of_lemma_j_is_scanned_at_x_zero_first(census_by_order, monkeypatch):
+    # P(3,2) times the order-3 class that fails x∧(y∨z) = (x∧y)∨(x∧z) at (0, 2, 1): at
+    # order 81 the law is scanned at x = 0 before Lemma J, as the axioms are, and that
+    # row holds the plain scan's witness, so Lemma J does not run for the law
+    S = _product(build_pfn_algebra(3, 2), _left_strong_failure(census_by_order))
+    assert S.validity.ok
+    lemma_j, asked = core._generator_violation, []
+
+    def traced(S, law):
+        asked.append(law.text)
+        return lemma_j(S, law)
+
+    monkeypatch.setattr(core, "_generator_violation", traced)
+    cert = check_identity(S, "strongly_distributive")
+    assert cert == core._identity_scan(_fresh(S), "strongly_distributive")
+    assert cert.witness == (LEFT_STRONG_LAW, (0, 2, 1))
+    assert asked == ["(x∨y)∧z = (x∧z)∨(y∧z)"]  # the first law holds past x = 0: Lemma J proves it
 
 
 def _mutated_pfn_5_2(seed):

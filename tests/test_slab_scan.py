@@ -343,9 +343,10 @@ class _Starts:
 @pytest.mark.parametrize("width", [1, 4])
 def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
     # a left-zero band, x∧y = x, with 3∧2 set to 5: each law below first fails at x = 3,
-    # so no x past 3 may be evaluated, one x at a time or in slabs of 4.  A scan that
-    # restricts a variable runs one x at a time at either width, never a gather plan,
-    # and evaluates the subterm y∧z, which does not read x, once
+    # so no x past 3 may be evaluated, one x at a time or in slabs of 4.  The check's
+    # scan, ``_first_failure``, runs a gather plan over slabs of 4 and a row step at
+    # width 1; the row scanner, ``_scan``, restricted or not, runs one x at a time at
+    # either width and evaluates the subterm y∧z, which does not read x, once
     n = 10
     meet = [[x] * n for x in range(n)]
     meet[3][2] = 5
@@ -366,17 +367,23 @@ def test_scan_stops_at_the_first_violating_x(width, monkeypatch):
     ):
         law = core._law(text)
         seen, fixed = [], []
-        starts.clear()
         traced = law._replace(
             row=lambda c, x, p: seen.append(x) or law.row(c, x, p),
             fixed=lambda c, p: fixed.append(p) or law.fixed(c, p),
         )
+        if ids is None:
+            starts.clear()
+            assert core._first_failure(S, (traced,)) == (traced, want)
+            slabs = [x for x0 in starts for x in range(x0, min(x0 + width, n))]
+            if width > 1:
+                assert (seen, slabs, fixed) == ([], rows, []), text
+            else:
+                assert (seen, slabs, len(fixed)) == (rows, [], 1), text
+            seen.clear()
+            fixed.clear()
+        starts.clear()
         assert core._scan(S, traced, ids) == want == _first_violation_over(S, text, ids or (None,) * 3)
-        slabs = [x for x0 in starts for x in range(x0, min(x0 + width, n))]
-        if ids is None and width > 1:
-            assert (seen, slabs, fixed) == ([], rows, []), text
-        else:
-            assert (seen, slabs, len(fixed)) == (rows, [], 1), (text, ids)
+        assert (seen, starts, len(fixed)) == (rows, [], 1), (text, ids)
 
 
 LAW_TEXTS = (
@@ -395,7 +402,8 @@ LAW_TEXTS = (
 
 @pytest.mark.parametrize("slab", SLAB_SIZES)
 def test_compiled_laws_match_the_plain_evaluator(slab, monkeypatch):
-    # arbitrary tables, not skew lattices: every gather rule, at both widths
+    # arbitrary tables, not skew lattices: every gather rule, at both widths, through
+    # the check's scan (gather plans, or row steps at one-cell slabs) and the row scanner
     if slab is not None:
         monkeypatch.setattr(core, "_SLAB_CELLS", slab)
     laws = [core._law(text) for text in LAW_TEXTS]
@@ -408,7 +416,9 @@ def test_compiled_laws_match_the_plain_evaluator(slab, monkeypatch):
             S = FiniteSkewLattice(n, *tables)
             for law in laws:
                 want = _first_violation(S, law.text)
-                assert core._scan(S, law) == want, (law.text, S.meet_table, S.join_table)
+                hit = core._first_failure(S, (law,))
+                assert (None if hit is None else hit[1]) == want == core._scan(S, law), (
+                    law.text, S.meet_table, S.join_table)
                 violated += want is not None
     assert violated > 100
 
