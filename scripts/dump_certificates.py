@@ -70,7 +70,7 @@ from skewlat import (  # noqa: E402
     validate_skew_axioms,
 )
 from skewlat.census import enumerate_skew_lattices  # noqa: E402
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window  # noqa: E402
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window, product  # noqa: E402
 from test_cli import NON_SYMMETRIC_ORDER_SEVEN  # noqa: E402
 
 SEEDS = (1, 11, 53)
@@ -110,16 +110,6 @@ def one_cell(S, rng):
     which, a, b = rng.randrange(2), rng.randrange(S.order), rng.randrange(S.order)
     old = int((S._m, S._j)[which][a, b])
     return with_cell(S, which, a, b, rng.choice([v for v in range(S.order) if v != old]))
-
-
-def product(A, B):
-    """A × B, the pair (a, b) numbered a·|B| + b."""
-    k = B.order
-
-    def table(t, u):
-        return (t[:, None, :, None] * k + u[None, :, None, :]).reshape(A.order * k, A.order * k)
-
-    return FiniteSkewLattice(A.order * k, table(A._m, B._m), table(A._j, B._j))
 
 
 def structures():

@@ -63,6 +63,7 @@ from .models import (
     om_verify_no_join_of_naturals,
     om_window,
     pfn_carrier,
+    product,
 )
 from .completeness import (
     check_bounded_above,

@@ -516,7 +516,7 @@ def enumerate_skew_lattices(
     filt = filt or CensusFilter()
     cap = _effective_cap(order_cap, DEFAULT_CAP, CENSUS_CAP_ENV)
     if order > cap:
-        raise CapExceededError(f"census order {order} > cap {cap}; pass order_cap to override")
+        raise CapExceededError(f"census order {order} > cap {cap}; set {CENSUS_CAP_ENV} to override")
     forms = _census_forms(order, filt)
     for cf in sorted(forms):
         yield forms[cf]

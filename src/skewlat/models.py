@@ -27,14 +27,15 @@ fibers) has no lattice section at all, but the argument is a
 counting/uncountability one with no finite content to compute, so it is
 documented here and in the README rather than modelled.
 
-Every table builder here (``build_pfn_algebra``, ``om_window``,
-``chain_lattice``, ``boolean_lattice``) refuses an order above the
-build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise, before it
-allocates a table.
+Every table builder here (``build_pfn_algebra``, ``product``,
+``om_window``, ``chain_lattice``, ``boolean_lattice``) refuses an order
+above the build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise,
+before it allocates a table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -58,6 +59,7 @@ __all__ = [
     "PartialFunction",
     "pfn_carrier",
     "build_pfn_algebra",
+    "product",
     "Inf",
     "INF_A",
     "INF_B",
@@ -87,7 +89,18 @@ def _check_build_order(order: int, what: str, order_cap: int | None = None) -> N
     """Refuse, before any table is allocated, a build of more elements than the build cap."""
     cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
     if order > cap:
-        raise CapExceededError(f"{what} would have order {order} > cap {cap}")
+        raise CapExceededError(f"{what} would have order {order} > cap {cap}; set {BUILD_CAP_ENV} to override")
+
+
+def product(A: FiniteSkewLattice, B: FiniteSkewLattice) -> FiniteSkewLattice:
+    """The direct product A × B, (a, b) numbered a·|B| + b; not validated, with no zero or labels."""
+    _check_build_order(A.order * B.order, f"product of orders {A.order} and {B.order}")
+    return FiniteSkewLattice(A.order * B.order, _product_table(A._m, B._m), _product_table(A._j, B._j))
+
+
+def _product_table(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # cell ((a, b), (c, d)) is t[a, c]·|u| + u[b, d], in one broadcast
+    return (t[:, None, :, None] * len(u) + u[None, :, None, :]).reshape(len(t) * len(u), -1)
 
 
 @dataclass(frozen=True)
@@ -141,26 +154,21 @@ def build_pfn_algebra(
 ) -> FiniteSkewLattice:
     """Tabulate the partial-function skew lattice on a finite rectangle.
 
-    The order is ``(codomain_size+1) ** domain_size``; builds beyond the
-    cap (default 4096, overridable by the argument or the
-    SKEWLAT_BUILD_CAP environment variable) are refused.
+    It is P(1,b)^m, of order (b+1)**m, m the domain and b the codomain
+    size; builds beyond the cap (default 4096, overridable by the
+    argument or the SKEWLAT_BUILD_CAP environment variable) are refused.
     """
     if domain_size < 1 or codomain_size < 1:
         raise PreconditionError("domain and codomain sizes must be at least 1")
-    order = (codomain_size + 1) ** domain_size
-    _check_build_order(order, "partial-function algebra", order_cap)
-    # element i in pfn_carrier's order is its base-(b+1) digits, one per
-    # point, the first point most significant; digit 0 is "undefined" and
-    # digit y+1 is the value y
     base = codomain_size + 1
-    weights = base ** np.arange(domain_size - 1, -1, -1)
-    digits = np.arange(order)[:, None] // weights % base
-    meet = np.zeros((order, order), dtype=np.int64)
-    join = np.zeros((order, order), dtype=np.int64)
-    for w, d in zip(weights.tolist(), digits.T):
-        f, g = d[:, None], d[None, :]
-        meet += w * np.where(g != 0, f, 0)  # f restricted to dom g
-        join += w * np.where(g != 0, g, f)  # g overriding f
+    order = base**domain_size
+    _check_build_order(order, "partial-function algebra", order_cap)
+    # in P(1,b), 0 is "undefined" and y+1 the value y: f∧g is f where g is defined, else 0, and f∨g is g
+    # where g is defined, else f; element i of the power has one base-(b+1) digit per point, the first point's leading
+    f, g = np.arange(base)[:, None], np.arange(base)[None, :]
+    meet = functools.reduce(_product_table, [np.where(g != 0, f, 0)] * domain_size)
+    join = functools.reduce(_product_table, [np.where(g != 0, g, f)] * domain_size)
+    digits = np.arange(order)[:, None] // base ** np.arange(domain_size - 1, -1, -1) % base
     labels = tuple(
         "{" + ",".join(f"{x}:{v - 1}" for x, v in enumerate(row) if v) + "}" for row in digits.tolist()
     )

@@ -28,6 +28,7 @@ from skewlat.completeness import (
     check_bounded_above,
     check_join_complete,
     check_prop_joins,
+    check_section_exists,
     check_section_extension,
     enumerate_commuting_subsets,
     inf_natural,
@@ -307,10 +308,24 @@ def test_the_lemma_premise_is_sound_on_perturbed_orders(zoo):
     assert {("check_prop_joins", "held", True), ("check_prop_joins", "raised", True)} <= outcomes
     # Lemma D's holds only on the natural order itself: passing Lemma A's premise makes
     # the cached order contain the natural one, so an added x < y joins two elements
-    # that do not commute, and then no section ↓t with y ≤ t is left to hold y
+    # that do not commute, and then ↓y, holding both, lies in no (commutative) section
     assert ("check_section_extension", "held", False) in outcomes
     assert ("check_section_extension", "held", True) not in outcomes
     assert ("check_section_extension", "raised", True) in outcomes
+
+
+def test_sections_come_from_the_tables_on_perturbed_orders(census_to_order_five, p22):
+    # each ↓t is read from the meet table, so a changed cached order changes neither
+    # the sections nor the verdict that one exists
+    rng = random.Random(660)
+    structures = [S for n in sorted(census_to_order_five) for S in census_to_order_five[n] if _guarded(S)]
+    structures += [om_window(k) for k in range(1, 6)] + [p22, chain_lattice(5), boolean_lattice(3)]
+    for S in structures:
+        want = lattice_sections(S), check_section_exists(S)
+        assert want[1].ok
+        for flip in (0.05, 0.2, 0.5) * 5:
+            T = _perturbed(S, rng, flip)
+            assert (lattice_sections(T), check_section_exists(T)) == want, (S, flip)
 
 
 # a two-element left-zero class above a copy of itself, 0 < 1 and 2 < 3
@@ -331,9 +346,9 @@ _FLAT_OVER_FLAT = FiniteSkewLattice(
         (_joins_are_suprema, boolean_lattice(2), (1, 2), "join 3 of the commuting pair 1, 2 is not their supremum"),
         # 3 and 4 form a D-class; Lemma A's premise survives the added 3 ≤ 4
         (check_prop_joins, om_window(2), (3, 4), "element 3 lies below another element of its D-class"),
-        (check_section_extension, om_window(2), (3, 4), "element 4 lies in no lattice section"),
-        # 0 ≤ 3 spans two classes, so Lemma B's premise holds, but ↓3 = {0, 2, 3} is no section
-        (check_section_extension, _FLAT_OVER_FLAT, (0, 3), "element 2 lies in no lattice section"),
+        (check_section_extension, om_window(2), (3, 4), "the down-set of 4 lies in no lattice section"),
+        # 0 ≤ 3 spans two classes, so Lemma B's premise holds, but ↓3 = {0, 2, 3} lies in no section
+        (check_section_extension, _FLAT_OVER_FLAT, (0, 3), "the down-set of 3 lies in no lattice section"),
     ],
     ids=["antisymmetry", "transitivity", "least upper bound", "lemma B", "lemma D", "lemma D across classes"],
 )

@@ -502,9 +502,10 @@ def test_check_accepts_a_valid_file(tmp_path, capsys):
 def test_check_names_the_broken_law(tmp_path, capsys):
     # min for both operations parses fine but cannot absorb
     bad = "skewlat 1\nn 2\nmeet\n0 0\n0 1\njoin\n0 0\n0 1\n"
-    code, out, _ = _run(capsys, "check", _write(tmp_path, "bad.skl", bad))
-    assert code == 1
-    assert out.startswith("not a skew lattice: absorption")
+    path = _write(tmp_path, "bad.skl", bad)
+    for command in ("check", "classify"):
+        code, out, _ = _run(capsys, command, path)
+        assert (code, out) == (1, "not a skew lattice: absorption x∧(x∨y)=x fails at (1, 0)\n"), command
 
 
 def test_classify_prints_the_full_table(tmp_path, capsys):
@@ -678,7 +679,7 @@ def test_census_rejects_bad_filters(capsys, filt, fragment):
 
 def test_census_respects_the_order_cap(capsys):
     code, _, err = _run(capsys, "census", "--order", "6")
-    assert code == 2 and "pass order_cap to override" in err
+    assert code == 2 and "census order 6 > cap 5; set SKEWLAT_CENSUS_CAP to override" in err
 
 
 # --- the worked example families ----------------------------------------------
@@ -687,6 +688,20 @@ def test_paper_pfn_emits_the_nine_element_algebra(capsys, p22):
     code, out, _ = _run(capsys, "paper", "pfn")
     assert code == 0
     assert parse(out).labels == p22.labels
+
+
+def test_bad_ids_and_sizes_are_usage_errors(tmp_path, capsys):
+    path = _write(tmp_path, "c.skl", CHAIN2_TEXT)
+    for argv, message in (
+        (("sup", path, "--elements", "a,b"), "argument --elements: expected comma-separated ids, got 'a,b'"),
+        (("sup", path, "--elements", ","), "argument --elements: expected at least one id"),
+        (("paper", "pfn", "--sizes", "2"), "argument --sizes: expected two comma-separated sizes, got '2'"),
+        (("paper", "pfn", "--sizes", "x,2"), "argument --sizes: expected integer sizes, got 'x,2'"),
+        (("paper", "pfn", "--sizes", "8,2"), "partial-function algebra would have order 6561 > cap 4096; "
+                                             "set SKEWLAT_BUILD_CAP to override"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "") and err.splitlines()[-1].endswith(f"error: {message}"), argv
 
 
 def test_paper_pfn_verifies(capsys):

@@ -9,7 +9,9 @@ from skewlat import completeness
 from skewlat.core import (
     CapExceededError,
     FiniteSkewLattice,
+    InternalConsistencyError,
     PreconditionError,
+    check_identity,
     green_d,
     is_commutative,
     subalgebra,
@@ -31,7 +33,7 @@ from skewlat.completeness import (
     sup_natural,
 )
 from skewlat.frames import is_ncframe
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, om_window
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, om_window, product
 
 NON_NORMAL_3 = FiniteSkewLattice(
     3, ((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2))
@@ -286,17 +288,9 @@ def test_sections_without_normality_use_the_fallback():
     assert _brute_sections(NON_NORMAL_3) == [(0, 1), (1, 2)]
 
 
-def _product(A, B):
-    # A × B, the pair (a, b) numbered a·|B| + b
-    def table(t, u):
-        return (t[:, None, :, None] * B.order + u[None, :, None, :]).reshape(A.order * B.order, -1)
-
-    return FiniteSkewLattice(A.order * B.order, table(A._m, B._m), table(A._j, B._j))
-
-
 def test_the_fallback_walk_is_capped_at_two_to_the_subset_cap():
     # P(3,2) × NON_NORMAL_3 is symmetric and not normal, with 2**32 class transversals
-    S = _product(build_pfn_algebra(3, 2), NON_NORMAL_3)
+    S = product(build_pfn_algebra(3, 2), NON_NORMAL_3)
     want = r"^lattice_sections: 4294967296 class transversals > 2\*\*12 \(not normal\)$"
     start = time.perf_counter()
     for _ in range(2):
@@ -305,13 +299,22 @@ def test_the_fallback_walk_is_capped_at_two_to_the_subset_cap():
     assert time.perf_counter() - start < 1
     assert "lattice_sections" not in S._memo
     # P(2,2) × NON_NORMAL_3 has 2**12 of them, which the walk still visits
-    T = _product(build_pfn_algebra(2, 2), NON_NORMAL_3)
+    T = product(build_pfn_algebra(2, 2), NON_NORMAL_3)
     assert len(lattice_sections(T)) == len(lattice_sections(build_pfn_algebra(2, 2))) * 2
 
 
 def test_window_has_one_section_per_top():
     W = om_window(3)
     assert lattice_sections(W) == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))
+
+
+def test_a_down_set_that_is_no_section_names_its_top_element():
+    # a normal verdict remembered on a structure that is not normal: ↓1 = {0, 1, 2}
+    # holds two elements of the class {0, 2}, so Lemma D's premise fails at 1
+    S = FiniteSkewLattice(3, NON_NORMAL_3.meet_table, NON_NORMAL_3.join_table)
+    S._memo["normal"] = check_identity(build_pfn_algebra(1, 1), "normal")
+    with pytest.raises(InternalConsistencyError, match=r"^the down-set of top element 1 is not a lattice section$"):
+        lattice_sections(S)
 
 
 def test_sections_are_found_once_per_structure(monkeypatch):

@@ -23,7 +23,7 @@ from skewlat.core import (
     subalgebra,
 )
 from skewlat.frames import check_theorem_ncframes, is_frame, is_ncframe
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window, product
 
 
 def _sd_with_zero(max_order=4):
@@ -102,25 +102,12 @@ def _pairwise_frame_scan(L):
     return Certificate(True, "frame")
 
 
-def _product(*lattices):
-    # the direct product, elements numbered in row-major order of their coordinates
-    P = lattices[0]
-    for L in lattices[1:]:
-        k, size = L.order, P.order * L.order
-        tables = [
-            [[op(P, a // k, b // k) * k + op(L, a % k, b % k) for b in range(size)] for a in range(size)]
-            for op in (FiniteSkewLattice.meet, FiniteSkewLattice.join)
-        ]
-        P = FiniteSkewLattice(size, *tables)
-    return P
-
-
 @pytest.mark.parametrize(
     "build, witness",
     [
-        (lambda: _product(diamond_m3(), chain_lattice(13)), (39, (13, 26))),
-        (lambda: _product(chain_lattice(13), diamond_m3()), (3, (1, 2))),
-        (lambda: _product(chain_lattice(2), diamond_m3(), chain_lattice(7)), (21, (7, 14))),
+        (lambda: product(diamond_m3(), chain_lattice(13)), (39, (13, 26))),
+        (lambda: product(chain_lattice(13), diamond_m3()), (3, (1, 2))),
+        (lambda: functools.reduce(product, (chain_lattice(2), diamond_m3(), chain_lattice(7))), (21, (7, 14))),
         (lambda: chain_lattice(70), None),
         (lambda: boolean_lattice(7), None),
     ],

@@ -23,10 +23,10 @@ from skewlat import core
 from skewlat.census import enumerate_skew_lattices
 from skewlat.core import Certificate, FiniteSkewLattice, IDENTITY_NAMES, check_identity, is_commutative
 from skewlat.frames import is_frame
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, product
 
 from test_cli import NON_SYMMETRIC_ORDER_SEVEN
-from test_identity_lemmas import _fresh, _product, oracle_set  # noqa: F401  (oracle_set is a fixture)
+from test_identity_lemmas import _fresh, oracle_set  # noqa: F401  (oracle_set is a fixture)
 from test_slab_scan import slab_mask
 
 # --- the oracle: the slab evaluator, one law at a time ----------------------------------
@@ -88,15 +88,15 @@ def _boundary_structures():
     X7 = FiniteSkewLattice(7, *NON_SYMMETRIC_ORDER_SEVEN[0])
     M3 = diamond_m3()
     return [
-        _product(X3, chain_lattice(5)), _product(M3, chain_lattice(3)), chain_lattice(15),  # 15
-        _product(X2, chain_lattice(8)), chain_lattice(16),  # 16
-        _product(X2, chain_lattice(10)), _product(M3, chain_lattice(4)),  # 20
-        _product(X3, chain_lattice(7)), _product(X7, chain_lattice(3)), chain_lattice(21),  # 21
-        _product(X2, chain_lattice(16)), boolean_lattice(5), _product(M3, chain_lattice(7)),  # 32, 35
-        _product(X2, chain_lattice(32)), boolean_lattice(6),  # 64
-        build_pfn_algebra(4, 2), _product(X3, chain_lattice(27)),  # 81
-        _product(X3, chain_lattice(30)),  # 90
-        _product(X7, chain_lattice(13)),  # 91
+        product(X3, chain_lattice(5)), product(M3, chain_lattice(3)), chain_lattice(15),  # 15
+        product(X2, chain_lattice(8)), chain_lattice(16),  # 16
+        product(X2, chain_lattice(10)), product(M3, chain_lattice(4)),  # 20
+        product(X3, chain_lattice(7)), product(X7, chain_lattice(3)), chain_lattice(21),  # 21
+        product(X2, chain_lattice(16)), boolean_lattice(5), product(M3, chain_lattice(7)),  # 32, 35
+        product(X2, chain_lattice(32)), boolean_lattice(6),  # 64
+        build_pfn_algebra(4, 2), product(X3, chain_lattice(27)),  # 81
+        product(X3, chain_lattice(30)),  # 90
+        product(X7, chain_lattice(13)),  # 91
     ]
 
 
@@ -189,9 +189,9 @@ def test_the_lemmas_start_with_the_row_regime_at_order_65(census_by_order, censu
     rng = random.Random(6465)
     X4 = next(X for X in census_by_order[4] if not check_identity(X, "strongly_distributive").ok)
     X5 = next(X for X in census_order_five if not check_identity(X, "distributive").ok)
-    for n, product in ((64, _product(X4, chain_lattice(16))), (65, _product(X5, chain_lattice(13)))):
+    for n, mixed in ((64, product(X4, chain_lattice(16))), (65, product(X5, chain_lattice(13)))):
         assert _shape((core._FRAME_LAW,), n) == (["row"] if n == 65 else [(1, 2)])
-        structures = [chain_lattice(n), product]
+        structures = [chain_lattice(n), mixed]
         structures += [_one_cell(S, rng, diagonal) for S in structures for diagonal in (False, False, True)]
         failing = set()
         for S in structures:

@@ -41,7 +41,7 @@ from skewlat.core import (
     green_d,
     validate_skew_axioms,
 )
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
+from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window, product
 
 from test_bitset_order import _perturbed
 from test_cli import NON_SYMMETRIC_ORDER_SEVEN
@@ -331,17 +331,6 @@ def test_the_restricted_scan_agrees_with_the_full_scan(oracle_set, perturbed_set
     assert all(count > 5 for count in failed.values()), failed
 
 
-def _product(A, B):
-    # the direct product, (a, b) numbered a·|B| + b: a skew lattice when A and B are,
-    # and an identity holds on it iff it holds on both factors
-    k = B.order
-
-    def table(t, u):
-        return (t[:, None, :, None] * k + u[None, :, None, :]).reshape(A.order * k, A.order * k)
-
-    return FiniteSkewLattice(A.order * k, table(A._m, B._m), table(A._j, B._j))
-
-
 def _plain_axioms(S):
     for law in core._AXIOM_LAWS:
         w = core._scan(S, law)
@@ -377,9 +366,9 @@ def row_regime_set(census_by_order):
     rng = random.Random(81)
     mutants = [_with_cells_changed(P, rng, 1) for _ in range(12)]
     P32 = build_pfn_algebra(3, 2)
-    products = [_product(P32, X) for X in census_by_order[3] + (diamond_m3(),)]
-    products += [_product(X, P32) for X in census_by_order[3]]
-    products.append(_product(P32, _swapped(_left_strong_failure(census_by_order), 0, 1)))
+    products = [product(P32, X) for X in census_by_order[3] + (diamond_m3(),)]
+    products += [product(X, P32) for X in census_by_order[3]]
+    products.append(product(P32, _swapped(_left_strong_failure(census_by_order), 0, 1)))
     return (P, *mutants, *products)
 
 
@@ -456,7 +445,7 @@ def test_an_identity_law_of_lemma_j_is_scanned_at_x_zero_first(census_by_order, 
     # P(3,2) times the order-3 class that fails x∧(y∨z) = (x∧y)∨(x∧z) at (0, 2, 1): at
     # order 81 the law is scanned at x = 0 before Lemma J, as the axioms are, and that
     # row holds the plain scan's witness, so Lemma J does not run for the law
-    S = _product(build_pfn_algebra(3, 2), _left_strong_failure(census_by_order))
+    S = product(build_pfn_algebra(3, 2), _left_strong_failure(census_by_order))
     assert S.validity.ok
     lemma_j, asked = core._generator_violation, []
 

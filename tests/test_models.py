@@ -1,5 +1,7 @@
 """The three worked model families and the reference lattices."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,7 @@ from skewlat.models import (
     om_verify_no_join_of_naturals,
     om_window,
     pfn_carrier,
+    product,
 )
 
 # --- partial functions -------------------------------------------------------
@@ -88,16 +91,29 @@ def test_algebra_cap_and_override(monkeypatch):
         build_pfn_algebra(7, 3)  # 4^7 > 4096
     with monkeypatch.context() as patch:  # every builder refuses before it evaluates a cell
         patch.setattr(models, "om_meet", unevaluated)
-        with pytest.raises(CapExceededError, match=r"^om_window\(5000\) would have order 5003 > cap 4096$"):
+        want = r"^om_window\(5000\) would have order 5003 > cap 4096; set SKEWLAT_BUILD_CAP to override$"
+        with pytest.raises(CapExceededError, match=want):
             om_window(5000)
+        patch.setattr(models, "_product_table", unevaluated)
+        with pytest.raises(CapExceededError, match=r"^product of orders 64 and 128 would have order 8192 > cap 4096; "):
+            product(boolean_lattice(6), boolean_lattice(7))
     monkeypatch.setenv("SKEWLAT_BUILD_CAP", "10")
     assert build_pfn_algebra(2, 2).order == 9
     with pytest.raises(CapExceededError):
         build_pfn_algebra(2, 3)  # 16 > the tightened cap
     assert om_window(7).order == chain_lattice(10).order == 10 and boolean_lattice(3).order == 8
     for build, order in ((lambda: om_window(8), 11), (lambda: chain_lattice(11), 11), (lambda: boolean_lattice(4), 16)):
-        with pytest.raises(CapExceededError, match=f" would have order {order} > cap 10$"):
+        with pytest.raises(CapExceededError, match=f" would have order {order} > cap 10; set SKEWLAT_BUILD_CAP to override$"):
             build()
+
+
+@pytest.mark.parametrize("m,b", [(2, 1), (3, 2), (2, 3)])
+def test_algebra_is_the_power_of_its_one_point_factor(m, b):
+    # the product numbers (a, b) as a·|B| + b, so the first point's digit leads
+    S = build_pfn_algebra(m, b)
+    P = functools.reduce(product, [build_pfn_algebra(1, b)] * m)
+    assert (P.meet_table, P.join_table) == (S.meet_table, S.join_table)
+    assert P.zero is None and P.labels is None
 
 
 def test_single_valued_functions_commute():

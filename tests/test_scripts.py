@@ -1,4 +1,4 @@
-"""Smoke tests of the measurement scripts under ``scripts/``."""
+"""Smoke tests of the measurement and comparison scripts under ``scripts/``."""
 
 import os
 import subprocess
@@ -34,3 +34,19 @@ def test_census_digest_prints_one_line_per_order_and_filter():
         for name, count in zip(("none", "left_handed", "normal", "left_handed+normal"), counts)
     ]
     assert all(len(fields[3]) == len("sha256 ") + 64 for fields in lines)
+
+
+def test_dump_certificates_prints_every_check_for_every_structure():
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "dump_certificates.py")], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("\t") for line in out.stdout.splitlines()]
+    checks = [check for _, check, _ in lines[:21]]
+    assert checks[:2] == ["axioms", "regular"] and checks[-3:] == [
+        "check_implication_chain", "check_prop_joins", "check_section_exists"]
+    structures = [name for name, _, _ in lines[::21]]
+    assert len(structures) == 529 and {"P(3,2) x M3", "M3 x P(3,2)", "X2 x chain 32"} <= set(structures)
+    assert [fields[:2] for fields in lines] == [[name, check] for name in structures for check in checks]
+    assert not any("InternalConsistencyError" in result for _, _, result in lines)
