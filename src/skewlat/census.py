@@ -37,6 +37,11 @@ so a second, deliberately different strategy exists for small orders:
 a labeled quotient lattice and a block partition of the carrier and
 then filters by the axioms.  Agreement of the two canonical-form sets
 is part of the acceptance suite.
+
+Sizes are read by ``core._read_int`` and every cap (the census order,
+5 unless ``order_cap`` or SKEWLAT_CENSUS_CAP says otherwise, the
+cross-check's 3 and ``canonicalize``'s 8) is checked by
+``core._check_cap`` before the work it bounds begins.
 """
 
 from __future__ import annotations
@@ -50,12 +55,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
-    CapExceededError,
+    CENSUS_CAP_ENV,
     FiniteSkewLattice,
     IDENTITY_NAMES,
     PreconditionError,
     Table,
-    _effective_cap,
+    _check_cap,
+    _read_int,
     _zero_of,
     check_identity,
     check_lemma_reg,
@@ -84,9 +90,8 @@ __all__ = [
     "PREDICATES",
 ]
 
-CENSUS_CAP_ENV = "SKEWLAT_CENSUS_CAP"
-DEFAULT_CAP = 5
 CROSS_CHECK_CAP = 3
+CANONICALIZE_CAP = 8  # n! relabelings, all kept: 43 MB at order 8, about (n+1)-fold more per order
 
 
 # --- property registry ---------------------------------------------------
@@ -186,6 +191,7 @@ def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
     lex-leader search, and this function stays for arbitrary input and as
     the tests' reference.  Flat row-major bytes compare as the tables do.
     """
+    _check_cap(S.order, "canonicalize order", cap=CANONICALIZE_CAP, todo="its n! relabelings are all kept in memory")
     n, moves = S.order, _relabelings(S.order)
     meet, join = S._m.astype("uint8").tobytes(), S._j.astype("uint8").tobytes()
     meets = [move(meet) for move in moves]
@@ -511,12 +517,9 @@ def enumerate_skew_lattices(
     checked.  The default order cap is 5; raise it with ``order_cap`` or
     the SKEWLAT_CENSUS_CAP environment variable if you mean it.
     """
-    if order < 1:
-        raise PreconditionError(f"census needs order >= 1, got {order}")
+    order = _read_int(order, "enumerate_skew_lattices", "order", 1)
     filt = filt or CensusFilter()
-    cap = _effective_cap(order_cap, DEFAULT_CAP, CENSUS_CAP_ENV)
-    if order > cap:
-        raise CapExceededError(f"census order {order} > cap {cap}; set {CENSUS_CAP_ENV} to override")
+    _check_cap(order, "census order", op="enumerate_skew_lattices", env=CENSUS_CAP_ENV, explicit=order_cap)
     forms = _census_forms(order, filt)
     for cf in sorted(forms):
         yield forms[cf]
@@ -581,11 +584,8 @@ def enumerate_by_quotient_construction(order: int) -> set[CanonicalForm]:
     pruning tricks are shared with the main search.  Exponential, hence
     capped at order 3.
     """
-    if order < 1:
-        raise PreconditionError(f"cross-check needs order >= 1, got {order}")
-    if order > CROSS_CHECK_CAP:
-        raise CapExceededError(f"cross-check construction is supported up to order {CROSS_CHECK_CAP}")
-    n = order
+    n = _read_int(order, "enumerate_by_quotient_construction", "order", 1)
+    _check_cap(n, "cross-check order", cap=CROSS_CHECK_CAP, todo="its candidate tables grow as n**(n*n)")
     forms: set[CanonicalForm] = set()
     for q in range(1, n + 1):
         for qmeet, qjoin in _labeled_lattices(q):
@@ -627,6 +627,7 @@ def search_counterexample(
     the returned counterexample is minimal and stable.  Returns ``None``
     when the implication survives the whole range.
     """
+    order_max = _read_int(order_max, "search_counterexample", "order_max", 1)
     hyp = _predicate(hypothesis)
     concl = _predicate(conclusion)
     for order in range(1, order_max + 1):

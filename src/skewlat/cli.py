@@ -24,7 +24,9 @@ so ``parse(emit(S))`` reproduces the structure.  ``parse`` reads the
 text at an offset, never splitting it into lines, and decodes each
 table into an intp array for the :class:`FiniteSkewLattice`
 constructor, which checks it; ``emit`` writes a structure's rows from
-its arrays.  No table is rendered as tuples on either path.
+its arrays.  No table is rendered as tuples on either path.  A file's
+order is held to the build cap, as a builder's is, before any table is
+read.
 
 Exit codes: 0 for a true verdict or successful emission, 1 for a false
 verdict (the certificate is printed), 2 for usage, parse and
@@ -40,11 +42,13 @@ import sys
 import numpy as np
 
 from .core import (
+    BUILD_CAP_ENV,
     FiniteSkewLattice,
     IDENTITY_NAMES,
     PreconditionError,
     SkewLatticeError,
     StructureError,
+    _check_cap,
     check_identity,
     detect_zero,
     natural_leq,
@@ -160,7 +164,7 @@ class _Tokens:
         if quoted or got != word:
             raise self.error(f"expected '{word}', got {got!r}")
 
-    def take_int(self, what: str, lo: int, hi: int) -> int:
+    def take_int(self, what: str, lo: int, hi: float) -> int:
         word, quoted = self.take(what)
         if quoted:
             raise self.error(f"expected {what}, got quoted string")
@@ -224,14 +228,15 @@ class StructureFile(FiniteSkewLattice):
 
 
 def parse(text: str) -> StructureFile:
-    """Parse structure-file text; raises :class:`ParseError` with position."""
+    """Parse structure-file text; raises :class:`ParseError` with position, ``CapExceededError`` past the build cap."""
     toks = _Tokens(text)
     toks.expect_word(FORMAT_TAG)
     version, quoted = toks.take("format version")
     if quoted or version != str(FORMAT_VERSION):
         raise toks.error(f"unsupported format version {version!r}")
     toks.expect_word("n")
-    order = toks.take_int("order", 1, 10**6)
+    order = toks.take_int("order", 1, float("inf"))
+    _check_cap(order, "structure file order", op="parse", env=BUILD_CAP_ENV)
     zero = None
     if toks.at_word("zero"):
         toks.take("'zero'")

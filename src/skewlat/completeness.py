@@ -17,7 +17,9 @@ one element of its class join lies above it) from Lemmas A and B, and
 section extension from Lemmas A and D.  Each premise is checked on the
 structure's own natural order in at most O(n²) mask tests, Lemma A's
 once per structure.  ``enumerate_commuting_subsets`` walks the cliques
-depth first in lexicographic order, for callers that want them.
+depth first in lexicographic order, for callers that want them.  Its
+cap, and that of the sections fallback, is checked by
+``core._check_cap``, the package's one cap check.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (
-    CapExceededError,
     Certificate,
     FiniteSkewLattice,
     InternalConsistencyError,
     PreconditionError,
+    _check_cap,
     _element_ids,
     _once,
     _require_valid,
@@ -99,8 +101,8 @@ def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = Non
     explode.
     """
     _require_valid(S, "enumerate_commuting_subsets")
-    if max_size is None and S.order > SUBSET_ORDER_CAP:
-        raise CapExceededError(f"order {S.order} > {SUBSET_ORDER_CAP}: pass max_size to bound subset enumeration")
+    if max_size is None:
+        _check_cap(S.order, "subset enumeration at order", cap=SUBSET_ORDER_CAP, todo="pass max_size to bound it")
     adj = commutation_graph(S)
     limit = S.order if max_size is None else operator.index(max_size)
     if limit < 1:
@@ -324,9 +326,8 @@ def _find_sections(S: FiniteSkewLattice) -> tuple[tuple[int, ...], ...]:
                 raise InternalConsistencyError(f"the down-set of top element {t} is not a lattice section")
             sections.append(below)
         return tuple(sorted(sections))
-    count = math.prod(map(len, dp.classes))
-    if count > 2**SUBSET_ORDER_CAP:
-        raise CapExceededError(f"lattice_sections: {count} class transversals > 2**{SUBSET_ORDER_CAP} (not normal)")
+    _check_cap(math.prod(map(len, dp.classes)), "lattice_sections: class transversals", cap=2**SUBSET_ORDER_CAP,
+               todo="a structure that is not normal has each one checked")
     candidates = (tuple(sorted(combo)) for combo in itertools.product(*dp.classes))
     return tuple(sorted(c for c in candidates if _is_section(S, c)))
 

@@ -12,11 +12,14 @@ restrictions and homomorphisms.
 
 Elements are the positions ``0 .. order-1``; optional labels are for
 display only and never affect computation.  Every function of the
-package that takes element ids reads each with ``_element_id``, so an
-id that is not an integer in range is refused, never truncated, and
-each id error reads the same way.  Construction only checks, in one
-vectorised pass, that the raw tables are well formed, and keeps each
-as the one array every scan reads (tuples on demand).  Whether the
+package reads each element id, size and cap argument with
+``_read_int``, so one that is not an integer in range, or is a bool, is
+refused, never truncated, and each such error reads the same way.  Every
+cap is checked by ``_check_cap``, the only code that raises
+``CapExceededError``, before the work it bounds is allocated.
+Construction only checks, in one vectorised pass, that the raw tables
+are well formed, and keeps each as the one array every scan reads
+(tuples on demand).  Whether the
 tables satisfy the skew lattice axioms is a separate question answered
 by :func:`validate_skew_axioms`; operations that need a valid
 structure check that verdict (cached on the instance) before working.
@@ -99,20 +102,46 @@ class InternalConsistencyError(SkewLatticeError):
 
 
 class CapExceededError(PreconditionError):
-    """A configured size cap would be exceeded; pass an explicit override."""
+    """A configured size cap would be exceeded; raised only by ``_check_cap``."""
 
 
-def _effective_cap(explicit: int | None, default: int, env_name: str) -> int:
-    """The explicit cap, else the environment variable ``env_name``, else ``default``."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(env_name)
+# the caps an environment variable raises, with their defaults: the census order and a built or loaded order
+CENSUS_CAP_ENV, BUILD_CAP_ENV = "SKEWLAT_CENSUS_CAP", "SKEWLAT_BUILD_CAP"
+_ENV_CAPS = {CENSUS_CAP_ENV: 5, BUILD_CAP_ENV: 4096}
+
+
+def _read_int(v: Any, op: str, what: str = "id", lo: int = 0, hi: int | None = None) -> int:
+    """``v`` read with ``operator.index``, a bool refused; raises unless ``lo <= v``, and ``v <= hi`` when given."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise PreconditionError(f"{op}: {what} {v!r} is not an integer")
+    i = operator.index(v)
+    if not lo <= i <= (i if hi is None else hi):
+        raise PreconditionError(f"{op}: {what} {_num(i)} out of range {lo}..{'' if hi is None else hi}")
+    return i
+
+
+def _num(v: int) -> str:
+    # past 20 digits by its magnitude, as str() refuses an int of more than 4300
+    return str(v) if v < 10**20 else f"about 10**{round(math.log10(v))}"
+
+
+def _check_cap(n: int | tuple[int, int], what: str, *about: int, cap: int = 0, todo: str = "",
+               op: str = "", env: str | None = None, explicit: Any = None) -> None:
+    """The one raise of ``CapExceededError``, ``<what> <n> > cap <cap>; <todo>``, ``what`` formatted with ``about``.
+
+    ``n`` is a count or a power ``(base, exponent)``, not computed past the cap.  The cap is ``cap``; or, for the
+    variable ``env``, ``explicit``, else the variable, else its default, read by ``_read_int`` for ``op`` (>= 1)."""
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PreconditionError(f"{env_name} must be an integer, got {env!r}") from exc
-    return default
+        cap, todo, text = _ENV_CAPS[env], f"set {env} to override", os.environ.get(env)
+        if explicit is not None:
+            cap = _read_int(explicit, op, "order_cap", 1)
+        elif text is not None:  # decimal text as its int; any other text goes as is, and is refused
+            cap = _read_int(int(text) if text.strip().removeprefix("-").isdecimal() else text, op, env, 1)
+    base, exp = n if isinstance(n, tuple) else (n, 1)
+    value = base ** min(exp, cap.bit_length())  # exact up to the cap; past it, any base of 2 or more exceeds it
+    if value > cap:
+        shown = _num(value) if exp <= cap.bit_length() else f"{_num(base)}**{_num(exp)}"
+        raise CapExceededError(f"{what.format(*map(_num, about))} {shown} > cap {cap}; {todo}")
 
 
 @dataclass(frozen=True)
@@ -273,13 +302,13 @@ class FiniteSkewLattice:
     join_table = cached_property(lambda self: tuple(map(tuple, self._j.tolist())))
 
     def meet(self, a: int, b: int) -> int:
-        return int(self._m[_element_id(self, a, "meet"), _element_id(self, b, "meet")])
+        return int(self._m[_read_int(a, "meet", hi=self.order - 1), _read_int(b, "meet", hi=self.order - 1)])
 
     def join(self, a: int, b: int) -> int:
-        return int(self._j[_element_id(self, a, "join"), _element_id(self, b, "join")])
+        return int(self._j[_read_int(a, "join", hi=self.order - 1), _read_int(b, "join", hi=self.order - 1)])
 
     def label(self, i: int) -> str:
-        i = _element_id(self, i, "label")
+        i = _read_int(i, "label", hi=self.order - 1)
         return self.labels[i] if self.labels is not None else str(i)
 
     @cached_property
@@ -974,21 +1003,9 @@ def _require_valid(S: FiniteSkewLattice, op: str, *properties: str) -> None:
             raise PreconditionError(f"{op} is defined for {prop} structures only")
 
 
-def _element_id(S: FiniteSkewLattice, v: Any, op: str, what: str = "id", count: int | None = None) -> int:
-    """``v`` read with ``operator.index``; raises unless it lies in 0..count-1, the carrier by default."""
-    count = S.order if count is None else count
-    try:
-        i = operator.index(v)
-    except TypeError:
-        raise PreconditionError(f"{op}: {what} {v!r} is not an integer") from None
-    if not 0 <= i < count:
-        raise PreconditionError(f"{op}: {what} {i} out of range 0..{count - 1}")
-    return i
-
-
 def _element_ids(S: FiniteSkewLattice, members: Iterable[int], op: str) -> tuple[int, ...]:
-    """``members`` as sorted unique ids; raises unless nonempty and each an id of S (``_element_id``)."""
-    ids = tuple(sorted({_element_id(S, v, op) for v in members}))
+    """``members`` as sorted unique ids; raises unless nonempty and each an id of S (``_read_int``)."""
+    ids = tuple(sorted({_read_int(v, op, hi=S.order - 1) for v in members}))
     if not ids:
         raise PreconditionError(f"{op} needs a nonempty set of elements")
     return ids
@@ -1352,7 +1369,7 @@ def natural_leq(S: FiniteSkewLattice, a: int, b: int) -> bool:
     tested invariant rather than an assumption.
     """
     _require_valid(S, "natural_leq")
-    return bool(S._leq[_element_id(S, a, "natural_leq"), _element_id(S, b, "natural_leq")])
+    return bool(S._leq[_read_int(a, "natural_leq", hi=S.order - 1), _read_int(b, "natural_leq", hi=S.order - 1)])
 
 
 def quotient(S: FiniteSkewLattice) -> QuotientLattice:
@@ -1506,7 +1523,7 @@ def down_set(S: FiniteSkewLattice, a: int) -> FiniteSkewLattice:
     internal-consistency error rather than returning a verdict.
     """
     _require_valid(S, "down_set")
-    a = _element_id(S, a, "down_set")
+    a = _read_int(a, "down_set", hi=S.order - 1)
     ids = [int(u) for u in np.flatnonzero(S._leq[:, a])]
     try:
         return subalgebra(S, ids)
@@ -1522,9 +1539,9 @@ def restriction(S: FiniteSkewLattice, a: int, u: int) -> int:
     is an internal-consistency error.
     """
     _require_valid(S, "restriction", "normal")
-    a = _element_id(S, a, "restriction")
+    a = _read_int(a, "restriction", hi=S.order - 1)
     dp = S._dpart
-    u = _element_id(S, u, "restriction", "class id", dp.class_count)
+    u = _read_int(u, "restriction", "class id", hi=dp.class_count - 1)
     if not dp.leq(u, dp.class_of[a]):
         raise PreconditionError(f"restriction: class {u} is not below the class of {a}")
     found = [d for d in dp.classes[u] if S._leq[d, a]]

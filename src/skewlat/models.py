@@ -27,10 +27,12 @@ fibers) has no lattice section at all, but the argument is a
 counting/uncountability one with no finite content to compute, so it is
 documented here and in the README rather than modelled.
 
-Every table builder here (``build_pfn_algebra``, ``product``,
-``om_window``, ``chain_lattice``, ``boolean_lattice``) refuses an order
-above the build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise,
-before it allocates a table.
+Every size argument here is read by ``core._read_int``.  Every table
+builder (``build_pfn_algebra``, ``product``, ``om_window``,
+``chain_lattice``, ``boolean_lattice``) refuses an order above the
+build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise, through
+``core._check_cap`` before it computes anything that grows with its
+arguments.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import (
-    CapExceededError,
+    BUILD_CAP_ENV,
     Certificate,
     FiniteSkewLattice,
     PreconditionError,
     StructureError,
-    _effective_cap,
+    _check_cap,
+    _read_int,
     check_identity,
     green_d,
     is_commutative,
@@ -81,20 +84,11 @@ __all__ = [
     "diamond_m3",
 ]
 
-BUILD_CAP_ENV = "SKEWLAT_BUILD_CAP"
-DEFAULT_BUILD_CAP = 4096
-
-
-def _check_build_order(order: int, what: str, order_cap: int | None = None) -> None:
-    """Refuse, before any table is allocated, a build of more elements than the build cap."""
-    cap = _effective_cap(order_cap, DEFAULT_BUILD_CAP, BUILD_CAP_ENV)
-    if order > cap:
-        raise CapExceededError(f"{what} would have order {order} > cap {cap}; set {BUILD_CAP_ENV} to override")
-
 
 def product(A: FiniteSkewLattice, B: FiniteSkewLattice) -> FiniteSkewLattice:
     """The direct product A × B, (a, b) numbered a·|B| + b; not validated, with no zero or labels."""
-    _check_build_order(A.order * B.order, f"product of orders {A.order} and {B.order}")
+    _check_cap(A.order * B.order, "product of orders {} and {} would have order", A.order, B.order,
+               op="product", env=BUILD_CAP_ENV)
     return FiniteSkewLattice(A.order * B.order, _product_table(A._m, B._m), _product_table(A._j, B._j))
 
 
@@ -158,11 +152,11 @@ def build_pfn_algebra(
     size; builds beyond the cap (default 4096, overridable by the
     argument or the SKEWLAT_BUILD_CAP environment variable) are refused.
     """
-    if domain_size < 1 or codomain_size < 1:
-        raise PreconditionError("domain and codomain sizes must be at least 1")
-    base = codomain_size + 1
+    domain_size = _read_int(domain_size, "build_pfn_algebra", "domain_size", 1)
+    base = _read_int(codomain_size, "build_pfn_algebra", "codomain_size", 1) + 1
+    _check_cap((base, domain_size), "partial-function algebra would have order",
+               op="build_pfn_algebra", env=BUILD_CAP_ENV, explicit=order_cap)
     order = base**domain_size
-    _check_build_order(order, "partial-function algebra", order_cap)
     # in P(1,b), 0 is "undefined" and y+1 the value y: f∧g is f where g is defined, else 0, and f∨g is g
     # where g is defined, else f; element i of the power has one base-(b+1) digit per point, the first point's leading
     f, g = np.arange(base)[:, None], np.arange(base)[None, :]
@@ -240,9 +234,8 @@ def om_window(k: int) -> FiniteSkewLattice:
     Windows embed into each other by the evident inclusion, which tests
     use to relate finite verdicts to the infinite model.
     """
-    if k < 1:
-        raise PreconditionError(f"window needs k >= 1, got {k}")
-    _check_build_order(k + 3, f"om_window({k})")
+    k = _read_int(k, "om_window", "k", 1)
+    _check_cap(k + 3, "om_window({}) would have order", k, op="om_window", env=BUILD_CAP_ENV)
     elements: list[OmegaElement] = list(range(k + 1)) + [INF_A, INF_B]
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
@@ -277,8 +270,7 @@ def om_verify_no_join_of_naturals(k: int, leq=om_leq) -> Certificate:
     the case analysis; ``leq`` is injectable so tests can break a clause
     and watch the verdict flip.
     """
-    if k < 1:
-        raise PreconditionError(f"verification needs k >= 1, got {k}")
+    k = _read_int(k, "om_verify_no_join_of_naturals", "k", 1)
     clauses = _om_order_clauses(k, leq)
     return Certificate(
         ok=all(v for _, v in clauses),
@@ -294,8 +286,7 @@ def om_verify_no_infimum_of_infs(k: int, leq=om_leq) -> Certificate:
     increasing, so no natural is greatest among lower bounds; and since
     the tops are incomparable, neither top is a lower bound of the pair.
     """
-    if k < 1:
-        raise PreconditionError(f"verification needs k >= 1, got {k}")
+    k = _read_int(k, "om_verify_no_infimum_of_infs", "k", 1)
     clauses = _om_order_clauses(k, leq)
     relabel = {
         "naturals 0..k all lie below both tops": "naturals 0..k are all lower bounds of the pair",
@@ -394,9 +385,15 @@ class FiniteImageFunction:
                 raise StructureError("preimages must be FinCofinSet instances")
             if p.is_empty:
                 raise StructureError(f"fiber of {v} is empty")
-        for (v1, p1), (v2, p2) in itertools.combinations(fibers, 2):
-            if not p1.disjoint(p2):
-                raise StructureError(f"fibers of {v1} and {v2} overlap")
+        # disjoint iff at most one fiber is cofinite, no point lies in two finite ones, and the cofinite one
+        # excludes every finite one's points; only a failure pays for the pairs, to name the first that overlap
+        finite = [p.points for _, p in fibers if p.finite]
+        cofinite = [p.points for _, p in fibers if not p.finite]
+        points = frozenset().union(*finite)
+        if len(cofinite) > 1 or len(points) < sum(map(len, finite)) or cofinite and not points <= cofinite[0]:
+            for (v1, p1), (v2, p2) in itertools.combinations(fibers, 2):
+                if not p1.disjoint(p2):
+                    raise StructureError(f"fibers of {v1} and {v2} overlap")
         object.__setattr__(self, "fibers", fibers)
 
     @classmethod
@@ -459,8 +456,7 @@ def fi_one_point_chain(k: int) -> list[tuple[int, int]]:
     (commuting) family of one-point maps inside any lattice section.
     Returns ``[(step, image_size)]`` for k steps.
     """
-    if k < 1:
-        raise PreconditionError(f"chain needs k >= 1, got {k}")
+    k = _read_int(k, "fi_one_point_chain", "k", 1)
     acc = FiniteImageFunction.one_point(0)
     out = [(0, acc.image_size)]
     for i in range(1, k):
@@ -481,9 +477,8 @@ def chain_lattice(length: int) -> FiniteSkewLattice:
     subsets — boundedness genuinely fails only at infinity, which is a
     documented fact rather than a computation.
     """
-    if length < 1:
-        raise PreconditionError(f"chain needs length >= 1, got {length}")
-    _check_build_order(length, f"chain of length {length}")
+    length = _read_int(length, "chain_lattice", "length", 1)
+    _check_cap(length, "chain of length {} would have order", length, op="chain_lattice", env=BUILD_CAP_ENV)
     rng = range(length)
     return FiniteSkewLattice(
         order=length,
@@ -495,10 +490,9 @@ def chain_lattice(length: int) -> FiniteSkewLattice:
 
 def boolean_lattice(m: int) -> FiniteSkewLattice:
     """The Boolean algebra of subsets of an m-point set, as bitmasks."""
-    if m < 0:
-        raise PreconditionError(f"boolean lattice needs m >= 0, got {m}")
+    m = _read_int(m, "boolean_lattice", "m", 0)
+    _check_cap((2, m), "boolean lattice on {} atoms would have order", m, op="boolean_lattice", env=BUILD_CAP_ENV)
     n = 1 << m
-    _check_build_order(n, f"boolean lattice on {m} atoms")
     rng = range(n)
     labels = tuple("{" + ",".join(str(i) for i in range(m) if s >> i & 1) + "}" for s in rng)
     return FiniteSkewLattice(

@@ -25,7 +25,7 @@ from skewlat.core import (
     is_commutative,
     validate_skew_axioms,
 )
-from skewlat.models import build_pfn_algebra
+from skewlat.models import build_pfn_algebra, chain_lattice
 
 FLAT_LEFT_TABLES = (((0, 0), (1, 1)), ((0, 1), (0, 1)))
 
@@ -603,6 +603,14 @@ def test_census_and_build_caps_are_independent(monkeypatch):
     with pytest.raises(CapExceededError):
         build_pfn_algebra(2, 2)
     assert len(list(enumerate_skew_lattices(3))) == 7
+
+
+def test_canonicalize_refuses_an_order_past_eight_before_its_relabelings():
+    held = census._relabelings.cache_info().currsize
+    want = r"^canonicalize order 9 > cap 8; its n! relabelings are all kept in memory$"
+    with pytest.raises(CapExceededError, match=want):
+        canonicalize(chain_lattice(9))
+    assert census._relabelings.cache_info().currsize == held
 
 
 def test_order_must_be_positive():

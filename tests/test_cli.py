@@ -17,7 +17,15 @@ import skewlat
 from skewlat.census import canonicalize, enumerate_skew_lattices
 from skewlat import cli
 from skewlat.cli import FORMAT_TAG, FORMAT_VERSION, ParseError, StructureFile, emit, entry, main, parse
-from skewlat.core import FiniteSkewLattice, StructureError, Table, check_symmetric
+from skewlat.core import (
+    BUILD_CAP_ENV,
+    CapExceededError,
+    FiniteSkewLattice,
+    StructureError,
+    Table,
+    _check_cap,
+    check_symmetric,
+)
 from skewlat.models import build_pfn_algebra, diamond_m3, om_window
 
 NON_NORMAL_TABLES = (((0, 0, 0), (0, 1, 2), (2, 2, 2)), ((0, 1, 2), (1, 1, 1), (0, 1, 2)))
@@ -146,7 +154,7 @@ class _Cursor:
         tok = self.peek()
         return tok is not None and not tok.quoted and tok.text == word
 
-    def take_int(self, what: str, lo: int, hi: int) -> int:
+    def take_int(self, what: str, lo: int, hi: float) -> int:
         tok = self.take(what)
         if tok.quoted:
             raise ParseError(f"expected {what}, got quoted string", tok.line, tok.col)
@@ -167,7 +175,8 @@ def _parse_oracle(text: str) -> StructureFile:
     if tok.quoted or tok.text != str(FORMAT_VERSION):
         raise ParseError(f"unsupported format version {tok.text!r}", tok.line, tok.col)
     cur.expect_word("n")
-    order = cur.take_int("order", 1, 10**6)
+    order = cur.take_int("order", 1, float("inf"))
+    _check_cap(order, "structure file order", op="parse", env=BUILD_CAP_ENV)
     zero = None
     if cur.at_word("zero"):
         cur.take("'zero'")
@@ -234,6 +243,22 @@ def test_rejections_carry_positions(text, fragment, line, col):
     assert _outcome(parse, text) == _outcome(_parse_oracle, text)
 
 
+def test_a_declared_order_past_the_build_cap_is_refused_before_any_table(tmp_path, capsys, monkeypatch):
+    with pytest.raises(CapExceededError, match=r"^structure file order 5000 > cap 4096; set SKEWLAT_BUILD_CAP to override$"):
+        parse("skewlat 1\nn 5000\nmeet\n")  # no table follows
+    corrupted = CHAIN2_TEXT.replace("n 2", "n 9999")
+    assert _outcome(parse, corrupted) == _outcome(_parse_oracle, corrupted) == (
+        "structure file order 9999 > cap 4096; set SKEWLAT_BUILD_CAP to override")
+    monkeypatch.setenv("SKEWLAT_BUILD_CAP", "1")
+    with pytest.raises(CapExceededError, match=r"^structure file order 2 > cap 1; "):
+        parse(CHAIN2_TEXT)
+    code, out, err = _run(capsys, "theorem", _write(tmp_path, "c.skl", CHAIN2_TEXT))
+    assert (code, out) == (2, "")
+    assert err.endswith("error: structure file order 2 > cap 1; set SKEWLAT_BUILD_CAP to override\n")
+    monkeypatch.setenv("SKEWLAT_BUILD_CAP", "2")
+    assert parse(CHAIN2_TEXT).order == 2
+
+
 def test_emit_round_trips_the_census():
     for n in (1, 2, 3):
         for S in enumerate_skew_lattices(n):
@@ -291,6 +316,8 @@ def _outcome(parser, text):
         return parser(text)
     except ParseError as err:
         return str(err), err.line, err.col
+    except CapExceededError as err:  # a declared order past the build cap, before any table is read
+        return str(err)
 
 
 def _source_tokens(sf: StructureFile) -> list[str]:

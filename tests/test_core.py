@@ -31,10 +31,24 @@ from skewlat.core import (
     subalgebra,
     validate_skew_axioms,
 )
-from skewlat.census import canonicalize, enumerate_skew_lattices
+from skewlat.census import (
+    canonicalize,
+    enumerate_by_quotient_construction,
+    enumerate_skew_lattices,
+    search_counterexample,
+)
 from skewlat.completeness import check_implication_chain, commuting_subset, join_fold, meet_fold, sup_natural
 from skewlat.frames import check_theorem_ncframes
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window
+from skewlat.models import (
+    boolean_lattice,
+    build_pfn_algebra,
+    chain_lattice,
+    diamond_m3,
+    fi_one_point_chain,
+    om_verify_no_infimum_of_infs,
+    om_verify_no_join_of_naturals,
+    om_window,
+)
 
 # the least non-normal structure: a two-element class under a top element
 NON_NORMAL_3 = FiniteSkewLattice(
@@ -228,13 +242,47 @@ _ID_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, "1", None])
+@pytest.mark.parametrize("bad", [1.5, "1", None, True])
 @pytest.mark.parametrize("call, prefix", _ID_TAKERS.values(), ids=_ID_TAKERS.keys())
 def test_ids_are_integers_never_truncated(call, prefix, bad):
     S = chain_lattice(3)
     with pytest.raises(PreconditionError, match=f"^{re.escape(f'{prefix} {bad!r}')} is not an integer$"):
         call(S, bad)
     assert call(S, np.int64(1)) == call(S, 1)
+
+
+# each size and cap argument, as a call that passes it the value under test, the start of its error and its least value
+_SIZE_TAKERS = {
+    "census order": (lambda v: next(enumerate_skew_lattices(v)), "enumerate_skew_lattices: order", 1),
+    "census order_cap": (lambda v: next(enumerate_skew_lattices(1, order_cap=v)), "enumerate_skew_lattices: order_cap", 1),
+    "order_max": (lambda v: search_counterexample(v, "validated", "commutative"), "search_counterexample: order_max", 1),
+    "cross-check order": (enumerate_by_quotient_construction, "enumerate_by_quotient_construction: order", 1),
+    "domain_size": (lambda v: build_pfn_algebra(v, 1), "build_pfn_algebra: domain_size", 1),
+    "codomain_size": (lambda v: build_pfn_algebra(1, v), "build_pfn_algebra: codomain_size", 1),
+    "build order_cap": (lambda v: build_pfn_algebra(1, 1, order_cap=v), "build_pfn_algebra: order_cap", 1),
+    "om_window": (om_window, "om_window: k", 1),
+    "no join": (om_verify_no_join_of_naturals, "om_verify_no_join_of_naturals: k", 1),
+    "no infimum": (om_verify_no_infimum_of_infs, "om_verify_no_infimum_of_infs: k", 1),
+    "chain_lattice": (chain_lattice, "chain_lattice: length", 1),
+    "boolean_lattice": (boolean_lattice, "boolean_lattice: m", 0),
+    "fi_one_point_chain": (fi_one_point_chain, "fi_one_point_chain: k", 1),
+    "SKEWLAT_CENSUS_CAP": (lambda v: next(enumerate_skew_lattices(v)), "enumerate_skew_lattices: SKEWLAT_CENSUS_CAP", 1),
+    "SKEWLAT_BUILD_CAP": (chain_lattice, "chain_lattice: SKEWLAT_BUILD_CAP", 1),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", "below"])
+@pytest.mark.parametrize("name", _SIZE_TAKERS)
+def test_sizes_and_caps_are_integers_never_truncated(monkeypatch, name, bad):
+    call, prefix, lo = _SIZE_TAKERS[name]
+    v = lo - 1 if bad == "below" else bad
+    if name.startswith("SKEWLAT_"):  # the variable holds the value's text, and the call passes a valid size
+        monkeypatch.setenv(name, repr(v))
+        v = 1
+    tail = f"out of range {lo}.." if bad == "below" else "is not an integer"
+    with pytest.raises(PreconditionError, match=rf"^{re.escape(prefix)} .+ {re.escape(tail)}$") as err:
+        call(v)
+    assert type(err.value) is PreconditionError
 
 
 def test_no_scan_reads_the_tuple_tables(monkeypatch):
@@ -607,6 +655,8 @@ def test_restriction_needs_comparable_classes(p22):
 def test_homomorphism_mapping_is_range_checked(chain2, b2):
     with pytest.raises(StructureError):
         Homomorphism(chain2, b2, (0, 9))
+    with pytest.raises(StructureError, match=r"^mapping has 1 entries for source order 2$"):
+        Homomorphism(chain2, b2, (0,))
     with pytest.raises(StructureError, match=r"^mapping image of 1 is 0\.5, not an integer$"):
         Homomorphism(chain2, b2, (0, 0.5))
     assert Homomorphism(chain2, b2, np.array([0, 3])).mapping == (0, 3)
@@ -640,9 +690,13 @@ def test_antichain_without_top_is_not_a_lattice():
 
 
 def test_cyclic_relation_is_not_a_poset():
-    leq = ((True, True), (True, True))
-    with pytest.raises(PreconditionError):
-        lattice_from_order(leq)
+    for leq, message in (
+        (((True, True), (True, True)), "order not antisymmetric at 0,1"),
+        (((True, False),), "order matrix must be square and nonempty"),
+        (((True, False), (False, False)), "order not reflexive at 1"),
+    ):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            lattice_from_order(leq)
 
 
 # --- isomorphism invariance ------------------------------------------------------------

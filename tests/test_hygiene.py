@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level private name goes unreferenced, private names are
-imported only from ``core``, and each law's text is written once."""
+imported only from ``core``, each law's text is written once, one
+function of ``core`` raises every cap, and only ``core`` reads the
+environment."""
 
 import ast
 import importlib
@@ -173,3 +175,39 @@ def test_the_scan_flags_a_repeated_law():
     )
     b = ast.parse('LAW = "x∧y = y∧x"\n')
     assert _repeated_laws({"a.py": a, "b.py": b}) == ["x∧y = y∧x (a.py:2, b.py:1)"]
+
+
+def _cap_raisers(trees: dict[str, ast.Module]) -> list[str]:
+    # the functions, by module, that construct a CapExceededError, by its name or as an attribute
+    found = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+                          for node in ast.walk(fn) if isinstance(node, ast.Call)]
+                if "CapExceededError" in called:
+                    found.append(f"{module}: {fn.name}")
+    return found
+
+
+def _environment_readers(trees: dict[str, ast.Module]) -> list[str]:
+    # the modules that name os.environ or os.getenv
+    return sorted({module for module, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")})
+
+
+def test_one_function_of_core_raises_every_cap():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert _cap_raisers(trees) == ["core.py: _check_cap"]
+
+
+def test_only_core_reads_the_environment():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    assert _environment_readers(trees) == ["core.py"]
+
+
+def test_the_scans_flag_a_second_cap_raiser_and_an_environment_reader():
+    a = ast.parse("def check(n):\n    if n > 3:\n        raise CapExceededError(n)\n")
+    b = ast.parse("import os\ndef cap():\n    def inner():\n        raise core.CapExceededError(os.environ['X'])\n")
+    assert _cap_raisers({"a.py": a, "b.py": b}) == ["a.py: check", "b.py: cap", "b.py: inner"]
+    assert _environment_readers({"a.py": a, "b.py": b, "c.py": ast.parse("import os\nos.getenv('X')\n")}) == ["b.py", "c.py"]

@@ -1,6 +1,8 @@
 """The three worked model families and the reference lattices."""
 
 import functools
+import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from skewlat.models import (
     FinCofinSet,
     FiniteImageFunction,
     INF_A,
+    Inf,
     INF_B,
     PartialFunction,
     boolean_lattice,
@@ -107,6 +110,28 @@ def test_algebra_cap_and_override(monkeypatch):
             build()
 
 
+def test_builders_check_the_cap_before_they_compute_the_order():
+    tail = " > cap 4096; set SKEWLAT_BUILD_CAP to override"
+    for build, order in (
+        (lambda: boolean_lattice(20000), "boolean lattice on 20000 atoms would have order 2**20000"),
+        (lambda: build_pfn_algebra(20000, 2), "partial-function algebra would have order 3**20000"),
+        (lambda: build_pfn_algebra(2, 10**5000), "partial-function algebra would have order about 10**10000"),
+        (lambda: om_window(10**5000), "om_window(about 10**5000) would have order about 10**5000"),
+    ):
+        with pytest.raises(CapExceededError) as err:
+            build()
+        assert str(err.value) == order + tail
+    tracemalloc.start()
+    try:
+        want = r"^boolean lattice on 1000000000000 atoms would have order 2\*\*1000000000000 > cap 4096; "
+        with pytest.raises(CapExceededError, match=want):
+            boolean_lattice(10**12)  # 1 << m would take 125 GB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("m,b", [(2, 1), (3, 2), (2, 3)])
 def test_algebra_is_the_power_of_its_one_point_factor(m, b):
     # the product numbers (a, b) as a·|B| + b, so the first point's digit leads
@@ -147,6 +172,8 @@ def test_quotient_collapses_to_domains(p22):
 # --- the chain with two tops --------------------------------------------------
 
 def test_top_pair_projections():
+    with pytest.raises(StructureError, match=r"^Inf side must be 'a' or 'b', got 'c'$"):
+        Inf("c")
     assert om_meet(INF_A, INF_B) == INF_A
     assert om_meet(INF_B, INF_A) == INF_B
     assert om_join(INF_A, INF_B) == INF_B
@@ -157,6 +184,9 @@ def test_naturals_meet_like_a_chain():
     assert om_meet(3, 5) == 3
     assert om_join(3, 5) == 5
     assert om_meet(INF_A, 4) == 4 == om_meet(4, INF_B)
+    for bad, message in ((-1, "naturals only, got -1"), ("x", "not an element of the two-top chain: 'x'")):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            om_meet(bad, 0)
     assert om_join(4, INF_A) == INF_A
 
 
@@ -274,6 +304,8 @@ def test_fincofin_canonical_repr():
 def test_membership_beyond_any_finite_horizon():
     assert 10**9 in FinCofinSet.cofin([2])
     assert 10**9 not in FinCofinSet.fin([2])
+    with pytest.raises(StructureError, match="^point sets live on the naturals$"):
+        FinCofinSet.fin([-1])
 
 
 def test_emptiness():
@@ -285,8 +317,37 @@ def test_emptiness():
 # --- finite-image functions ------------------------------------------------------
 
 def test_fibers_must_be_disjoint():
-    with pytest.raises(StructureError):
-        FiniteImageFunction(((0, FinCofinSet.fin([1, 2])), (1, FinCofinSet.fin([2, 3]))))
+    one = FinCofinSet.fin([1])
+    for fibers, message in (
+        (((0, FinCofinSet.fin([1, 2])), (1, FinCofinSet.fin([2, 3]))), "fibers of 0 and 1 overlap"),
+        (((1, one), (0, FinCofinSet.fin([2]))), "fibers must be sorted by distinct values"),
+        (((-1, one),), "values live on the naturals"),
+        (((0, frozenset([1])),), "preimages must be FinCofinSet instances"),
+        (((0, one), (1, FinCofinSet.fin())), "fiber of 1 is empty"),
+    ):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            FiniteImageFunction(fibers)
+
+
+def _pairwise_overlap(fibers):
+    # the rule the one-pass check must agree with: the first pair of fibers that meet, named
+    for (v1, p1), (v2, p2) in itertools.combinations(fibers, 2):
+        if not p1.disjoint(p2):
+            return f"fibers of {v1} and {v2} overlap"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.frozensets(st.integers(0, 6), max_size=4)).filter(lambda f: f[1] or not f[0]),
+                max_size=5))
+def test_one_pass_overlap_rule_matches_the_pairs(specs):
+    fibers = tuple((v, FinCofinSet(finite, points)) for v, (finite, points) in enumerate(specs))
+    message = _pairwise_overlap(fibers)
+    if message is None:
+        assert FiniteImageFunction(fibers).fibers == fibers
+    else:
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            FiniteImageFunction(fibers)
 
 
 def test_from_fibers_merges_and_drops_empty():
