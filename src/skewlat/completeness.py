@@ -40,6 +40,7 @@ from .core import (
     _check_cap,
     _element_ids,
     _once,
+    _read_int,
     _require_valid,
     _row_masks,
     check_identity,
@@ -104,7 +105,7 @@ def enumerate_commuting_subsets(S: FiniteSkewLattice, max_size: int | None = Non
     if max_size is None:
         _check_cap(S.order, "subset enumeration at order", cap=SUBSET_ORDER_CAP, todo="pass max_size to bound it")
     adj = commutation_graph(S)
-    limit = S.order if max_size is None else operator.index(max_size)
+    limit = S.order if max_size is None else _read_int(max_size, "enumerate_commuting_subsets", "max_size", -math.inf)
     if limit < 1:
         return
     # a frame: a clique and the ids that may still extend it (never none);

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -50,6 +51,7 @@ from .core import (
     FiniteSkewLattice,
     PreconditionError,
     StructureError,
+    _as_int,
     _check_cap,
     _read_int,
     check_identity,
@@ -104,7 +106,7 @@ class PartialFunction:
     graph: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        graph = frozenset((int(x), int(y)) for x, y in self.graph)
+        graph = frozenset((_as_int(x, "graph point"), _as_int(y, "graph value")) for x, y in self.graph)
         if len({x for x, _ in graph}) != len(graph):
             raise StructureError(f"graph is not functional: {sorted(graph)}")
         object.__setattr__(self, "graph", graph)
@@ -189,17 +191,20 @@ INF_B = Inf("b")
 OmegaElement = Union[int, Inf]
 
 
-def _om_check(x: OmegaElement) -> None:
-    if isinstance(x, bool) or not isinstance(x, (int, Inf)):
+def _om_check(x: OmegaElement) -> OmegaElement:
+    """``x`` as an element: a top as it is, a natural read with ``operator.index``, a bool refused."""
+    if isinstance(x, Inf):
+        return x
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise PreconditionError(f"not an element of the two-top chain: {x!r}")
-    if isinstance(x, int) and x < 0:
-        raise PreconditionError(f"naturals only, got {x}")
+    if (n := operator.index(x)) < 0:
+        raise PreconditionError(f"naturals only, got {n}")
+    return n
 
 
 def om_meet(x: OmegaElement, y: OmegaElement) -> OmegaElement:
     """Meet: minimum when a natural is involved, left projection on top."""
-    _om_check(x)
-    _om_check(y)
+    x, y = _om_check(x), _om_check(y)
     if isinstance(x, Inf) and isinstance(y, Inf):
         return x
     if isinstance(x, Inf):
@@ -211,8 +216,7 @@ def om_meet(x: OmegaElement, y: OmegaElement) -> OmegaElement:
 
 def om_join(x: OmegaElement, y: OmegaElement) -> OmegaElement:
     """Join: maximum when a natural is involved, right projection on top."""
-    _om_check(x)
-    _om_check(y)
+    x, y = _om_check(x), _om_check(y)
     if isinstance(x, Inf) and isinstance(y, Inf):
         return y
     if isinstance(x, Inf):
@@ -313,7 +317,7 @@ class FinCofinSet:
     points: frozenset[int]
 
     def __post_init__(self) -> None:
-        pts = frozenset(int(p) for p in self.points)
+        pts = frozenset(_as_int(p, "point") for p in self.points)
         if any(p < 0 for p in pts):
             raise StructureError("point sets live on the naturals")
         object.__setattr__(self, "points", pts)
@@ -374,7 +378,7 @@ class FiniteImageFunction:
     fibers: tuple[tuple[int, FinCofinSet], ...]
 
     def __post_init__(self) -> None:
-        fibers = tuple((int(v), p) for v, p in self.fibers)
+        fibers = tuple((_as_int(v, "fiber value"), p) for v, p in self.fibers)
         values = [v for v, _ in fibers]
         if values != sorted(set(values)):
             raise StructureError("fibers must be sorted by distinct values")
@@ -415,10 +419,10 @@ class FiniteImageFunction:
         return "FiniteImageFunction(" + ", ".join(f"{v} on {p!r}" for v, p in self.fibers) + ")"
 
     def domain(self) -> FinCofinSet:
-        out = FinCofinSet.fin()
-        for _, p in self.fibers:
-            out = out | p
-        return out
+        # the fibers are disjoint: the finite ones' points, or the one cofinite fiber with those points added
+        points = frozenset().union(*(p.points for _, p in self.fibers if p.finite))
+        cofinite = [p.points for _, p in self.fibers if not p.finite]
+        return FinCofinSet.cofin(cofinite[0] - points) if cofinite else FinCofinSet.fin(points)
 
     @property
     def image_size(self) -> int:

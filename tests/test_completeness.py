@@ -120,8 +120,10 @@ def test_enumeration_is_lexicographic_and_bounded(p22, window4):
 
 
 def test_enumeration_rejects_a_fractional_max_size(p22):
-    with pytest.raises(TypeError):
-        next(enumerate_commuting_subsets(p22, max_size=1.5))
+    # a bool is refused too, as every size argument refuses it
+    for bad in (1.5, True):
+        with pytest.raises(PreconditionError, match=rf"^enumerate_commuting_subsets: max_size {bad} is not an integer$"):
+            next(enumerate_commuting_subsets(p22, max_size=bad))
 
 
 def test_enumeration_cap_without_size_bound():

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level private name goes unreferenced, private names are
 imported only from ``core``, each law's text is written once, one
-function of ``core`` raises every cap, and only ``core`` reads the
-environment."""
+function of ``core`` raises every cap, only ``core`` reads the
+environment, and the package imports no public name that a module's
+``__all__`` already declares."""
 
 import ast
 import importlib
@@ -143,6 +144,34 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"skewlat.{path.stem}")
         exported = getattr(module, "__all__", ())
         assert [name for name in exported if not hasattr(module, name)] == [], path.name
+
+
+def _hand_imports(tree: ast.Module, declared: dict[str, list[str]]) -> list[str]:
+    # names imported one by one from a module whose __all__ declares them, when the package republishes that
+    # whole __all__ (then `from .m import *` brings them); cli's __all__ also holds main and entry
+    exported = set(skewlat.__all__)
+    return [f"{alias.name} from {node.module} (line {node.lineno})" for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in declared
+            and set(declared[node.module]) <= exported
+            for alias in node.names if alias.name in declared[node.module]]
+
+
+def test_the_package_imports_each_public_name_once():
+    modules = ("core", "models", "completeness", "frames", "census", "cli")
+    declared = {name: importlib.import_module(f"skewlat.{name}").__all__ for name in modules}
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert _hand_imports(tree, declared) == []
+    cli = ["ParseError", "StructureFile", "emit", "parse"]
+    assert skewlat.__all__ == [name for module in modules[:-1] for name in declared[module]] + cli
+
+
+def test_the_scan_flags_a_hand_import_of_a_republished_name():
+    tree = ast.parse(
+        "from .core import *\nfrom .core import Table, check_identity\n"
+        "from .cli import ParseError, main\nfrom . import core\n"
+    )
+    declared = {"core": ["check_identity", "green_d"], "cli": ["ParseError", "main"]}
+    assert _hand_imports(tree, declared) == ["check_identity from core (line 2)"]
 
 
 def _repeated_laws(trees: dict[str, ast.Module]) -> list[str]:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +59,13 @@ def test_override_join_is_order_sensitive():
 def test_graph_must_be_functional():
     with pytest.raises(StructureError):
         PartialFunction.of([(0, 1), (0, 2)])
+
+
+def test_graph_points_and_values_are_never_truncated():
+    assert PartialFunction.of({np.int64(0): np.uint8(1)}) == PartialFunction.of({0: 1})
+    for mapping, message in (({0.7: 1.9}, "graph point is 0.7"), ({0: 1.9}, "graph value is 1.9")):
+        with pytest.raises(StructureError, match=f"^{message}, not an integer$"):
+            PartialFunction.of(mapping)
 
 
 def test_carrier_enumeration_starts_empty():
@@ -184,7 +192,12 @@ def test_naturals_meet_like_a_chain():
     assert om_meet(3, 5) == 3
     assert om_join(3, 5) == 5
     assert om_meet(INF_A, 4) == 4 == om_meet(4, INF_B)
-    for bad, message in ((-1, "naturals only, got -1"), ("x", "not an element of the two-top chain: 'x'")):
+    # any natural that operator.index reads is an element
+    assert om_meet(np.int64(3), 5) == 3 and om_join(np.uint8(3), 5) == 5
+    assert om_meet(INF_A, np.uint8(4)) == 4 and om_leq(np.int64(2), INF_B)
+    for bad, message in ((-1, "naturals only, got -1"), (np.int64(-1), "naturals only, got -1"),
+                         ("x", "not an element of the two-top chain: 'x'"),
+                         (True, "not an element of the two-top chain: True")):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             om_meet(bad, 0)
     assert om_join(4, INF_A) == INF_A
@@ -308,6 +321,12 @@ def test_membership_beyond_any_finite_horizon():
         FinCofinSet.fin([-1])
 
 
+def test_points_are_never_truncated():
+    assert FinCofinSet.cofin([np.int64(2)]) == FinCofinSet.cofin([2])
+    with pytest.raises(StructureError, match=r"^point is 1\.5, not an integer$"):
+        FinCofinSet.fin([1.5])
+
+
 def test_emptiness():
     assert FinCofinSet.fin([]).is_empty
     assert not FinCofinSet.cofin([]).is_empty
@@ -329,6 +348,13 @@ def test_fibers_must_be_disjoint():
             FiniteImageFunction(fibers)
 
 
+def test_fiber_values_are_never_truncated():
+    one = FinCofinSet.fin([1])
+    assert FiniteImageFunction(((np.uint8(2), one),)).fibers == ((2, one),)
+    with pytest.raises(StructureError, match=r"^fiber value is 2\.9, not an integer$"):
+        FiniteImageFunction(((2.9, one),))
+
+
 def _pairwise_overlap(fibers):
     # the rule the one-pass check must agree with: the first pair of fibers that meet, named
     for (v1, p1), (v2, p2) in itertools.combinations(fibers, 2):
@@ -348,6 +374,31 @@ def test_one_pass_overlap_rule_matches_the_pairs(specs):
     else:
         with pytest.raises(StructureError, match=f"^{message}$"):
             FiniteImageFunction(fibers)
+
+
+def _domain_fold(f):
+    # the union of the fibers one at a time, the rule the one-pass domain must agree with
+    out = FinCofinSet.fin()
+    for _, p in f.fibers:
+        out = out | p
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FCSETS, st.lists(st.frozensets(st.integers(0, 20), min_size=1, max_size=3), max_size=5))
+def test_domain_is_the_union_of_the_fibers(extra, finite):
+    # disjoint finite fibers, and the extra set as one more fiber, cut to miss them, when it stays nonempty
+    taken = set()
+    fibers = []
+    for points in finite:
+        if points - taken:
+            fibers.append(FinCofinSet.fin(points - taken))
+            taken |= points
+    last = extra - FinCofinSet.fin(taken)
+    if not last.is_empty:
+        fibers.append(last)
+    f = FiniteImageFunction(tuple(enumerate(fibers)))
+    assert f.domain() == _domain_fold(f)
 
 
 def test_from_fibers_merges_and_drops_empty():
