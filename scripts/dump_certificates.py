@@ -34,7 +34,14 @@ remembered by the first checks are read back, it prints ``detect_zero``,
 ``commutation_graph``, ``is_ncframe``, ``check_theorem_ncframes``,
 ``check_implication_chain``, ``check_prop_joins`` and
 ``check_section_exists``.  A check that refuses its input prints its
-error.  The whole dump takes a few seconds.
+error.
+
+After the structures it prints the ω-chain with two tops, each line
+labeled ``ω-model``: both ``om_verify_*`` certificates at depths 1..8,
+under ``om_leq`` and under three orders that each break one of their
+clauses, and ``om_meet`` and ``om_join`` on every pair of 0..11, the
+two tops and two numpy naturals, with the type of each result.  The
+whole dump takes a few seconds.
 """
 
 from __future__ import annotations
@@ -70,7 +77,21 @@ from skewlat import (  # noqa: E402
     validate_skew_axioms,
 )
 from skewlat.census import enumerate_skew_lattices  # noqa: E402
-from skewlat.models import boolean_lattice, build_pfn_algebra, chain_lattice, diamond_m3, om_window, product  # noqa: E402
+from skewlat.models import (  # noqa: E402
+    INF_A,
+    INF_B,
+    boolean_lattice,
+    build_pfn_algebra,
+    chain_lattice,
+    diamond_m3,
+    om_join,
+    om_leq,
+    om_meet,
+    om_verify_no_infimum_of_infs,
+    om_verify_no_join_of_naturals,
+    om_window,
+    product,
+)
 from test_cli import NON_SYMMETRIC_ORDER_SEVEN  # noqa: E402
 
 SEEDS = (1, 11, 53)
@@ -181,6 +202,28 @@ def round_trip(S):
     return (sf.meet_table, sf.join_table, sf.zero, sf.labels) == (S.meet_table, S.join_table, S.zero, S.labels)
 
 
+# the order of the ω-model, and three orders that each break one clause of its certificates
+OMEGA_ORDERS = {
+    "om_leq": om_leq,
+    "0 not below inf_b": lambda x, y: om_leq(x, y) and (x, y) != (0, INF_B),
+    "1 below 0": lambda x, y: om_leq(x, y) or (x, y) == (1, 0),
+    "inf_a below inf_b": lambda x, y: om_leq(x, y) or (x, y) == (INF_A, INF_B),
+}
+
+
+def omega_model():
+    for k in range(1, 9):
+        for name, leq in OMEGA_ORDERS.items():
+            for verify in (om_verify_no_join_of_naturals, om_verify_no_infimum_of_infs):
+                yield f"ω-model k={k} {name}", verify.__name__, verify(k, leq)
+    elements = [*range(12), INF_A, INF_B, np.int64(3), np.uint8(5)]
+    for x in elements:
+        for y in elements:
+            for op in (om_meet, om_join):
+                value = op(x, y)
+                yield f"ω-model {x!r} {y!r}", op.__name__, (value, type(value).__name__)
+
+
 def main() -> None:
     for label, S in structures():
         for check, run in certificates(S):
@@ -189,6 +232,8 @@ def main() -> None:
             except SkewLatticeError as exc:
                 result = f"{type(exc).__name__}: {exc}"
             print(f"{label}\t{check}\t{result!r}")
+    for label, check, result in omega_model():
+        print(f"{label}\t{check}\t{result!r}")
 
 
 if __name__ == "__main__":

@@ -628,6 +628,7 @@ def search_counterexample(
     when the implication survives the whole range.
     """
     order_max = _read_int(order_max, "search_counterexample", "order_max", 1)
+    _check_cap(order_max, "census order", op="search_counterexample", env=CENSUS_CAP_ENV, explicit=order_cap)
     hyp = _predicate(hypothesis)
     concl = _predicate(conclusion)
     for order in range(1, order_max + 1):

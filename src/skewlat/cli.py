@@ -49,6 +49,7 @@ from .core import (
     SkewLatticeError,
     StructureError,
     _check_cap,
+    _decimal,
     check_identity,
     detect_zero,
     natural_leq,
@@ -82,12 +83,13 @@ class ParseError(SkewLatticeError):
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
-_ESCAPE_SEQ = re.compile(r"\\(.)")
+# an escape: one of _ESCAPES, or \u and four hex digits for the code point, as _quote writes the other line ends
+_ESCAPE_SEQ = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
 # the characters at which str.splitlines ends a line; no token, comment or quoted string runs across one
-_EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a quoted string, short of its closing quote; each character matches one way only, so a failing
 # match backs off in linear time (Python 3.10 has no atomic groups)
-_OPEN_QUOTE = rf'"[^"\\{_EOL}]*(?:\\[\\"n][^"\\{_EOL}]*)*'
+_OPEN_QUOTE = rf'"[^"\\{_EOL}]*(?:\\(?:[\\"n]|u[0-9a-fA-F]{{4}})[^"\\{_EOL}]*)*'
 # blanks, line ends and up to 64 comments (the engine keeps state for each repeat of a group, so ``_Tokens._next``
 # takes a longer run 64 at a time), then the next token if any: a word (group 1) or a quoted string (group 2)
 _NEXT = re.compile(rf'[ \t{_EOL}]*(?:#[^{_EOL}]*[ \t{_EOL}]*){{0,64}}(?:([^ \t#"{_EOL}]+)|({_OPEN_QUOTE}"))?')
@@ -95,6 +97,8 @@ _NEXT = re.compile(rf'[ \t{_EOL}]*(?:#[^{_EOL}]*[ \t{_EOL}]*){{0,64}}(?:([^ \t#"
 # stops at the first faulty quote, or at the end of the text
 _QUOTES_OK = re.compile(rf'[^"#]*(?:(?:#[^{_EOL}]*(?![^{_EOL}])|{_OPEN_QUOTE}")[^"#]*){{0,64}}')
 _QUOTE_BODY = re.compile(_OPEN_QUOTE)
+# for _quote: \\, " and \n as their escapes, and the other line ends as \u escapes, so no quoted string holds one
+_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"} | {c: f"\\u{ord(c):04x}" for c in _EOL[1:]})
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -157,7 +161,7 @@ class _Tokens:
         self.pos, self.last = m.end(), m.start(m.lastindex)
         if m[1] is not None:
             return m[1], False
-        return _ESCAPE_SEQ.sub(lambda e: _ESCAPES[e[1]], m[2][1:-1]), True
+        return _ESCAPE_SEQ.sub(lambda e: _ESCAPES.get(e[1]) or chr(int(e[1][1:], 16)), m[2][1:-1]), True
 
     def expect_word(self, word: str) -> None:
         got, quoted = self.take(f"'{word}'")
@@ -168,10 +172,8 @@ class _Tokens:
         word, quoted = self.take(what)
         if quoted:
             raise self.error(f"expected {what}, got quoted string")
-        try:
-            value = int(word)
-        except ValueError:
-            raise self.error(f"expected {what}, got {word!r}") from None
+        if (value := _decimal(word)) is None:
+            raise self.error(f"expected {what}, got {word!r}")
         if not lo <= value <= hi:
             raise self.error(f"{what} {value} out of range [{lo}, {hi}]")
         return value
@@ -261,8 +263,7 @@ def parse(text: str) -> StructureFile:
 
 
 def _quote(label: str) -> str:
-    out = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{out}"'
+    return f'"{label.translate(_QUOTED)}"'
 
 
 def emit(S: FiniteSkewLattice) -> str:

@@ -14,7 +14,8 @@ Elements are the positions ``0 .. order-1``; optional labels are for
 display only and never affect computation.  Every function of the
 package reads each element id, size and cap argument with
 ``_read_int``, so one that is not an integer in range, or is a bool, is
-refused, never truncated, and each such error reads the same way.  Every
+refused, never truncated, and each such error reads the same way; decimal
+text, in a file or a cap variable, is read by ``_decimal``.  Every
 cap is checked by ``_check_cap``, the only code that raises
 ``CapExceededError``, before the work it bounds is allocated.
 Construction only checks, in one vectorised pass, that the raw tables
@@ -120,6 +121,12 @@ def _read_int(v: Any, op: str, what: str = "id", lo: int = 0, hi: int | None = N
     return i
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` as an int if it is ASCII digits after an optional ``-``, else None: no ``+``, ``_`` or other digits."""
+    digits = text.removeprefix("-")  # int() reads no more than 4300 digits
+    return int(text) if digits.isascii() and digits.isdigit() and len(digits) <= 4300 else None
+
+
 def _num(v: int) -> str:
     # past 20 digits by its magnitude, as str() refuses an int of more than 4300
     return str(v) if v < 10**20 else f"about 10**{round(math.log10(v))}"
@@ -135,8 +142,8 @@ def _check_cap(n: int | tuple[int, int], what: str, *about: int, cap: int = 0, t
         cap, todo, text = _ENV_CAPS[env], f"set {env} to override", os.environ.get(env)
         if explicit is not None:
             cap = _read_int(explicit, op, "order_cap", 1)
-        elif text is not None:  # decimal text as its int; any other text goes as is, and is refused
-            cap = _read_int(int(text) if text.strip().removeprefix("-").isdecimal() else text, op, env, 1)
+        elif text is not None:  # decimal text, blanks around it allowed, as its int; other text is refused
+            cap = _read_int(text if (v := _decimal(text.strip())) is None else v, op, env, 1)
     base, exp = n if isinstance(n, tuple) else (n, 1)
     value = base ** min(exp, cap.bit_length())  # exact up to the cap; past it, any base of 2 or more exceeds it
     if value > cap:
@@ -1552,6 +1559,13 @@ def restriction(S: FiniteSkewLattice, a: int, u: int) -> int:
     return found[0]
 
 
+def _order_bit(v: Any, a: int, b: int) -> bool:
+    """Entry (a, b) of an order matrix: a bool, numpy's too, or the integer 0 or 1; anything else is refused."""
+    if isinstance(v, np.bool_) or (hasattr(type(v), "__index__") and operator.index(v) in (0, 1)):
+        return bool(v)
+    raise PreconditionError(f"order entry {v!r} at row {a}, column {b} is not a bool, 0 or 1")
+
+
 def lattice_from_order(leq_rows: Iterable[Iterable[bool]]) -> FiniteSkewLattice:
     """Build the (commutative) structure of a finite lattice from its order.
 
@@ -1559,7 +1573,7 @@ def lattice_from_order(leq_rows: Iterable[Iterable[bool]]) -> FiniteSkewLattice:
     every pair has a greatest lower bound and a least upper bound.
     Anything else is rejected.  The bottom element is recorded as zero.
     """
-    leq = [[bool(v) for v in row] for row in leq_rows]
+    leq = [[_order_bit(v, a, b) for b, v in enumerate(row)] for a, row in enumerate(leq_rows)]
     n = len(leq)
     if n == 0 or any(len(row) != n for row in leq):
         raise PreconditionError("order matrix must be square and nonempty")

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -202,28 +203,21 @@ def _om_check(x: OmegaElement) -> OmegaElement:
     return n
 
 
+def _om_rank(x: OmegaElement) -> float:
+    """A natural's rank is itself and a top's is infinite, so the order reads ranks and the two tops tie."""
+    return math.inf if isinstance(x, Inf) else x
+
+
 def om_meet(x: OmegaElement, y: OmegaElement) -> OmegaElement:
-    """Meet: minimum when a natural is involved, left projection on top."""
+    """Meet: the argument of lower rank, the left one on a tie (so the left projection on two tops)."""
     x, y = _om_check(x), _om_check(y)
-    if isinstance(x, Inf) and isinstance(y, Inf):
-        return x
-    if isinstance(x, Inf):
-        return y
-    if isinstance(y, Inf):
-        return x
-    return min(x, y)
+    return x if _om_rank(x) <= _om_rank(y) else y
 
 
 def om_join(x: OmegaElement, y: OmegaElement) -> OmegaElement:
-    """Join: maximum when a natural is involved, right projection on top."""
+    """Join: the argument of higher rank, the right one on a tie (so the right projection on two tops)."""
     x, y = _om_check(x), _om_check(y)
-    if isinstance(x, Inf) and isinstance(y, Inf):
-        return y
-    if isinstance(x, Inf):
-        return x
-    if isinstance(y, Inf):
-        return y
-    return max(x, y)
+    return y if _om_rank(x) <= _om_rank(y) else x
 
 
 def om_leq(x: OmegaElement, y: OmegaElement) -> bool:
@@ -254,15 +248,15 @@ def om_window(k: int) -> FiniteSkewLattice:
     )
 
 
-def _om_order_clauses(k: int, leq) -> tuple[tuple[str, bool], ...]:
-    naturals_below_tops = all(leq(n, INF_A) and leq(n, INF_B) for n in range(k + 1))
-    strictly_increasing = all(leq(n, n + 1) and not leq(n + 1, n) for n in range(k))
-    tops_incomparable = (not leq(INF_A, INF_B)) and (not leq(INF_B, INF_A))
-    return (
-        ("naturals 0..k all lie below both tops", naturals_below_tops),
-        ("the naturals keep strictly increasing", strictly_increasing),
-        ("the two tops are incomparable", tops_incomparable),
+def _om_certificate(k: int, leq, op: str, checked: str, clauses: tuple[str, str, str]) -> Certificate:
+    """Up to depth k, under the caller's ``clauses``: 0..k lie below both tops, keep increasing, tops incomparable."""
+    k = _read_int(k, op, "k", 1)
+    facts = (
+        all(leq(n, INF_A) and leq(n, INF_B) for n in range(k + 1)),
+        all(leq(n, n + 1) and not leq(n + 1, n) for n in range(k)),
+        not leq(INF_A, INF_B) and not leq(INF_B, INF_A),
     )
+    return Certificate(ok=all(facts), checked=checked, witness=(("depth", k),) + tuple(zip(clauses, facts)))
 
 
 def om_verify_no_join_of_naturals(k: int, leq=om_leq) -> Certificate:
@@ -274,13 +268,9 @@ def om_verify_no_join_of_naturals(k: int, leq=om_leq) -> Certificate:
     the case analysis; ``leq`` is injectable so tests can break a clause
     and watch the verdict flip.
     """
-    k = _read_int(k, "om_verify_no_join_of_naturals", "k", 1)
-    clauses = _om_order_clauses(k, leq)
-    return Certificate(
-        ok=all(v for _, v in clauses),
-        checked="the chain of naturals has no least upper bound",
-        witness=(("depth", k),) + clauses,
-    )
+    return _om_certificate(k, leq, "om_verify_no_join_of_naturals", "the chain of naturals has no least upper bound",
+                           ("naturals 0..k all lie below both tops", "the naturals keep strictly increasing",
+                            "the two tops are incomparable"))
 
 
 def om_verify_no_infimum_of_infs(k: int, leq=om_leq) -> Certificate:
@@ -290,18 +280,9 @@ def om_verify_no_infimum_of_infs(k: int, leq=om_leq) -> Certificate:
     increasing, so no natural is greatest among lower bounds; and since
     the tops are incomparable, neither top is a lower bound of the pair.
     """
-    k = _read_int(k, "om_verify_no_infimum_of_infs", "k", 1)
-    clauses = _om_order_clauses(k, leq)
-    relabel = {
-        "naturals 0..k all lie below both tops": "naturals 0..k are all lower bounds of the pair",
-        "the naturals keep strictly increasing": "lower bounds keep strictly increasing",
-        "the two tops are incomparable": "neither top is a lower bound of the pair",
-    }
-    return Certificate(
-        ok=all(v for _, v in clauses),
-        checked="the two tops have no greatest lower bound",
-        witness=(("depth", k),) + tuple((relabel[name], v) for name, v in clauses),
-    )
+    return _om_certificate(k, leq, "om_verify_no_infimum_of_infs", "the two tops have no greatest lower bound",
+                           ("naturals 0..k are all lower bounds of the pair", "lower bounds keep strictly increasing",
+                            "neither top is a lower bound of the pair"))
 
 
 @dataclass(frozen=True)

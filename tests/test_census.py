@@ -593,6 +593,25 @@ def test_default_caps_guard_the_search(monkeypatch):
         next(iter(enumerate_skew_lattices(4)))
 
 
+def test_the_counterexample_search_checks_its_cap_before_any_census_work(monkeypatch):
+    def forms(order, filt):
+        raise AssertionError(f"order {order} searched")
+
+    want = r"^census order 6 > cap 5; set SKEWLAT_CENSUS_CAP to override$"
+    with monkeypatch.context() as m:
+        m.setattr(census, "_census_forms", forms)
+        with pytest.raises(CapExceededError, match=want):
+            search_counterexample(6, "normal", "commutative")
+        with pytest.raises(CapExceededError, match=want):
+            search_counterexample(6, "strongly_distributive", "symmetric & distributive & normal")
+        m.setenv("SKEWLAT_CENSUS_CAP", "4")
+        with pytest.raises(CapExceededError, match=r"^census order 5 > cap 4; "):
+            search_counterexample(5, "normal", "commutative")
+    assert search_counterexample(6, "normal", "commutative", order_cap=6).order == 2
+    monkeypatch.setenv("SKEWLAT_CENSUS_CAP", "6")
+    assert search_counterexample(6, "normal", "commutative").order == 2
+
+
 def test_census_and_build_caps_are_independent(monkeypatch):
     monkeypatch.setenv("SKEWLAT_CENSUS_CAP", "2")
     with pytest.raises(CapExceededError):

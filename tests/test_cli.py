@@ -111,6 +111,11 @@ def _tokenize(text: str) -> list[_Token]:
                         i += 1
                         break
                     if ch == "\\":
+                        code = raw[i + 2:i + 6]  # a \u escape: four hex digits name the character
+                        if raw[i + 1:i + 2] == "u" and len(code) == 4 and all(h in string.hexdigits for h in code):
+                            parts.append(chr(int(code, 16)))
+                            i += 6
+                            continue
                         if i + 1 >= len(raw) or raw[i + 1] not in _ESCAPES:
                             raise ParseError("unknown escape in quoted string", lineno, i + 1)
                         parts.append(_ESCAPES[raw[i + 1]])
@@ -158,10 +163,9 @@ class _Cursor:
         tok = self.take(what)
         if tok.quoted:
             raise ParseError(f"expected {what}, got quoted string", tok.line, tok.col)
-        try:
-            value = int(tok.text)
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
+        if not re.fullmatch("-?[0-9]+", tok.text):  # ASCII digits only: no "+", "_" or other digit
+            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
+        value = int(tok.text)
         if not lo <= value <= hi:
             raise ParseError(f"{what} {value} out of range [{lo}, {hi}]", tok.line, tok.col)
         return value
@@ -232,6 +236,10 @@ def test_comments_and_layout_are_free():
         (CHAIN2_TEXT + "labels\n\"a\" oops", "labels must be quoted", 11, 5),
         (CHAIN2_TEXT + 'labels\n"a\n"b"', "unterminated quoted string", 11, 1),
         (CHAIN2_TEXT + 'labels\n"a\\qb" "c"', "unknown escape", 11, 3),
+        (CHAIN2_TEXT + 'labels\n"a\\u00g0" "c"', "unknown escape", 11, 3),
+        ("skewlat 1\nn +2", "expected order, got '+2'", 2, 3),
+        ("skewlat 1\nn 2\nzero 0_0", "expected zero id, got '0_0'", 3, 6),
+        ("skewlat 1\nn 2\nmeet\n0 0\n0 \uff11", "expected meet entry, got '\uff11'", 5, 3),
         (CHAIN2_TEXT + "extra", "unexpected token 'extra'", 10, 1),
     ],
 )
@@ -299,7 +307,9 @@ def test_a_parsed_file_holds_read_only_arrays_and_equals_a_tuple_built_one(text)
         sf.zero = 1
 
 
-_LABEL_ALPHABET = sorted(set(string.ascii_letters + string.digits + string.punctuation + " \n"))
+# with every character at which str.splitlines ends a line: emit writes all but "\n" as \u escapes
+_LABEL_ALPHABET = sorted(set(
+    string.ascii_letters + string.digits + string.punctuation + " \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
 
 
 @settings(max_examples=80, deadline=None)

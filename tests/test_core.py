@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewlat import core
 from skewlat.core import (
+    CapExceededError,
     FiniteSkewLattice,
     Homomorphism,
     InternalConsistencyError,
@@ -283,6 +284,23 @@ def test_sizes_and_caps_are_integers_never_truncated(monkeypatch, name, bad):
     with pytest.raises(PreconditionError, match=rf"^{re.escape(prefix)} .+ {re.escape(tail)}$") as err:
         call(v)
     assert type(err.value) is PreconditionError
+
+
+@pytest.mark.parametrize("name", ["SKEWLAT_CENSUS_CAP", "SKEWLAT_BUILD_CAP"])
+def test_a_cap_variable_holds_ascii_decimal_text(monkeypatch, name):
+    # the variable is read as a structure file's numbers are: ASCII digits after an optional "-"
+    call, prefix, _ = _SIZE_TAKERS[name]
+    for text in ("\u0666", "\uff16", "+6", "6_0", "0x6", "6.0", "", " "):  # Arabic-Indic and full-width sixes first
+        monkeypatch.setenv(name, text)
+        with pytest.raises(PreconditionError, match=f"^{re.escape(f'{prefix} {text!r} is not an integer')}$"):
+            call(1)
+    monkeypatch.setenv(name, " -6 ")
+    with pytest.raises(PreconditionError, match=f"^{re.escape(prefix)} -6 out of range 1\\.\\.$"):
+        call(1)
+    monkeypatch.setenv(name, "\t2\n")  # blanks around the digits are allowed in a variable
+    assert call(2) is not None
+    with pytest.raises(CapExceededError, match=f"> cap 2; set {name} to override$"):
+        call(3)
 
 
 def test_no_scan_reads_the_tuple_tables(monkeypatch):
@@ -694,9 +712,18 @@ def test_cyclic_relation_is_not_a_poset():
         (((True, True), (True, True)), "order not antisymmetric at 0,1"),
         (((True, False),), "order matrix must be square and nonempty"),
         (((True, False), (False, False)), "order not reflexive at 1"),
+        (((1, 1, 0), (0, 1, 1), (0, 0, 1)), "order not transitive at 0,1,2"),
+        ((("False", 1), (0, "x")), "order entry 'False' at row 0, column 0 is not a bool, 0 or 1"),
+        (((1, 0.5), (0, 1)), "order entry 0.5 at row 0, column 1 is not a bool, 0 or 1"),
+        (((1, 0), (None, 1)), "order entry None at row 1, column 0 is not a bool, 0 or 1"),
+        (((1, 1), (0, 2)), "order entry 2 at row 1, column 1 is not a bool, 0 or 1"),
+        (["ab", "cd"], "order entry 'a' at row 0, column 0 is not a bool, 0 or 1"),
     ):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             lattice_from_order(leq)
+    # bools, numpy's too, and the integers 0 and 1 are the entries an order matrix holds
+    two_chain = ((np.True_, True), (np.int64(0), np.uint8(1)))
+    assert lattice_from_order(two_chain).meet_table == lattice_from_order(((1, 1), (0, 1))).meet_table == ((0, 0), (0, 1))
 
 
 # --- isomorphism invariance ------------------------------------------------------------

@@ -43,6 +43,11 @@ def test_dump_certificates_prints_every_check_for_every_structure():
     )
     assert out.returncode == 0, out.stderr
     lines = [line.split("\t") for line in out.stdout.splitlines()]
+    omega = [fields for fields in lines if fields[0].startswith("ω-model")]
+    lines = lines[: len(lines) - len(omega)]  # the ω-model's lines come last
+    assert len(omega) == 8 * 4 * 2 + 16 * 16 * 2
+    assert sum("ok=False" in result for _, _, result in omega) == 8 * 3 * 2  # each broken order fails both certificates
+    assert omega[-2:] == [["ω-model np.uint8(5) np.uint8(5)", op, "(5, 'int')"] for op in ("om_meet", "om_join")]
     checks = [check for _, check, _ in lines[:21]]
     assert checks[:2] == ["axioms", "regular"] and checks[-3:] == [
         "check_implication_chain", "check_prop_joins", "check_section_exists"]
