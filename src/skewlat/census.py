@@ -14,11 +14,14 @@ each.  A lex-leader rule keeps one meet table per isomorphism class,
 its least relabeling in row-major order: a partial table is rejected
 as soon as some relabeling of it is provably smaller.  Its relabeling
 walks are watched: each waits on one cell and is advanced only when
-that cell is assigned.  After associativity, the checks of a cell run
-in this order: a filter's own (handedness, normality), the candidate
-masks, then the walks, the dearest, on the nodes the others keep; the
-masks and the walks key their state by depth and undo it as the
-search backs up (see :func:`_table_search`).  The other tables of the
+that cell is assigned.  Every check of a cell is a hook that may read
+the search's value index, the assigned cells holding each value, so
+that a law need not rescan the table for the products equal to the new
+one.  The hooks run in this order: associativity, a filter's own
+(handedness, normality), the candidate masks, then the walks, the
+dearest, on the nodes the others keep; the masks and the walks key
+their state by depth and undo it as the search backs up (see
+:func:`_table_search`).  The other tables of the
 class need no search, since their joins are the relabeled joins of
 this one and every filter is isomorphism-invariant.  The join table is
 then searched the same way, each cell ``x∨y`` ranging over
@@ -202,10 +205,13 @@ def canonicalize(S: FiniteSkewLattice) -> CanonicalForm:
 
 # --- incremental table search -------------------------------------------
 
-def _assoc_ok_after(T: list[list[int]], p: int, q: int, where: list[list[tuple[int, int]]]) -> bool:
+# where[v]: the assigned cells (a, b) of a partial table T with T[a][b] = v
+Where = list[list[tuple[int, int]]]
+
+
+def _assoc_ok_after(T: list[list[int]], p: int, q: int, where: Where) -> bool:
     # (x∧y)∧z = x∧(y∧z) on the triples whose evaluation reads the assigned
-    # cell (p, q); a triple with an unassigned (-1) product stays open.
-    # where[v] lists the assigned cells (a, b) with a∧b = v
+    # cell (p, q); a triple with an unassigned (-1) product stays open
     Tp = T[p]
     pq = Tp[q]
     Tpq, Tq = T[pq], T[q]
@@ -226,10 +232,10 @@ def _assoc_ok_after(T: list[list[int]], p: int, q: int, where: list[list[tuple[i
     return True
 
 
-Hook = Callable[[list[list[int]], int, int], bool]
+Hook = Callable[[list[list[int]], int, int, Where], bool]
 
 
-def _left_handed_hook(T: list[list[int]], p: int, q: int) -> bool:
+def _left_handed_hook(T: list[list[int]], p: int, q: int, where: Where) -> bool:
     # x∧y∧x = x∧y on the pairs whose evaluation reads the assigned cell
     # (p, q): (x, y) = (p, q), or (x∧y, x) = (p, q)
     w = T[p][q]
@@ -238,30 +244,27 @@ def _left_handed_hook(T: list[list[int]], p: int, q: int) -> bool:
     return w == p or p not in T[q]
 
 
-def _normal_ok(T: list[list[int]], x: int, y: int, z: int) -> bool:
-    # x∧y∧z∧x = x∧z∧y∧x, open while a product is unassigned (-1)
-    Tx = T[x]
-    xy, xz = Tx[y], Tx[z]
-    if xy < 0 or xz < 0:
-        return True
-    xyz, xzy = T[xy][z], T[xz][y]
-    if xyz < 0 or xzy < 0:
-        return True
-    left, right = T[xyz][x], T[xzy][x]
-    return left < 0 or right < 0 or left == right
-
-
-def _normal_hook(T: list[list[int]], p: int, q: int) -> bool:
+def _normal_hook(T: list[list[int]], p: int, q: int, where: Where) -> bool:
     # x∧y∧z∧x = x∧z∧y∧x on the triples whose left side reads the assigned
     # cell (p, q): (x, y), (x∧y, z) or (x∧y∧z, x) is (p, q).  The law is
-    # symmetric in y and z, so these also cover every read of the right side
-    rows = range(len(T))
-    Tq = T[q]
-    return (
-        all(_normal_ok(T, p, q, z) for z in rows)
-        and all(_normal_ok(T, x, y, q) for x in rows for y in rows if T[x][y] == p)
-        and all(_normal_ok(T, q, y, z) for y in rows if Tq[y] >= 0 for z in rows if T[Tq[y]][z] == p)
-    )
+    # symmetric in y and z, so these also cover every read of the right
+    # side; a triple with an unassigned (-1) product stays open
+    Tp, Tq = T[p], T[q]
+    pq = Tp[q]
+    Tpq = T[pq]
+    for z, pz in enumerate(Tp):  # x, y = p, q
+        if pz >= 0 and 0 <= (u := Tpq[z]) and 0 <= (v := T[pz][q]) and 0 <= T[u][p] != T[v][p] >= 0:
+            return False
+    for x, y in where[p]:  # x∧y, z = p, q: the left side is (p∧q)∧x
+        if 0 <= (xq := T[x][q]) and 0 <= (v := T[xq][y]) and 0 <= Tpq[x] != T[v][x] >= 0:
+            return False
+    for w, z in where[p]:  # x∧y∧z, x = p, q with x∧y = w: the left side is p∧q
+        if w in Tq and 0 <= (qz := Tq[z]):
+            Tqz = T[qz]
+            for y, qy in enumerate(Tq):
+                if qy == w and 0 <= (v := Tqz[y]) and 0 <= T[v][q] != pq:
+                    return False
+    return True
 
 
 class _JoinCandidateMasks:
@@ -292,7 +295,7 @@ class _JoinCandidateMasks:
         # (k, p, left[p], q, right[q]) before node k, cell (p, q), was assigned
         self._log: list[tuple[int, int, int, int, int]] = []
 
-    def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
+    def __call__(self, T: list[list[int]], p: int, q: int, where: Where) -> bool:
         k = p * (self._n - 1) + (q if q < p else q - 1)
         left, right, log = self.left, self.right, self._log
         while log and log[-1][0] >= k:
@@ -382,7 +385,7 @@ class _LexLeaderHook:
         # the π ≠ id with T^π = T for the table completed by the last call
         self.automorphisms: list[tuple[int, ...]] = []
 
-    def __call__(self, T: list[list[int]], p: int, q: int) -> bool:
+    def __call__(self, T: list[list[int]], p: int, q: int, where: Where) -> bool:
         k = p * (self._n - 1) + (q if q < p else q - 1)
         waiting, log = self._waiting, self._log
         while log and log[-1][0] >= k:
@@ -419,25 +422,28 @@ def _table_search(
     ``preset`` assignments (pins) are applied first with the same
     incremental checks; conflicting pins abort the search.  Free cells
     range over ``cand(i, j)`` in row-major cell order.  Each value is
-    checked for associativity, then by the hooks in the order given,
-    stopping at the first that rejects it, so a later hook is not called
-    at every node: a stateful hook cannot rely on seeing each assignment
-    or its undoing.  The census's hooks (:class:`_JoinCandidateMasks`,
-    :class:`_LexLeaderHook`) key their state by depth instead: a call for
-    the k-th cell first undoes what their calls at depth k or deeper
-    did, which belongs to a sibling value or to a subtree the search
-    has left, and when a table is yielded every hook has just been
-    called at the last cell, so its state is that of the table.
+    checked by the hooks, associativity (:func:`_assoc_ok_after`) first
+    and then those given in their order, each called as ``hook(T, i, j,
+    where)`` with the value index ``where`` (``where[v]`` the assigned
+    cells holding v), stopping at the first that rejects it, so a later
+    hook is not called at every node: a stateful hook cannot rely on
+    seeing each assignment or its undoing.  The census's hooks
+    (:class:`_JoinCandidateMasks`, :class:`_LexLeaderHook`) key their
+    state by depth instead: a call for the k-th cell first undoes what
+    their calls at depth k or deeper did, which belongs to a sibling
+    value or to a subtree the search has left, and when a table is
+    yielded every hook has just been called at the last cell, so its
+    state is that of the table.
     """
     T = [[i if i == j else -1 for j in range(n)] for i in range(n)]
-    # where[v]: the assigned cells (a, b) with T[a][b] = v, in assignment order,
-    # so an unassignment pops the cell it added
-    where: list[list[tuple[int, int]]] = [[(v, v)] for v in range(n)]
+    # in assignment order, so an unassignment pops the cell it added
+    where: Where = [[(v, v)] for v in range(n)]
+    hooks = (_assoc_ok_after,) + hooks
     for i, j, v in preset:
         if T[i][j] < 0:
             T[i][j] = v
             where[v].append((i, j))
-            if not _assoc_ok_after(T, i, j, where) or not all(h(T, i, j) for h in hooks):
+            if not all(hook(T, i, j, where) for hook in hooks):
                 return
         elif T[i][j] != v:
             return
@@ -452,12 +458,11 @@ def _table_search(
             T[i][j] = v
             cells = where[v]
             cells.append((i, j))
-            if _assoc_ok_after(T, i, j, where):
-                for hook in hooks:
-                    if not hook(T, i, j):
-                        break
-                else:
-                    yield from rec(k + 1)
+            for hook in hooks:
+                if not hook(T, i, j, where):
+                    break
+            else:
+                yield from rec(k + 1)
             cells.pop()
         T[i][j] = -1
 

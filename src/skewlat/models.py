@@ -29,10 +29,10 @@ documented here and in the README rather than modelled.
 
 Every size argument here is read by ``core._read_int``.  Every table
 builder (``build_pfn_algebra``, ``product``, ``om_window``,
-``chain_lattice``, ``boolean_lattice``) refuses an order above the
-build cap, 4096 unless SKEWLAT_BUILD_CAP says otherwise, through
-``core._check_cap`` before it computes anything that grows with its
-arguments.
+``chain_lattice``, ``boolean_lattice``), and ``pfn_carrier`` for its
+carrier, refuses an order above the build cap, 4096 unless
+SKEWLAT_BUILD_CAP says otherwise, through ``core._check_cap`` before it
+computes anything that grows with its arguments.
 """
 
 from __future__ import annotations
@@ -137,11 +137,16 @@ def pfn_carrier(domain_size: int, codomain_size: int) -> tuple[PartialFunction, 
     """All partial functions domain -> codomain, in a fixed enumeration.
 
     Per-point options are ordered "undefined first", so the empty
-    function sits at index 0 and total functions at the end.
+    function sits at index 0 and total functions at the end.  There are
+    (codomain_size + 1) ** domain_size of them, held to the build cap
+    before any is listed.
     """
-    options: tuple[int | None, ...] = (None,) + tuple(range(codomain_size))
+    m = _read_int(domain_size, "pfn_carrier", "domain_size")
+    b = _read_int(codomain_size, "pfn_carrier", "codomain_size")
+    _check_cap((b + 1, m), "partial-function carrier would have size", op="pfn_carrier", env=BUILD_CAP_ENV)
+    options: tuple[int | None, ...] = (None,) + tuple(range(b))
     out = []
-    for choice in itertools.product(options, repeat=domain_size):
+    for choice in itertools.product(options, repeat=m):
         out.append(PartialFunction(frozenset((x, y) for x, y in enumerate(choice) if y is not None)))
     return tuple(out)
 

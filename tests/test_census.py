@@ -75,8 +75,8 @@ def _canonicalize_oracle(S):
     return CanonicalForm(*best)
 
 
-def _left_handed_rescan(T, p, q):
-    # x∧y∧x = x∧y over the whole partial table, ignoring the cell just assigned
+def _left_handed_rescan(T, p, q, where):
+    # x∧y∧x = x∧y over the whole partial table, ignoring the cell just assigned and the value index
     n = len(T)
     for x in range(n):
         row = T[x]
@@ -90,8 +90,8 @@ def _left_handed_rescan(T, p, q):
     return True
 
 
-def _normal_rescan(T, p, q):
-    # x∧y∧z∧x = x∧z∧y∧x over the whole partial table, ignoring the cell just assigned
+def _normal_rescan(T, p, q, where):
+    # x∧y∧z∧x = x∧z∧y∧x over the whole partial table, ignoring the cell just assigned and the value index
     n = len(T)
     for x in range(n):
         row = T[x]
@@ -149,7 +149,7 @@ class _ReferenceLexLeaderHook:
         # _open[k + 1]: (π, walk, resume position) of every π still undecided after cell k
         self._open = {0: [(perm, walk, 0) for perm, walk in _reference_walks(n)]}
 
-    def __call__(self, T, p, q):
+    def __call__(self, T, p, q, where):
         k = p * (self._n - 1) + (q if q < p else q - 1)
         still_open = []
         for perm, walk, start in self._open[k]:
@@ -389,8 +389,9 @@ def test_the_join_candidate_prune_keeps_exactly_the_tables_with_candidates():
         assert n < 3 or len(kept) < len(labeled)
 
 
-def _join_candidate_rescan(T, p, q):
+def _join_candidate_rescan(T, p, q, where):
     # no cand(i, j), i ≠ j, is empty over the whole partial table, an unassigned cell a wildcard
+    # (the value index is ignored)
     n = len(T)
     return all(
         any(T[i][v] in (i, -1) and T[v][j] in (j, -1) for v in range(n))
@@ -421,7 +422,7 @@ def _row_major_fills(rng, n, steps):
         p, q = cells[k]
         for v in rng.sample(range(n), n):
             T[p][q] = v
-            verdict = _join_candidate_rescan(T, p, q)
+            verdict = _join_candidate_rescan(T, p, q, None)
             yield T, p, q, verdict
             if verdict:
                 break
@@ -433,34 +434,71 @@ def _row_major_fills(rng, n, steps):
                 T[a][b] = -1
 
 
+def _value_index(T):
+    # the exact value index of a partial table: where[v] lists every cell (a, b) with T[a][b] = v
+    n = len(T)
+    return [[(a, b) for a in range(n) for b in range(n) if T[a][b] == v] for v in range(n)]
+
+
+def _normal_ok(T, x, y, z):
+    # x∧y∧z∧x = x∧z∧y∧x for one triple, open while a product is unassigned (-1)
+    sides = []
+    for u, v in ((y, z), (z, y)):
+        side = x
+        for factor in (u, v, x):
+            side = T[side][factor]
+            if side < 0:
+                return True
+        sides.append(side)
+    return sides[0] == sides[1]
+
+
+def _normal_families(T, p, q, n):
+    # the three families of triples whose left side reads cell (p, q), each as a verdict:
+    # (x, y), (x∧y, z) or (x∧y∧z, x) is (p, q)
+    return (
+        all(_normal_ok(T, p, q, z) for z in range(n)),
+        all(_normal_ok(T, x, y, q) for x in range(n) for y in range(n) if T[x][y] == p),
+        all(_normal_ok(T, q, y, z) for y in range(n) for z in range(n) if 0 <= T[q][y] and T[T[q][y]][z] == p),
+    )
+
+
 def test_the_incremental_hooks_match_the_rescans():
-    # on partial tables that passed the rescan before (p, q) was assigned
+    # on partial tables that passed the rescan before (p, q) was assigned, each hook
+    # reading the exact value index of the table
     rng = random.Random(15)
     pairs = {
         "left_handed": (census._left_handed_hook, _left_handed_rescan),
         "normal": (census._normal_hook, _normal_rescan),
     }
     verdicts = {key: set() for key in pairs}
+    lone_failures = [0, 0, 0]
     for n in range(2, 7):
         for _ in range(150):
             unassigned = rng.random()
             T = [[-1 if rng.random() < unassigned else rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            where = _value_index(T)
             for p, q in itertools.product(range(n), repeat=2):
                 if T[p][q] < 0:
                     continue
+                families = _normal_families(T, p, q, n)
+                assert census._normal_hook(T, p, q, where) == all(families), (T, p, q)
+                if families.count(False) == 1:
+                    lone_failures[families.index(False)] += 1
                 before = [row[:] for row in T]
                 before[p][q] = -1
                 for key, (hook, rescan) in pairs.items():
-                    if rescan(before, p, q):
-                        verdict = rescan(T, p, q)
-                        assert hook(T, p, q) == verdict, (key, T, p, q)
+                    if rescan(before, p, q, None):
+                        verdict = rescan(T, p, q, None)
+                        assert hook(T, p, q, where) == verdict, (key, T, p, q)
                         verdicts[key].add(verdict)
+    assert all(lone_failures), lone_failures  # each family of the normal hook alone decides some case
     # the stateful masks, driven along row-major fills
     verdicts["join_candidates"] = set()
     for n in range(2, 7):
         hook = census._JoinCandidateMasks(n)
         for T, p, q, verdict in _row_major_fills(rng, n, 600):
-            assert hook(T, p, q) == verdict, (T, p, q)
+            assert hook(T, p, q, _value_index(T)) == verdict, (T, p, q)
             verdicts["join_candidates"].add(verdict)
     assert verdicts == {key: {False, True} for key in verdicts}
 
@@ -482,7 +520,7 @@ def test_assoc_check_matches_the_triple_oracle():
         for _ in range(60):
             unassigned = rng.random()
             T = [[-1 if rng.random() < unassigned else rng.randrange(n) for _ in range(n)] for _ in range(n)]
-            where = [[(a, b) for a in range(n) for b in range(n) if T[a][b] == v] for v in range(n)]
+            where = _value_index(T)
             for p, q in itertools.product(range(n), repeat=2):
                 if T[p][q] < 0:
                     continue

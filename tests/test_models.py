@@ -75,6 +75,21 @@ def test_carrier_enumeration_starts_empty():
     assert len(set(carrier)) == 9
 
 
+def test_carrier_sizes_are_read_and_capped_before_any_function_is_listed(monkeypatch):
+    for args, message in (((True, 1), "domain_size True"), ((2, 1.5), "codomain_size 1.5")):
+        with pytest.raises(PreconditionError, match=f"^pfn_carrier: {message} is not an integer$"):
+            pfn_carrier(*args)
+    assert len(pfn_carrier(0, 2)) == len(pfn_carrier(3, 0)) == 1  # only the empty function
+
+    def unlisted(*_):
+        raise AssertionError("a partial function was listed")
+
+    monkeypatch.setattr(models, "PartialFunction", unlisted)
+    want = r"^partial-function carrier would have size 3\*\*30 > cap 4096; set SKEWLAT_BUILD_CAP to override$"
+    with pytest.raises(CapExceededError, match=want):
+        pfn_carrier(30, 2)
+
+
 @pytest.mark.parametrize("m,b,order", [(1, 1, 2), (1, 2, 3), (2, 2, 9), (2, 3, 16), (3, 2, 27)])
 def test_algebra_order_is_options_to_the_points(m, b, order):
     S = build_pfn_algebra(m, b)
