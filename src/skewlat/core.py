@@ -260,9 +260,9 @@ class FiniteSkewLattice:
     construction.  The rest of the derived data is computed on first use
     and cached: the validation verdict, the D-partition, the natural
     order, and through ``_once`` the identity and symmetry certificates,
-    lemma verdicts, generating sets, Lemma J's restricted violations,
-    zero, quotient, commutation graph, Lemma A's checked premise and the
-    lattice sections.
+    lemma verdicts, Lemma L's factors, generating sets, Lemma J's
+    restricted violations, zero, quotient, commutation graph, Lemma A's
+    checked premise and the lattice sections.
     """
 
     def __init__(
@@ -356,9 +356,9 @@ class FiniteSkewLattice:
 
     @cached_property
     def _memo(self) -> dict:
-        # _once's keys: an identity's name, ("lemma", law text), ("generators", op), ("Lemma J", law text),
-        # "symmetric", "zero", "quotient", "commutation_graph", "joins_are_suprema" (Lemma A's premise),
-        # "lattice_sections"
+        # _once's keys: an identity's name, ("lemma", law text), "factors" (Lemma L), ("generators", op),
+        # ("Lemma J", law text), "symmetric", "zero", "quotient", "commutation_graph", "joins_are_suprema"
+        # (Lemma A's premise), "lattice_sections"
         return {}
 
 
@@ -886,13 +886,14 @@ def _first_failure(
     """The first of ``laws`` that fails on S, with its first violation in
     lexicographic order, or None: the one scan of every check's laws.
 
-    With ``lemmas``, each law that its lemma proves (``_proved``) is left
-    out first.  The rest run as ``_schedule`` plans them: gather plans
-    below the row regime, one x at a time (``_scan``) in it.  There, with
-    ``lemmas``, a law of Lemma J is scanned at x = 0 first, as a violation
-    there is the full scan's first, found without Lemma J's set-up; past
-    it, Lemma J proves the law, or its violation bounds the rows that hold
-    the witness (``_generator_violation``).
+    With ``lemmas``, each law that a lemma proves (``_proved``, from order
+    65 Lemma L first) is left out first.  The rest run as ``_schedule``
+    plans them: gather plans below the row regime, one x at a time
+    (``_scan``) in it.  There, with ``lemmas``, a law of Lemma J is
+    scanned at x = 0 first, as a violation there is the full scan's first,
+    found without Lemma J's set-up; past it, Lemma J proves the law, or
+    its violation bounds the rows that hold the witness
+    (``_generator_violation``).
     """
     if lemmas:
         laws = tuple(law for law in laws if not _proved(S, law))
@@ -991,10 +992,11 @@ def validate_skew_axioms(S: FiniteSkewLattice) -> Certificate:
     the zero laws.  The witness of a false verdict is ``(law, tuple)``
     for the first violation in lexicographic scan order.  The eight laws
     are one check, scanned by ``_first_failure``: together while their
-    cubes fit ``_SLAB_CELLS``, one x at a time from order 65.  There each
-    associativity law is scanned at x = 0, then with y over a generating
-    set (Light's test, Lemma J); only if that finds a violation are the
-    rows from x = 1 scanned, up to its x, which bounds the witness's.
+    cubes fit ``_SLAB_CELLS``, one x at a time from order 65.  There a
+    law that holds on each factor of a split S is left out (Lemma L), and
+    each associativity law left is scanned at x = 0, then with y over a
+    generating set (Light's test, Lemma J); only if that finds a violation
+    are the rows from x = 1 scanned, up to its x, which bounds the witness's.
     """
     return S.validity
 
@@ -1037,6 +1039,7 @@ def _once(S: FiniteSkewLattice, key: Any, compute: Callable[[], Any]) -> Any:
 # a = a∧b = b∧a, and x∧w∧x ≤ x for all x and w.  Lemma J serves every
 # law that names a variable and an operation (``_Law.gen``), the two
 # associativity axioms included; its proofs use only associativity.
+# Lemma L, from order 65, serves every law on any tables (Birkhoff 1935).
 
 
 def _generators(S: FiniteSkewLattice, op: int) -> np.ndarray:
@@ -1259,11 +1262,75 @@ IDENTITY_NAMES = tuple(_IDENTITY_LAWS)
 _FRAME_LAW = _law("z∧(x∨y) = (z∧x)∨(z∧y)")
 
 
+def _factors(S: FiniteSkewLattice) -> tuple[FiniteSkewLattice, ...] | None:
+    """Lemma L: the distinct factors of S ≅ F₁×…×F_k, k ≥ 2, if the tables show such a split; memoised.
+
+    Candidates: for each e with the second-least c(e) = |{a : a∧e∧a = a}|,
+    one map π(x) = (x∧e)∧x per distinct map (on P(m,b) and 2^m, onto the
+    quotient's atoms).  Premises, checked on the tables: each image I_i is
+    closed under both operations, the subalgebra F_i; the code of x, its
+    images' ranks r_i(π_i x) read in mixed radix, first factor first, is
+    one-to-one and Π|I_i| = n; and for both operations code(x∘y) is the
+    cell of code(x) and code(y) in F₁×…×F_k, numbered as ``models.product``
+    numbers pairs.  Proof: the code is then an isomorphism onto F₁×…×F_k,
+    where both sides of an equation are evaluated coordinatewise, so an
+    equation holds on S when it holds on every F_i.  Nothing here depends
+    on how the candidates were chosen.  The tables are read in row blocks
+    of ``_SLAB_CELLS`` cells: no n² temporary.
+    """
+
+    def split() -> tuple[FiniteSkewLattice, ...] | None:
+        n, m, j = S.order, S._m.base, S._j.base  # the writeable tables, without ``_tables``' two transposed copies
+        ids, step = np.arange(n), max(1, _SLAB_CELLS // n)
+        blocks = [slice(a, a + step) for a in range(0, n, step)]
+        c = sum(np.count_nonzero(m.ravel().take(m[b] * n + ids[b, None]) == ids[b, None], axis=0) for b in blocks)
+        above, seen, images, size = c[c > c.min()], set(), [], 1  # not np.unique, which imports numpy.ma (1 MB)
+        for e in np.flatnonzero(c == above.min()).tolist() if above.size else ():
+            p = m.ravel().take(m[:, e] * n + ids)  # (x∧e)∧x
+            if (key := p.tobytes()) in seen:
+                continue
+            seen.add(key)
+            inside = np.zeros(n, dtype=bool)
+            inside[p] = True
+            size *= (k := int(inside.sum()))
+            if k < 2 or size > n:
+                return None
+            images.append((np.flatnonzero(inside), (np.cumsum(inside) - 1).take(p)))
+        code = functools.reduce(lambda code, image: code * len(image[0]) + image[1], images, 0)
+        if len(images) < 2 or not np.bincount(code, minlength=n).all():
+            return None
+        try:
+            parts = [(subalgebra(S, image), rank) for image, rank in images]
+        except PreconditionError:
+            return None
+        for t, T in enumerate((m, j)):
+            # from the last factor, merged while a table has at most _SLAB_CELLS cells: row (digits of x) of
+            # a table, at y, holds its factors' weighted cells, and d holds those digits of each x
+            w, groups = 1, []
+            for F, rank in reversed(parts):
+                table, w = (F._m, F._j)[t][:, rank] * w, w * F.order
+                if groups and len(groups[-1][0]) * F.order * n <= _SLAB_CELLS:
+                    merged, d = groups.pop()
+                    table, rank = (table[:, None] + merged).reshape(-1, n), rank * len(merged) + d
+                groups.append((table, rank))
+            for b in blocks:
+                gap = code.take(T[b])  # code(x∘y) less its cell in the product: zero where they agree
+                for table, d in groups:
+                    gap -= table.take(d[b], axis=0)
+                if gap.any():
+                    return None
+        return tuple({(F._m.tobytes(), F._j.tobytes()): F for F, _ in parts}.values())
+
+    return _once(S, "factors", split)
+
+
 def _proved(S: FiniteSkewLattice, law: _Law) -> bool:
-    """Whether ``law.lemma`` proves that ``law`` holds on S; the verdict is memoised."""
-    if law.lemma is None:
-        return False
-    return _once(S, ("lemma", law.text), lambda: law.lemma(S, law))
+    """Whether a lemma proves that ``law`` holds on S, memoised: from order 65, if S splits (Lemma L),
+    iff the law holds on every factor, and otherwise if ``law.lemma`` proves it."""
+    factors = _factors(S) if _SLAB_CELLS // S.order**2 <= 1 else None
+    if factors is not None:
+        return _once(S, ("lemma", law.text), lambda: all(_first_failure(F, (law,)) is None for F in factors))
+    return law.lemma is not None and _once(S, ("lemma", law.text), lambda: law.lemma(S, law))
 
 
 def _identity_scan(S: FiniteSkewLattice, name: str, lemmas: bool = False) -> Certificate:
@@ -1284,8 +1351,10 @@ def check_identity(S: FiniteSkewLattice, name: str) -> Certificate:
 
     The laws are scanned in that order, except that a law is skipped
     when a lemma proves it holds, so the certificate is the scan's.
-    Lemma E, from order 65, decides ``normal`` from the down-sets of the
-    maximal elements; the scan runs only for a failure's witness.  Lemma F:
+    Lemma L, from order 65, is asked first: if the tables show S to be a
+    product, a law holds when it holds on each factor.  Lemma E, from
+    order 65, decides ``normal`` from the down-sets of the maximal
+    elements; the scan runs only for a failure's witness.  Lemma F:
     normal implies the meet law of ``regular``.  Lemma G, from order 65:
     if S is normal, the meet law of ``distributive`` is decided on one
     representative per D-class.  Lemma H: on a left- or right-handed S,

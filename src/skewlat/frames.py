@@ -59,12 +59,14 @@ def is_frame(L) -> Certificate:
     (both sides are z∧x, by idempotency).  So if ``(a, b, c)`` fails,
     ``a ≠ b`` and ``(b, a, c)`` fails too, and the first failure has
     ``a < b``: it is the least failing ``(y, z, x)`` with ``y < z``.
+    From order 65 the law is decided on the lattice's factors when Lemma L
+    splits it (``core._factors``); a failure's witness is still the scan's.
     """
     lat = L.lattice if isinstance(L, QuotientLattice) else L
     _require_valid(lat, "is_frame")
     if not is_commutative(lat):
         raise PreconditionError("is_frame is defined for commutative structures (lattices) only")
-    hit = _first_failure(lat, (_FRAME_LAW,))
+    hit = _first_failure(lat, (_FRAME_LAW,), lemmas=True)
     if hit is None:
         return Certificate(True, "frame")
     a, b, c = hit[1]

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from skewlat import core
 from skewlat.census import canonicalize, enumerate_skew_lattices
 from skewlat.completeness import enumerate_commuting_subsets, sup_natural
 from skewlat.core import (
@@ -110,16 +111,27 @@ def _pairwise_frame_scan(L):
         (lambda: functools.reduce(product, (chain_lattice(2), diamond_m3(), chain_lattice(7))), (21, (7, 14))),
         (lambda: chain_lattice(70), None),
         (lambda: boolean_lattice(7), None),
+        (lambda: product(boolean_lattice(4), diamond_m3()), (3, (1, 2))),
     ],
-    ids=["M3xC13", "C13xM3", "C2xM3xC7", "C70", "B7"],
+    ids=["M3xC13", "C13xM3", "C2xM3xC7", "C70", "B7", "B4xM3"],
 )
 def test_the_row_path_scan_matches_the_pairwise_loop(build, witness):
-    # orders 65 to 128: the compiled scan takes one x at a time here
+    # orders 65 to 128: the compiled scan takes one x at a time here, after Lemma L, which
+    # splits only B7; a non-frame is no product its candidate rule finds, so the scan decides
     L = build()
     assert L.order > 64
     verdict = is_frame(L)
     assert verdict == _pairwise_frame_scan(L)
     assert verdict.witness == witness
+    assert (core._factors(L) is None) == (L.order != 128)
+
+
+def test_a_large_boolean_lattice_is_proved_on_its_factor(monkeypatch):
+    # from order 65 the frame law is decided on B9's two-element factor (Lemma L): no row of B9 is scanned
+    L = boolean_lattice(9)
+    monkeypatch.setattr(core, "_scan", lambda *args: pytest.fail("a row of B9 was scanned"))
+    assert is_frame(L) == Certificate(True, "frame")
+    assert L._memo[("lemma", core._FRAME_LAW.text)] is True
 
 
 def _lattice(n, relations):

@@ -1,4 +1,4 @@
-"""Lemmas E to J against the law scans they skip.
+"""Lemmas E to J and L against the law scans they skip.
 
 Each law of ``core._IDENTITY_LAWS`` may carry a lemma; ``check_identity``
 skips a law when its lemma proves that it holds, and scans the rest in
@@ -20,15 +20,23 @@ where ``check_identity`` and the axiom scan use it, their certificates
 must be the plain scans', and a law that fails at x = 0 is decided there,
 before Lemma J is asked.
 
+Lemma L decides every law on the factors of a structure that splits.
+P(4,2), P(5,2), B7 and a product with one factor that breaks absorption
+split, and with the lemmas every check gives the plain scan's
+certificate; so do P(4,2) with one or two cells changed (a hypothesis
+test), and a chain of order 70, which does not split.
+
 The D-partition, computed in one vectorised pass, must equal the
 class-by-class loop it replaced on the whole set, and on the perturbed
 tables wherever that loop can tell an equivalence from the rest.
 """
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlat import core
 from skewlat.census import enumerate_skew_lattices
@@ -562,3 +570,69 @@ def test_the_d_partition_matches_its_loop(oracle_set, perturbed_set):
             assert got == "D-relation is not an equivalence; structure is not a valid skew lattice"
         seen.add((reflexive, isinstance(got, str)))
     assert seen == {(True, False), (True, True), (False, True)}
+
+
+# --- Lemma L: a structure that splits is decided on its factors -------------------------
+
+ALL_LAWS = (core._AXIOM_LAWS, *core._IDENTITY_LAWS.values())
+P12 = build_pfn_algebra(1, 2)
+# P(1,2)'s meet with the join "f where f is defined, else g" (0 is the function defined nowhere):
+# a factor on which absorption fails
+Q = FiniteSkewLattice(3, P12._m, [[f or g for g in range(3)] for f in range(3)])
+
+
+def _tables(S):
+    return S.meet_table, S.join_table
+
+
+@pytest.mark.parametrize("build, factor", [
+    (lambda: build_pfn_algebra(4, 2), P12), (lambda: build_pfn_algebra(5, 2), P12),
+    (lambda: boolean_lattice(7), boolean_lattice(1)),
+], ids=["P(4,2)", "P(5,2)", "B7"])
+def test_the_product_models_split_and_keep_the_scans_verdicts(build, factor):
+    S = build()
+    factors = core._factors(S)
+    assert [_tables(F) for F in factors] == [_tables(factor)] and S._memo["factors"] is factors
+    for laws in ALL_LAWS:
+        T = _fresh(S)
+        assert core._first_failure(T, laws, lemmas=True) == core._first_failure(_fresh(S), laws)
+        # a law is proved on T exactly when it holds on the factor
+        assert [_proved(T, law.text) for law in laws] == [core._first_failure(factor, (law,)) is None for law in laws]
+
+
+def test_a_mixed_product_splits_into_its_two_factors_and_keeps_the_scans_witness():
+    S = functools.reduce(product, [P12, P12, Q, P12, P12])
+    assert sorted(map(_tables, core._factors(S))) == sorted([_tables(P12), _tables(Q)])
+    cert = validate_skew_axioms(S)
+    assert cert == _plain_axioms(_fresh(S))
+    assert cert.witness == ("absorption (x∨y)∧y=y", (9, 18))
+    # the two associativity laws hold on both factors, so Lemma L proved them on S
+    assert _proved(S, "(x∧y)∧z = x∧(y∧z)") and _proved(S, "(x∨y)∨z = x∨(y∨z)")
+    assert not _proved(S, "(x∨y)∧y = y")
+
+
+P42 = build_pfn_algebra(4, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 80), st.integers(0, 80), st.integers(0, 80)),
+                min_size=1, max_size=2))
+def test_changed_cells_of_p42_give_the_scans_verdict_and_witness(cells):
+    tables = [P42._m.copy(), P42._j.copy()]
+    for op, a, b, v in cells:
+        tables[op][a, b] = v
+    S = FiniteSkewLattice(81, *tables)
+    assert validate_skew_axioms(S) == _plain_axioms(FiniteSkewLattice(81, *tables))
+    if S.validity.ok:
+        assert [check_identity(S, name) for name in IDENTITY_NAMES] == [
+            core._identity_scan(FiniteSkewLattice(81, *tables), name) for name in IDENTITY_NAMES]
+
+
+def test_a_chain_does_not_split_and_small_structures_are_not_asked():
+    C = chain_lattice(70)
+    assert core._factors(C) is None
+    assert validate_skew_axioms(C).ok and C._memo["factors"] is None
+    # below order 65 Lemma L is not asked, and a law without a lemma leaves no memo entry
+    S = build_pfn_algebra(3, 2)
+    assert validate_skew_axioms(S).ok and check_identity(S, "left_handed").ok
+    assert "factors" not in S._memo and not any(key[0] == "lemma" for key in S._memo if isinstance(key, tuple))
